@@ -5,6 +5,7 @@ Submodules
 model     Hamiltonian construction, diagonalization, basis changes.
 entropy   Coarse-graining partitions and the entropy functionals.
 dynamics  Quench evolution, entropy time series, free-lattice oracle.
+sampling  Seeded phases and the phase-realization engine every average runs through.
 analysis  Eigenstate-ensemble statistics, fits, finite-size metrics.
 runner    Presets, validation, CSV/JSON emission.
 """
@@ -57,7 +58,6 @@ from .analysis import (
     FluctuationResult,
     SizeScalingReport,
     SweepPoint,
-    SweepResult,
     eigenstate_entropy_table,
     fit_log_slope,
     fluctuation_table,

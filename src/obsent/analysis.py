@@ -1,31 +1,23 @@
 """Eigenstate-ensemble entropy statistics, fits, and finite-size metrics.
 
-The sweep driver diagonalizes once per phase realization and reuses the
-eigenvectors for every requested block size and basis.  Entropies are
-averaged over the selected eigenstates within each realization first, then
-over realizations; the reported spread is the standard error across
+The sweep driver diagonalizes once per phase realization (through
+:func:`obsent.sampling.phase_weights`) and reuses the eigenvectors for
+every requested block size and basis.  Entropies are averaged over the
+selected eigenstates within each realization first, then over
+realizations; the reported spread is the standard error across
 realizations.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import uniform_block_entropy
-from .model import (
-    EigenSystem,
-    ModelParams,
-    build_hamiltonian,
-    eigendecompose,
-    kinetic_index_order,
-    momentum_basis,
-    to_momentum,
-)
-from .sampling import phase_sequence
+from .model import EigenSystem, ModelParams
+from .sampling import mean_stderr, phase_weights
 
 
 @dataclass(frozen=True)
@@ -38,17 +30,6 @@ class SweepPoint:
     basis_tag: str
     mean_S: float
     stderr_S: float
-
-
-@dataclass
-class SweepResult:
-    """A batch of sweep points sharing the sampling configuration."""
-
-    grid: list[tuple]
-    mean_S: np.ndarray
-    stderr_S: np.ndarray
-    n_phi: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -84,23 +65,17 @@ class SizeScalingReport:
     diffs: np.ndarray  # mean_S[i+1] - mean_S[i]
 
 
-def mid_spectrum_states(eig: EigenSystem, count: int = 10) -> list[np.ndarray]:
-    """The ``count`` eigenstates with energies nearest zero.
+def mid_spectrum_states(eig: EigenSystem, count: int = 10) -> np.ndarray:
+    """The ``count`` eigenstates with energies nearest zero, one per row.
 
     Ties in |E| are broken toward the lower eigenvalue index (stable
-    sort), so the selection is deterministic.  States come back ordered by
+    sort), so the selection is deterministic.  Rows come back ordered by
     their position in the spectrum.
     """
     if count > eig.L:
         raise ValueError(f"count={count} exceeds the {eig.L} available states")
     order = np.argsort(np.abs(eig.energies), kind="stable")
-    chosen = np.sort(order[:count])
-    return [eig.vectors[:, i] for i in chosen]
-
-
-def _mid_spectrum_columns(eig: EigenSystem, count: int) -> np.ndarray:
-    order = np.argsort(np.abs(eig.energies), kind="stable")
-    return eig.vectors[:, np.sort(order[:count])]
+    return eig.vectors[:, np.sort(order[:count])].T
 
 
 def resolve_mid_count(mid_count, L: int) -> int:
@@ -146,29 +121,17 @@ def eigenstate_entropy_table(
         raise ValueError(f"selector must be 'mid' or 'ground', got {selector!r}")
     kwargs = {} if alpha is None else {"alpha": alpha}
     params = ModelParams(L=L, delta=delta, bc=bc, **kwargs)
-    count = 1 if selector == "ground" else resolve_mid_count(mid_count, L)
-    phases = phase_sequence(seed, L, delta, n_phi)
-    basis = momentum_basis(L) if "momentum" in basis_tags else None
-    perm = kinetic_index_order(L) if momentum_order == "kinetic" else None
+    if selector == "ground":
+        states = lambda eig: eig.vectors[:, :1]
+    else:
+        count = resolve_mid_count(mid_count, L)
+        states = lambda eig: mid_spectrum_states(eig, count).T
     samples = {(m, b): np.empty(n_phi) for m in m_list for b in basis_tags}
-    for r, phi in enumerate(phases):
-        eig = eigendecompose(build_hamiltonian(params.with_phase(phi)))
-        cols = eig.vectors[:, :1] if selector == "ground" else _mid_spectrum_columns(eig, count)
-        stacks = {}
-        if "real" in basis_tags:
-            stacks["real"] = cols
-        if basis is not None:
-            k_cols = to_momentum(cols, basis)
-            stacks["momentum"] = k_cols[perm, :] if perm is not None else k_cols
-        for b, stack in stacks.items():
-            amp2 = (np.abs(stack) ** 2).T  # (count, L)
-            for m in m_list:
-                samples[(m, b)][r] = uniform_block_entropy(amp2, m).mean()
-    out = {}
-    for key, vals in samples.items():
-        stderr = vals.std(ddof=1) / math.sqrt(n_phi) if n_phi > 1 else 0.0
-        out[key] = (float(vals.mean()), float(stderr))
-    return out
+    realizations = phase_weights(params, n_phi, seed, states, basis_tags, momentum_order)
+    for r, weights in enumerate(realizations):
+        for (m, b), vals in samples.items():
+            vals[r] = uniform_block_entropy(weights[b], m).mean()
+    return {key: tuple(float(x) for x in mean_stderr(vals)) for key, vals in samples.items()}
 
 
 def phase_averaged_eigen_entropy(
@@ -244,14 +207,11 @@ def size_scaling_report(
     contaminates the size dependence.
     """
     L_values = tuple(int(L) for L in L_list)
-    mean = np.empty(len(L_values))
-    stderr = np.empty(len(L_values))
-    for i, L in enumerate(L_values):
-        table = eigenstate_entropy_table(
-            L, delta, [m], (basis_tag,), n_phi=n_phi, seed=seed,
-            mid_count=mid_count, bc=bc, momentum_order=momentum_order,
-        )
-        mean[i], stderr[i] = table[(m, basis_tag)]
+    mean, stderr = np.array([
+        eigenstate_entropy_table(L, delta, [m], (basis_tag,), n_phi=n_phi, seed=seed,
+                                 mid_count=mid_count, bc=bc, momentum_order=momentum_order)[(m, basis_tag)]
+        for L in L_values
+    ]).T
     return SizeScalingReport(
         delta=delta, m=m, basis_tag=basis_tag, L_values=L_values,
         mean_S=mean, stderr_S=stderr, diffs=np.diff(mean),
@@ -271,16 +231,13 @@ def fluctuation_table(
     """Normalized fluctuation across sizes for every (delta, m) pair."""
     L_values = tuple(int(L) for L in L_list)
     results = []
-    means: dict[tuple[float, int, int], float] = {}
-    for delta in delta_list:
-        for L in L_values:
-            table = eigenstate_entropy_table(
-                L, float(delta), m_list, ("real",), n_phi=n_phi, seed=seed,
-                mid_count=mid_count, bc=bc,
-            )
-            for m in m_list:
-                means[(float(delta), m, L)] = table[(m, "real")][0]
+    for delta in map(float, delta_list):
+        tables = [
+            eigenstate_entropy_table(L, delta, m_list, ("real",), n_phi=n_phi, seed=seed,
+                                     mid_count=mid_count, bc=bc)
+            for L in L_values
+        ]
         for m in m_list:
-            f = normalized_fluctuation([means[(float(delta), m, L)] for L in L_values])
-            results.append(FluctuationResult(delta=float(delta), m=m, f=f, L_set=L_values))
+            f = normalized_fluctuation([table[(m, "real")][0] for table in tables])
+            results.append(FluctuationResult(delta=delta, m=m, f=f, L_set=L_values))
     return results

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import CoarseGraining, macrostate_probs, observational_entropy, uniform_block_entropy
-from .model import EigenSystem, ModelParams, build_hamiltonian, eigendecompose, kinetic_index_order, momentum_basis, site_state, to_momentum
-from .sampling import phase_sequence
+from .entropy import CoarseGraining, uniform_block_entropy
+from .model import EigenSystem, ModelParams, site_state
+from .sampling import mean_stderr, phase_weights
 
 #: Largest Bessel order the downward recurrence is tuned (and tested) for.
 BESSEL_MAX_ORDER = 300
@@ -95,29 +95,14 @@ def quench_entropy_table(
     size.  Returns ``{m: (mean, stderr)}`` with arrays over the time grid.
     """
     L = params.L
-    site = L // 2 if initial_site is None else initial_site
-    psi0 = site_state(L, site)
+    psi0 = site_state(L, L // 2 if initial_site is None else initial_site)
     times = np.asarray(times, dtype=float)
-    phases = phase_sequence(seed, L, params.delta, n_phi)
-    basis = momentum_basis(L) if basis_tag == "momentum" else None
-    perm = kinetic_index_order(L) if momentum_order == "kinetic" else None
     samples = {m: np.empty((n_phi, times.size)) for m in m_list}
-    for r, phi in enumerate(phases):
-        eig = eigendecompose(build_hamiltonian(params.with_phase(phi)))
-        psi_t = evolve_many(eig, psi0, times)
-        if basis is not None:
-            psi_t = to_momentum(psi_t.T, basis).T
-            if perm is not None:
-                psi_t = psi_t[:, perm]
-        amp2 = np.abs(psi_t) ** 2
-        for m in m_list:
-            samples[m][r] = uniform_block_entropy(amp2, m)
-    out = {}
-    for m in m_list:
-        mean = samples[m].mean(axis=0)
-        spread = samples[m].std(axis=0, ddof=1) / math.sqrt(n_phi) if n_phi > 1 else np.zeros(times.size)
-        out[m] = (mean, spread)
-    return out
+    states = lambda eig: evolve_many(eig, psi0, times).T
+    for r, weights in enumerate(phase_weights(params, n_phi, seed, states, (basis_tag,), momentum_order)):
+        for m, vals in samples.items():
+            vals[r] = uniform_block_entropy(weights[basis_tag], m)
+    return {m: mean_stderr(vals) for m, vals in samples.items()}
 
 
 def quench_entropy_series(
@@ -128,35 +113,29 @@ def quench_entropy_series(
     seed: int = 0,
     momentum_order: str = "index",
 ) -> EntropySeries:
-    """Phase-averaged entropy over time for one coarse-graining.
+    """Phase-averaged entropy over time for one uniform block coarse-graining.
 
-    For momentum-space coarse-grainings the evolved state is transformed to
-    the plane-wave basis before the block probabilities are accumulated.
+    ``cg`` must be contiguous blocks of one size, as built by
+    :func:`obsent.entropy.make_block_partition`; other partitions raise
+    ``ValueError``.  Momentum-space coarse-grainings see the evolved state in
+    the plane-wave basis.
     """
     params = spec.params
     L = params.L
     if cg.L != L:
         raise ValueError(f"coarse-graining is over {cg.L} indices, lattice has {L}")
-    psi0 = site_state(L, spec.initial_site)
-    phases = phase_sequence(seed, L, params.delta, n_phi)
-    basis = momentum_basis(L) if cg.basis_tag == "momentum" else None
-    perm = kinetic_index_order(L) if momentum_order == "kinetic" else None
-    samples = np.empty((n_phi, spec.times.size))
-    for r, phi in enumerate(phases):
-        eig = eigendecompose(build_hamiltonian(params.with_phase(phi)))
-        psi_t = evolve_many(eig, psi0, spec.times)
-        if basis is not None:
-            psi_t = to_momentum(psi_t.T, basis).T
-            if perm is not None:
-                psi_t = psi_t[:, perm]
-        for it in range(spec.times.size):
-            samples[r, it] = observational_entropy(macrostate_probs(psi_t[it], cg))
-    mean = samples.mean(axis=0)
-    spread = samples.std(axis=0, ddof=1) / math.sqrt(n_phi) if n_phi > 1 else np.zeros(spec.times.size)
+    m = cg.m
+    if m is None or not np.array_equal(np.concatenate(cg.blocks), np.arange(L)):
+        raise ValueError("quench_entropy_series needs contiguous blocks of one size")
+    table = quench_entropy_table(
+        params, spec.times, [m], n_phi=n_phi, seed=seed, basis_tag=cg.basis_tag,
+        initial_site=spec.initial_site, momentum_order=momentum_order,
+    )
+    mean, spread = table[m]
     meta = {
         "L": L,
         "delta": params.delta,
-        "m": cg.m,
+        "m": m,
         "basis_tag": cg.basis_tag,
         "bc": params.bc,
         "n_phi": n_phi,

@@ -9,7 +9,7 @@ are pure functions of their arguments and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,13 +33,13 @@ class ModelParams:
         Number of lattice sites (at least 2).  Block coarse-graining
         workflows additionally want L to be a power of two.
     delta : float
-        Amplitude of the cosine potential, >= 0.  The localization
+        Amplitude of the cosine potential, finite and >= 0.  The localization
         transition of the infinite chain sits at delta = 2.
     alpha : float
         Incommensurate frequency in (0, 1); defaults to the inverse golden
         ratio.
     phi : float
-        Phase offset of the potential; stored reduced into [0, 2*pi).
+        Finite phase offset of the potential; stored reduced into [0, 2*pi).
     bc : str
         Boundary condition, "open" or "periodic".
     """
@@ -53,10 +53,12 @@ class ModelParams:
     def __post_init__(self):
         if int(self.L) != self.L or self.L < 2:
             raise ValueError(f"L must be an integer >= 2, got {self.L!r}")
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta!r}")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi!r}")
         if self.bc not in ("open", "periodic"):
             raise ValueError(f"bc must be 'open' or 'periodic', got {self.bc!r}")
         object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)

@@ -11,12 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import platform
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -99,14 +97,10 @@ def make_config(preset: str = "custom", **overrides) -> ExperimentConfig:
 
 def _normalized(d: dict) -> dict:
     out = dict(d)
-    for key in ("L", "m"):
+    for key, cast in (("L", int), ("m", int), ("delta", float), ("times", float), ("fit_window", float)):
         if out.get(key) is not None:
             seq = out[key] if isinstance(out[key], (list, tuple)) else [out[key]]
-            out[key] = tuple(int(x) for x in seq)
-    for key in ("delta", "times", "fit_window"):
-        if out.get(key) is not None:
-            seq = out[key] if isinstance(out[key], (list, tuple)) else [out[key]]
-            out[key] = tuple(float(x) for x in seq)
+            out[key] = tuple(cast(x) for x in seq)
     if out.get("out") is not None:
         out["out"] = str(out["out"])
     return out
@@ -124,6 +118,10 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _runs_quench(config: ExperimentConfig) -> bool:
+    return config.preset == "fig3" or (config.preset == "custom" and config.times is not None)
 
 
 def validate(config: ExperimentConfig) -> list:
@@ -150,8 +148,16 @@ def validate(config: ExperimentConfig) -> list:
     if not config.delta:
         diags.append("delta list is empty")
     for delta in config.delta:
-        if delta < 0:
+        if not math.isfinite(delta):
+            diags.append(f"delta={delta} is not finite")
+        elif delta < 0:
             diags.append(f"delta={delta} is negative")
+    finite_times = True
+    for name in ("t_min", "t_max", "times", "fit_window"):
+        value = getattr(config, name)
+        if value is not None and not np.all(np.isfinite(value)):
+            diags.append(f"{name}={value} is not finite")
+            finite_times = False
     if config.basis not in ("real", "momentum", "both"):
         diags.append(f"basis must be real, momentum, or both; got {config.basis!r}")
     if config.bc not in ("open", "periodic"):
@@ -172,8 +178,7 @@ def validate(config: ExperimentConfig) -> list:
                 resolve_mid_count(config.mid_count, L)
     except ValueError as exc:
         diags.append(str(exc))
-    needs_times = config.preset == "fig3" or (config.preset == "custom" and config.times is not None)
-    if needs_times:
+    if _runs_quench(config) and finite_times:
         try:
             grid = config.time_grid()
             if grid.size == 0:
@@ -197,28 +202,35 @@ def validate(config: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # grid jobs (module level so a process pool can pickle them)
 
-def _eig_job(args):
-    (L, delta, m_list, bases, n_phi, seed, mid_count, selector, bc, momentum_order) = args
+def _eig_point(job):
+    config, L, delta = job
     return eigenstate_entropy_table(
-        L, delta, m_list, bases, n_phi=n_phi, seed=seed, mid_count=mid_count,
-        selector=selector, bc=bc, momentum_order=momentum_order,
+        L, delta, config.m, config.basis_tags(), n_phi=config.n_phi, seed=config.seed,
+        mid_count=config.mid_count, selector=config.selector, bc=config.bc,
+        momentum_order=config.momentum_order,
     )
 
 
-def _quench_job(args):
-    (L, delta, m_list, times, n_phi, seed, basis_tag, bc, initial_site, momentum_order) = args
-    params = ModelParams(L=L, delta=delta, bc=bc)
-    return quench_entropy_table(
-        params, np.asarray(times), m_list, n_phi=n_phi, seed=seed,
-        basis_tag=basis_tag, initial_site=initial_site, momentum_order=momentum_order,
+def _quench_point(job):
+    config, L, delta = job
+    basis = config.basis_tags()[0]
+    table = quench_entropy_table(
+        ModelParams(L=L, delta=delta, bc=config.bc), config.time_grid(), config.m,
+        n_phi=config.n_phi, seed=config.seed, basis_tag=basis,
+        initial_site=config.initial_site, momentum_order=config.momentum_order,
     )
+    return {(m, basis): stats for m, stats in table.items()}
 
 
-def _map_jobs(fn, arg_list, jobs: int):
-    if jobs <= 1 or len(arg_list) <= 1:
-        return [fn(a) for a in arg_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, arg_list))
+def _map_grid(point, config: ExperimentConfig, L_values) -> dict:
+    """``{(L, delta): point((config, L, delta))}`` over L_values x config.delta."""
+    jobs = [(config, L, delta) for L in L_values for delta in config.delta]
+    if config.jobs <= 1 or len(jobs) <= 1:
+        results = [point(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            results = list(pool.map(point, jobs))
+    return {(L, delta): result for (_, L, delta), result in zip(jobs, results)}
 
 
 # ---------------------------------------------------------------------------
@@ -240,158 +252,65 @@ def _write_csv(path: Path, header, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
-def _eig_tables(config: ExperimentConfig, grid):
-    """Run eigenstate jobs over [(L, delta)] and key the results."""
-    bases = config.basis_tags()
-    args = [
-        (L, delta, tuple(m for m in config.m if L % m == 0), bases, config.n_phi,
-         config.seed, config.mid_count, config.selector, config.bc, config.momentum_order)
-        for (L, delta) in grid
-    ]
-    results = _map_jobs(_eig_job, args, config.jobs)
-    return dict(zip(grid, results))
-
-
-def _run_fig1(config: ExperimentConfig, out_dir: Path):
-    L = config.L[0]
-    grid = [(L, delta) for delta in config.delta]
-    tables = _eig_tables(config, grid)
-    basis = config.basis_tags()[0]
-    rows = [
-        (delta, m, *tables[(L, delta)][(m, basis)], config.n_phi)
-        for delta in config.delta
-        for m in config.m
-    ]
-    _write_csv(out_dir / "fig1.csv", ("delta", "m", "mean_S", "stderr_S", "n_phi"), rows)
-    return ["fig1.csv"]
-
-
-def _run_fig3(config: ExperimentConfig, out_dir: Path):
-    L = config.L[0]
+def _fig3_slopes(config: ExperimentConfig, tables: dict):
     times = config.time_grid()
-    m_list = tuple(m for m in config.m if L % m == 0)
     basis = config.basis_tags()[0]
-    args = [
-        (L, delta, m_list, tuple(times), config.n_phi, config.seed, basis,
-         config.bc, config.initial_site, config.momentum_order)
-        for delta in config.delta
-    ]
-    tables = dict(zip(config.delta, _map_jobs(_quench_job, args, config.jobs)))
     rows = []
-    slope_rows = []
     for delta in config.delta:
-        for m in m_list:
-            mean, stderr = tables[delta][m]
-            rows.extend(
-                (delta, m, t, mean[i], stderr[i]) for i, t in enumerate(times)
-            )
+        for m in config.m:
+            mean = tables[(config.L[0], delta)][(m, basis)][0]
             try:
                 fit = fit_log_slope(times, mean, config.fit_window)
             except ValueError:
                 continue  # window not covered by this grid; flagged by validate()
-            slope_rows.append(
-                (delta, m, config.fit_window[0], config.fit_window[1],
-                 fit.slope, fit.intercept, fit.r_squared)
-            )
-    _write_csv(out_dir / "fig3.csv", ("delta", "m", "t", "mean_S", "stderr_S"), rows)
-    _write_csv(
-        out_dir / "fig3_slopes.csv",
-        ("delta", "m", "t_lo", "t_hi", "slope", "intercept", "r_squared"),
-        slope_rows,
-    )
-    return ["fig3.csv", "fig3_slopes.csv"]
+            rows.append((delta, m, *config.fit_window, fit.slope, fit.intercept, fit.r_squared))
+    return "fig3_slopes.csv", ("delta", "m", "t_lo", "t_hi", "slope", "intercept", "r_squared"), rows
 
 
-def _run_fig4(config: ExperimentConfig, out_dir: Path):
-    grid = [(L, delta) for L in config.L for delta in config.delta]
-    tables = _eig_tables(config, grid)
-    rows = [
-        (basis, L, delta, m, *tables[(L, delta)][(m, basis)], config.n_phi)
-        for basis in config.basis_tags()
-        for L in config.L
-        for delta in config.delta
-        for m in config.m
-        if L % m == 0
-    ]
-    _write_csv(
-        out_dir / "fig4.csv",
-        ("basis", "L", "delta", "m", "mean_S", "stderr_S", "n_phi"),
-        rows,
-    )
-    return ["fig4.csv"]
-
-
-def _run_fig5(config: ExperimentConfig, out_dir: Path):
-    grid = [(L, delta) for L in config.L for delta in config.delta]
-    tables = _eig_tables(config, grid)
+def _fig5_fluctuation(config: ExperimentConfig, tables: dict):
     basis = config.basis_tags()[0]
     rows = [
-        (L, delta, m, *tables[(L, delta)][(m, basis)])
-        for L in config.L
+        (delta, m, normalized_fluctuation([tables[(L, delta)][(m, basis)][0] for L in config.L]))
         for delta in config.delta
         for m in config.m
-        if L % m == 0
     ]
-    _write_csv(out_dir / "fig5_curves.csv", ("L", "delta", "m", "mean_S", "stderr_S"), rows)
-    f_rows = []
-    for delta in config.delta:
-        for m in config.m:
-            if all(L % m == 0 for L in config.L):
-                f = normalized_fluctuation([tables[(L, delta)][(m, basis)][0] for L in config.L])
-                f_rows.append((delta, m, f))
-    _write_csv(out_dir / "fig5_fluctuation.csv", ("delta", "m", "f"), f_rows)
-    return ["fig5_curves.csv", "fig5_fluctuation.csv"]
+    return "fig5_fluctuation.csv", ("delta", "m", "f"), rows
 
 
-def _run_custom(config: ExperimentConfig, out_dir: Path):
-    grid = [(L, delta) for L in config.L for delta in config.delta]
-    tables = _eig_tables(config, grid)
-    rows = [
-        (basis, L, delta, m, *tables[(L, delta)][(m, basis)], config.n_phi)
-        for basis in config.basis_tags()
-        for L in config.L
-        for delta in config.delta
-        for m in config.m
-        if L % m == 0
-    ]
-    _write_csv(
-        out_dir / "sweep.csv",
-        ("basis", "L", "delta", "m", "mean_S", "stderr_S", "n_phi"),
-        rows,
-    )
-    outputs = ["sweep.csv"]
-    if config.times is not None:
-        outputs.extend(_run_fig3_like_quench(config, out_dir))
-    return outputs
+_SWEEP_COLUMNS = ("basis", "L", "delta", "m", "mean_S", "stderr_S", "n_phi")
 
-
-def _run_fig3_like_quench(config: ExperimentConfig, out_dir: Path):
-    times = config.time_grid()
-    basis = config.basis_tags()[0]
-    rows = []
-    for L in config.L:
-        m_list = tuple(m for m in config.m if L % m == 0)
-        args = [
-            (L, delta, m_list, tuple(times), config.n_phi, config.seed, basis,
-             config.bc, config.initial_site, config.momentum_order)
-            for delta in config.delta
-        ]
-        tables = dict(zip(config.delta, _map_jobs(_quench_job, args, config.jobs)))
-        for delta in config.delta:
-            for m in m_list:
-                mean, stderr = tables[delta][m]
-                rows.extend((L, delta, m, t, mean[i], stderr[i]) for i, t in enumerate(times))
-    _write_csv(out_dir / "quench.csv", ("L", "delta", "m", "t", "mean_S", "stderr_S"), rows)
-    return ["quench.csv"]
-
-
-_PRESET_RUNNERS = {
-    "fig1": _run_fig1,
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
-    "custom": _run_custom,
+#: preset -> CSV tables, each (grid point, file name, columns, extra CSV or None).
+#: A table without an "L" column covers only the first L, and one without a
+#: "basis" column only the first basis.  Rows run basis > L > delta > m (> t).
+_PRESET_TABLES = {
+    "fig1": [(_eig_point, "fig1.csv", ("delta", "m", "mean_S", "stderr_S", "n_phi"), None)],
+    "fig3": [(_quench_point, "fig3.csv", ("delta", "m", "t", "mean_S", "stderr_S"), _fig3_slopes)],
+    "fig4": [(_eig_point, "fig4.csv", _SWEEP_COLUMNS, None)],
+    "fig5": [(_eig_point, "fig5_curves.csv", ("L", "delta", "m", "mean_S", "stderr_S"),
+              _fig5_fluctuation)],
+    "custom": [(_eig_point, "sweep.csv", _SWEEP_COLUMNS, None),
+               (_quench_point, "quench.csv", ("L", "delta", "m", "t", "mean_S", "stderr_S"), None)],
 }
+
+
+def _write_table(config: ExperimentConfig, point, path: Path, columns) -> dict:
+    """Run ``point`` over the grid, write its rows, and return the results."""
+    L_values = config.L if "L" in columns else config.L[:1]
+    bases = config.basis_tags() if "basis" in columns else config.basis_tags()[:1]
+    times = config.time_grid() if point is _quench_point else [None]
+    tables = _map_grid(point, config, L_values)
+    rows = []
+    for basis in bases:
+        for L in L_values:
+            for delta in config.delta:
+                for m in config.m:
+                    mean, stderr = map(np.atleast_1d, tables[(L, delta)][(m, basis)])
+                    for t, mean_t, stderr_t in zip(times, mean, stderr):
+                        row = dict(basis=basis, L=L, delta=delta, m=m, t=t, mean_S=mean_t,
+                                   stderr_S=stderr_t, n_phi=config.n_phi)
+                        rows.append([row[c] for c in columns])
+    _write_csv(path, columns, rows)
+    return tables
 
 
 def run(config: ExperimentConfig) -> list:
@@ -407,7 +326,16 @@ def run(config: ExperimentConfig) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
-    outputs = _PRESET_RUNNERS[config.preset](config, out_dir)
+    outputs = []
+    for point, name, columns, extra in _PRESET_TABLES[config.preset]:
+        if point is _quench_point and not _runs_quench(config):
+            continue
+        tables = _write_table(config, point, out_dir / name, columns)
+        outputs.append(name)
+        if extra is not None:
+            extra_name, extra_columns, extra_rows = extra(config, tables)
+            _write_csv(out_dir / extra_name, extra_columns, extra_rows)
+            outputs.append(extra_name)
     manifest = {
         "preset": config.preset,
         "config": asdict(config),

@@ -20,6 +20,7 @@ from obsent import (
     evolve_many,
     fit_log_slope,
     make_block_partition,
+    partition_from_blocks,
     quench_entropy_series,
     quench_entropy_table,
     site_state,
@@ -123,6 +124,16 @@ def test_table_matches_series():
         series = quench_entropy_series(spec, make_block_partition(16, m), n_phi=3, seed=5)
         assert_allclose(table[m][0], series.values, atol=1e-12)
         assert_allclose(table[m][1], series.spread, atol=1e-12)
+
+
+@pytest.mark.parametrize("blocks", [
+    [range(0, 3), range(3, 8)],  # unequal block sizes
+    [[0, 2], [1, 3], [4, 6], [5, 7]],  # equal sizes, not contiguous
+])
+def test_quench_series_rejects_non_uniform_partition(blocks):
+    spec = QuenchSpec(params=ModelParams(L=8, delta=1.0), times=np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="contiguous blocks of one size"):
+        quench_entropy_series(spec, partition_from_blocks(blocks), n_phi=2, seed=0)
 
 
 def test_localized_phase_shows_no_log_growth():

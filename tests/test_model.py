@@ -38,6 +38,13 @@ def test_params_validation():
         ModelParams(L=4, bc="twisted")
 
 
+@pytest.mark.parametrize("field", ["delta", "alpha", "phi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError):
+        ModelParams(L=4, **{field: value})
+
+
 def test_phase_wraps_into_two_pi():
     p = ModelParams(L=4, phi=7.0)
     assert 0.0 <= p.phi < 2.0 * math.pi

@@ -151,13 +151,19 @@ def test_rerun_byte_identical(tmp_path):
     assert (tmp_path / "a" / "fig4.csv").read_bytes() == (tmp_path / "b" / "fig4.csv").read_bytes()
 
 
-def test_parallel_matches_serial(tmp_path):
-    kwargs = dict(L=[8, 16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6)
-    run(make_config("fig4", out=str(tmp_path / "serial"), jobs=1, **kwargs))
-    run(make_config("fig4", out=str(tmp_path / "parallel"), jobs=2, **kwargs))
-    assert (tmp_path / "serial" / "fig4.csv").read_bytes() == (
-        tmp_path / "parallel" / "fig4.csv"
-    ).read_bytes()
+@pytest.mark.parametrize("preset, extra", [
+    ("fig4", {}),
+    ("fig3", dict(t_min=0.5, t_max=40.0, t_points=12)),
+    ("custom", dict(times=[0.0, 1.0, 2.0])),
+], ids=["fig4", "fig3", "custom-times"])
+def test_parallel_matches_serial(tmp_path, preset, extra):
+    kwargs = dict(L=[8, 16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6, **extra)
+    serial = run(make_config(preset, out=str(tmp_path / "serial"), jobs=1, **kwargs))
+    parallel = run(make_config(preset, out=str(tmp_path / "parallel"), jobs=2, **kwargs))
+    csvs = [(a, b) for a, b in zip(serial, parallel) if a.suffix == ".csv"]
+    assert csvs
+    for a, b in csvs:
+        assert a.name == b.name and a.read_bytes() == b.read_bytes()
 
 
 # --- CLI ------------------------------------------------------------------
@@ -190,6 +196,25 @@ def test_cli_config_error_is_machine_readable(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert any("power of 2" in d for d in err["diagnostics"])
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("flags", [
+    ["--preset", "custom", "--delta", "nan"],
+    ["--preset", "custom", "--delta", "inf"],
+    ["--preset", "custom", "--times", "0,1,inf"],
+    ["--preset", "fig3", "--t-max", "inf"],
+    ["--preset", "fig3", "--t-min", "nan"],
+    ["--preset", "fig3", "--fit-hi", "inf"],
+], ids=["delta-nan", "delta-inf", "times-inf", "t_max-inf", "t_min-nan", "fit-inf"])
+def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
+    def no_compute(*args):
+        raise AssertionError("computation started for an invalid config")
+
+    monkeypatch.setattr(obsent.runner, "_map_grid", no_compute)
+    code = obsent.cli.main([command, *flags, "--L", "16", "--m", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "is not finite" in "".join(capsys.readouterr())
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
