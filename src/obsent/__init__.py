@@ -22,6 +22,7 @@ from .model import (
     build_hamiltonian,
     eigendecompose,
     estimate_localization_length,
+    hamiltonian_stack,
     kinetic_index_order,
     momentum_basis,
     plane_wave_state,

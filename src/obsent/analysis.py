@@ -70,12 +70,14 @@ def mid_spectrum_states(eig: EigenSystem, count: int = 10) -> np.ndarray:
 
     Ties in |E| are broken toward the lower eigenvalue index (stable
     sort), so the selection is deterministic.  Rows come back ordered by
-    their position in the spectrum.
+    their position in the spectrum.  A stack of systems gives a
+    (..., count, L) stack of rows.
     """
     if count > eig.L:
         raise ValueError(f"count={count} exceeds the {eig.L} available states")
-    order = np.argsort(np.abs(eig.energies), kind="stable")
-    return eig.vectors[:, np.sort(order[:count])].T
+    order = np.argsort(np.abs(eig.energies), axis=-1, kind="stable")
+    picked = np.sort(order[..., :count], axis=-1)
+    return np.take_along_axis(eig.vectors, picked[..., None, :], axis=-1).swapaxes(-1, -2)
 
 
 def resolve_mid_count(mid_count, L: int) -> int:
@@ -122,16 +124,16 @@ def eigenstate_entropy_table(
     kwargs = {} if alpha is None else {"alpha": alpha}
     params = ModelParams(L=L, delta=delta, bc=bc, **kwargs)
     if selector == "ground":
-        states = lambda eig: eig.vectors[:, :1]
+        states = lambda eig: eig.vectors[..., :1].swapaxes(-1, -2)
     else:
         count = resolve_mid_count(mid_count, L)
-        states = lambda eig: mid_spectrum_states(eig, count).T
-    samples = {(m, b): np.empty(n_phi) for m in m_list for b in basis_tags}
-    realizations = phase_weights(params, n_phi, seed, states, basis_tags, momentum_order)
-    for r, weights in enumerate(realizations):
+        states = lambda eig: mid_spectrum_states(eig, count)
+    samples = {(m, b): [] for m in m_list for b in basis_tags}
+    for weights in phase_weights(params, n_phi, seed, states, basis_tags, momentum_order):
         for (m, b), vals in samples.items():
-            vals[r] = uniform_block_entropy(weights[b], m).mean()
-    return {key: tuple(float(x) for x in mean_stderr(vals)) for key, vals in samples.items()}
+            vals.append(uniform_block_entropy(weights[b], m).mean(axis=-1))
+    return {key: tuple(float(x) for x in mean_stderr(np.concatenate(vals)))
+            for key, vals in samples.items()}
 
 
 def phase_averaged_eigen_entropy(

@@ -68,14 +68,15 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray) -> np.nda
     """States at all requested times, shape (n_times, L).
 
     The eigenbasis projection of psi0 is computed once; each time then
-    costs a single matrix-vector product.
+    costs a single matrix-vector product.  A stack of systems gives a
+    (..., n_times, L) stack.
     """
     psi0 = np.asarray(psi0)
     if psi0.shape != (eig.L,):
         raise ValueError(f"state has shape {psi0.shape}, expected ({eig.L},)")
-    coeff = eig.vectors.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), eig.energies))
-    return (eig.vectors @ (phases * coeff).T).T
+    coeff = eig.vectors.conj().swapaxes(-1, -2) @ psi0
+    phases = np.exp(-1j * (np.asarray(times, dtype=float)[:, None] * eig.energies[..., None, :]))
+    return (eig.vectors @ (phases * coeff[..., None, :]).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def quench_entropy_table(
@@ -97,12 +98,12 @@ def quench_entropy_table(
     L = params.L
     psi0 = site_state(L, L // 2 if initial_site is None else initial_site)
     times = np.asarray(times, dtype=float)
-    samples = {m: np.empty((n_phi, times.size)) for m in m_list}
-    states = lambda eig: evolve_many(eig, psi0, times).T
-    for r, weights in enumerate(phase_weights(params, n_phi, seed, states, (basis_tag,), momentum_order)):
+    samples = {m: [] for m in m_list}
+    states = lambda eig: evolve_many(eig, psi0, times)
+    for weights in phase_weights(params, n_phi, seed, states, (basis_tag,), momentum_order):
         for m, vals in samples.items():
-            vals[r] = uniform_block_entropy(weights[basis_tag], m)
-    return {m: mean_stderr(vals) for m, vals in samples.items()}
+            vals.append(uniform_block_entropy(weights[basis_tag], m))
+    return {m: mean_stderr(np.concatenate(vals)) for m, vals in samples.items()}
 
 
 def quench_entropy_series(

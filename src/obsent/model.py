@@ -9,7 +9,7 @@ are pure functions of their arguments and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class ModelParams:
             raise ValueError(f"bc must be 'open' or 'periodic', got {self.bc!r}")
         object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
 
-    def with_phase(self, phi: float) -> "ModelParams":
-        return replace(self, phi=phi)
-
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
@@ -77,14 +74,18 @@ class HamiltonianMatrix:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues and orthonormal eigenvectors (columns)."""
+    """Ascending eigenvalues and orthonormal eigenvectors (columns).
+
+    A stack of systems carries leading batch axes: energies (..., L) and
+    vectors (..., L, L).
+    """
 
     energies: np.ndarray
     vectors: np.ndarray
 
     @property
     def L(self) -> int:
-        return self.energies.shape[0]
+        return self.energies.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -93,77 +94,102 @@ class MomentumBasis:
 
     ``dft[j, n] = exp(i * k_n * j) / sqrt(L)`` with ``k_n = 2*pi*n/L``, so
     the columns are the plane waves and ``dft`` is unitary.  ``o_diagonal``
-    holds the kinetic-energy eigenvalues ``-2*cos(k_n)``.
+    holds the kinetic-energy eigenvalues ``-2*cos(k_n)``.  The dense
+    ``dft`` matrix is built only on request; :func:`to_momentum` and
+    :func:`to_real` use the FFT.
     """
 
     k_values: np.ndarray
-    dft: np.ndarray
     o_diagonal: np.ndarray
 
     @property
     def L(self) -> int:
         return self.k_values.shape[0]
 
+    @property
+    def dft(self) -> np.ndarray:
+        j = np.arange(self.L)[:, None]
+        return np.exp(1j * self.k_values[None, :] * j) / math.sqrt(self.L)
 
-def build_hamiltonian(params: ModelParams) -> HamiltonianMatrix:
-    """Assemble the dense L x L chain Hamiltonian for the given parameters.
+
+def hamiltonian_stack(params: ModelParams, phis) -> np.ndarray:
+    """Dense (n, L, L) chain Hamiltonians of ``params`` at each phase in ``phis``.
 
     The diagonal carries the quasiperiodic potential evaluated at sites
     j = 1..L; the first off-diagonals are -1, and the corner elements are
-    -1 only for periodic boundaries.
+    -1 only for periodic boundaries.  Phases are reduced into [0, 2*pi) as
+    in :class:`ModelParams`; ``params.phi`` is ignored.
     """
+    phis = np.asarray(phis, dtype=float)
+    if phis.ndim != 1 or not np.all(np.isfinite(phis)):
+        raise ValueError("phis must be a 1-D array of finite phases")
     L = params.L
     sites = np.arange(1, L + 1, dtype=float)
-    h = np.diag(params.delta * np.cos(_TWO_PI * params.alpha * sites + params.phi))
-    idx = np.arange(L - 1)
-    h[idx, idx + 1] = -1.0
-    h[idx + 1, idx] = -1.0
+    h = np.zeros((phis.size, L, L))
+    idx = np.arange(L)
+    h[:, idx, idx] = params.delta * np.cos(_TWO_PI * params.alpha * sites + (phis % _TWO_PI)[:, None])
+    h[:, idx[:-1], idx[1:]] = -1.0
+    h[:, idx[1:], idx[:-1]] = -1.0
     if params.bc == "periodic":
-        h[0, L - 1] = -1.0
-        h[L - 1, 0] = -1.0
-    return HamiltonianMatrix(entries=h, params=params)
+        h[:, 0, L - 1] = -1.0
+        h[:, L - 1, 0] = -1.0
+    return h
+
+
+def build_hamiltonian(params: ModelParams) -> HamiltonianMatrix:
+    """The dense L x L chain Hamiltonian at ``params.phi`` (see :func:`hamiltonian_stack`)."""
+    return HamiltonianMatrix(entries=hamiltonian_stack(params, [params.phi])[0], params=params)
 
 
 def eigendecompose(h: HamiltonianMatrix | np.ndarray) -> EigenSystem:
     """Dense diagonalization; energies come back ascending.
 
-    Raises ``numpy.linalg.LinAlgError`` if the eigensolver fails to
-    converge.
+    Accepts one matrix or a stack of shape (..., L, L); each matrix of a
+    stack is diagonalized exactly as it would be on its own.  Raises
+    ``ValueError`` unless every entry is finite and symmetric within 1e-12,
+    and ``numpy.linalg.LinAlgError`` if the eigensolver fails to converge.
     """
     entries = h.entries if isinstance(h, HamiltonianMatrix) else np.asarray(h, dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    if not np.allclose(entries, entries.T, atol=1e-12, rtol=0.0):
-        raise ValueError("matrix is not symmetric")
+    if entries.ndim < 2 or entries.shape[-1] != entries.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {entries.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        asymmetry = np.abs(entries - entries.swapaxes(-1, -2)).max()
+    if not asymmetry <= 1e-12:
+        raise ValueError(f"matrix is not symmetric and finite (asymmetry {asymmetry:.3g})")
     energies, vectors = np.linalg.eigh(entries)
     return EigenSystem(energies=energies, vectors=vectors)
 
 
 def momentum_basis(L: int) -> MomentumBasis:
-    """Build the plane-wave basis with k_n = 2*pi*n/L for n = 0..L-1."""
+    """The plane-wave basis with k_n = 2*pi*n/L for n = 0..L-1."""
     if L < 2:
         raise ValueError(f"L must be >= 2, got {L}")
-    n = np.arange(L)
-    k = _TWO_PI * n / L
-    j = np.arange(L)[:, None]
-    dft = np.exp(1j * k[None, :] * j) / math.sqrt(L)
-    return MomentumBasis(k_values=k, dft=dft, o_diagonal=-2.0 * np.cos(k))
+    k = _momenta(L)
+    return MomentumBasis(k_values=k, o_diagonal=-2.0 * np.cos(k))
 
 
-def to_momentum(state: np.ndarray, basis: MomentumBasis) -> np.ndarray:
-    """Momentum amplitudes <k_n|psi> of a real-space state (or column stack)."""
+def _momenta(L: int) -> np.ndarray:
+    return _TWO_PI * np.arange(L) / L
+
+
+def to_momentum(state: np.ndarray, basis: MomentumBasis, axis: int = 0) -> np.ndarray:
+    """Momentum amplitudes <k_n|psi> of real-space states along ``axis``.
+
+    The default axis 0 takes a state or a column stack.  This is the
+    unitary FFT (``norm="ortho"``), equal to ``basis.dft.conj().T @ state``.
+    """
     state = np.asarray(state)
-    if state.shape[0] != basis.L:
-        raise ValueError(f"state has {state.shape[0]} amplitudes, basis expects {basis.L}")
-    return basis.dft.conj().T @ state
+    if state.shape[axis] != basis.L:
+        raise ValueError(f"state has {state.shape[axis]} amplitudes, basis expects {basis.L}")
+    return np.fft.fft(state, axis=axis, norm="ortho")
 
 
 def to_real(state: np.ndarray, basis: MomentumBasis) -> np.ndarray:
-    """Inverse of :func:`to_momentum`."""
+    """Inverse of :func:`to_momentum` (along axis 0)."""
     state = np.asarray(state)
     if state.shape[0] != basis.L:
         raise ValueError(f"state has {state.shape[0]} amplitudes, basis expects {basis.L}")
-    return basis.dft @ state
+    return np.fft.ifft(state, axis=0, norm="ortho")
 
 
 def kinetic_index_order(L: int) -> np.ndarray:
@@ -172,7 +198,7 @@ def kinetic_index_order(L: int) -> np.ndarray:
     Ties between the degenerate +k/-k pairs are broken by the original
     index (stable sort), which keeps the permutation deterministic.
     """
-    return np.argsort(momentum_basis(L).o_diagonal, kind="stable")
+    return np.argsort(-2.0 * np.cos(_momenta(L)), kind="stable")
 
 
 def site_state(L: int, site: int) -> np.ndarray:

@@ -16,7 +16,10 @@ import math
 
 import numpy as np
 
-from .model import build_hamiltonian, eigendecompose, kinetic_index_order, momentum_basis, to_momentum
+from .model import eigendecompose, hamiltonian_stack, kinetic_index_order, momentum_basis, to_momentum
+
+#: Memory budget of one chunk of Hamiltonians in :func:`phase_weights`.
+CHUNK_BYTES = 256 * 1024
 
 
 def phase_stream(seed: int, L: int, delta: float) -> np.random.Generator:
@@ -34,27 +37,39 @@ def phase_sequence(seed: int, L: int, delta: float, n_phi: int) -> np.ndarray:
     return phase_stream(seed, L, delta).uniform(0.0, 2.0 * math.pi, n_phi)
 
 
-def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_order: str = "index"):
-    """Yield ``{basis_tag: |amplitude|^2}`` for one phase realization at a time.
+def chunk_size(L: int) -> int:
+    """Phases diagonalized together: as many L x L float64 matrices as fit
+    in :data:`CHUNK_BYTES`, at least one.  Depends on L only, so results
+    never depend on how a grid is split across workers."""
+    return max(1, CHUNK_BYTES // (8 * L * L))
 
-    Each seeded phase is built and diagonalized once; ``states(eig)`` picks
-    the (L, n) column stack to measure.  Momentum tags see that stack in the
-    plane-wave basis, sorted by kinetic energy when ``momentum_order`` is
-    "kinetic".  Every yielded array has shape (n, L).
+
+def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_order: str = "index"):
+    """Yield ``{basis_tag: |amplitude|^2}`` for one chunk of phase realizations at a time.
+
+    The seeded phases are processed in chunks of :func:`chunk_size` (L):
+    each chunk's Hamiltonians are built as one stack and diagonalized in one
+    call, and ``states(eig)`` picks the (B, n, L) stack of states (one row
+    each) to measure.  Momentum tags see those states in the plane-wave
+    basis, sorted by kinetic energy when ``momentum_order`` is "kinetic".
+    Every yielded array has shape (B, n, L); the chunks run through the
+    phases in order.
     """
     L = params.L
     basis = momentum_basis(L) if "momentum" in basis_tags else None
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else None
-    for phi in phase_sequence(seed, L, params.delta, n_phi):
-        cols = states(eigendecompose(build_hamiltonian(params.with_phase(phi))))
+    phis = phase_sequence(seed, L, params.delta, n_phi)
+    step = chunk_size(L)
+    for start in range(0, n_phi, step):
+        rows = states(eigendecompose(hamiltonian_stack(params, phis[start:start + step])))
         weights = {}
         if "real" in basis_tags:
-            weights["real"] = (np.abs(cols) ** 2).T
+            weights["real"] = np.abs(rows) ** 2
         if basis is not None:
-            k_cols = to_momentum(cols, basis)
+            k_rows = to_momentum(rows, basis, axis=-1)
             if perm is not None:
-                k_cols = k_cols[perm, :]
-            weights["momentum"] = (np.abs(k_cols) ** 2).T
+                k_rows = k_rows[..., perm]
+            weights["momentum"] = np.abs(k_rows) ** 2
         yield weights
 
 

@@ -14,6 +14,8 @@ from obsent import (
     build_hamiltonian,
     eigendecompose,
     estimate_localization_length,
+    evolve_many,
+    hamiltonian_stack,
     mid_spectrum_states,
     momentum_basis,
     plane_wave_state,
@@ -137,6 +139,60 @@ def test_rejects_asymmetric_matrix():
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+def test_rejects_nan_matrix():
+    with pytest.raises(ValueError):
+        eigendecompose(np.full((3, 3), math.nan))
+    h = build_hamiltonian(ModelParams(L=4)).entries.copy()
+    h[1, 1] = math.nan
+    with pytest.raises(ValueError):
+        eigendecompose(h)
+
+
+def test_rejects_infinite_matrix():
+    with pytest.raises(ValueError):
+        eigendecompose(np.array([[math.inf, -1.0], [-1.0, 0.0]]))
+
+
+def test_rejects_stack_with_one_asymmetric_matrix():
+    stack = hamiltonian_stack(ModelParams(L=6, delta=1.5), [0.1, 0.2, 0.3, 0.4])
+    eigendecompose(stack)
+    stack[2, 0, 1] += 1e-9
+    with pytest.raises(ValueError):
+        eigendecompose(stack)
+
+
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+def test_hamiltonian_stack_matches_build_hamiltonian(bc):
+    params = ModelParams(L=12, delta=2.7, bc=bc)
+    phis = [0.0, 1.1, 6.2, 7.5, -0.4]
+    stack = hamiltonian_stack(params, phis)
+    assert stack.shape == (5, 12, 12)
+    for h, phi in zip(stack, phis):
+        single = build_hamiltonian(ModelParams(L=12, delta=2.7, phi=phi, bc=bc)).entries
+        assert np.array_equal(h, single)
+
+
+def test_hamiltonian_stack_rejects_non_finite_phases():
+    with pytest.raises(ValueError):
+        hamiltonian_stack(ModelParams(L=4), [0.0, math.nan])
+
+
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+def test_stacked_eigendecompose_is_bit_identical(bc):
+    phis = np.random.default_rng(8).uniform(0.0, 2 * math.pi, 7)
+    stack = hamiltonian_stack(ModelParams(L=24, delta=1.9, bc=bc), phis)
+    eig = eigendecompose(stack)
+    psi0, times = site_state(24, 12), np.array([0.0, 0.5, 3.0])
+    assert eig.energies.shape == (7, 24) and eig.vectors.shape == (7, 24, 24)
+    assert eig.L == 24
+    for i, h in enumerate(stack):
+        single = eigendecompose(h)
+        assert np.array_equal(eig.energies[i], single.energies)
+        assert np.array_equal(eig.vectors[i], single.vectors)
+        assert np.array_equal(mid_spectrum_states(eig, 5)[i], mid_spectrum_states(single, 5))
+        assert np.array_equal(evolve_many(eig, psi0, times)[i], evolve_many(single, psi0, times))
+
+
 def test_phase_shift_is_cyclic_relabeling_at_rational_alpha():
     # with alpha = p/L the shift phi -> phi + 2*pi*alpha*k matches relabeling
     # the ring sites by k, so the spectra coincide; irrational alpha only
@@ -190,6 +246,22 @@ def test_momentum_round_trip():
     basis = momentum_basis(L)
     back = to_real(to_momentum(psi, basis), basis)
     assert np.abs(back - psi).max() < 1e-12
+
+
+@pytest.mark.parametrize("L", [6, 10])
+def test_fft_matches_explicit_dft_sum(L):
+    # <k_n|psi> = sum_j exp(-i k_n j) psi_j / sqrt(L), k_n = 2 pi n / L
+    rng = np.random.default_rng(L)
+    cols = rng.normal(size=(L, 3)) + 1j * rng.normal(size=(L, 3))
+    j = np.arange(L)
+    explicit = np.array([[np.sum(np.exp(-2j * math.pi * n * j / L) * cols[:, c]) / math.sqrt(L)
+                          for c in range(3)] for n in range(L)])
+    basis = momentum_basis(L)
+    assert np.abs(to_momentum(cols, basis) - explicit).max() < 1e-13
+    assert np.abs(to_momentum(cols[:, 1], basis) - explicit[:, 1]).max() < 1e-13
+    assert np.abs(to_momentum(cols.T, basis, axis=-1) - explicit.T).max() < 1e-13
+    assert np.abs(basis.dft.conj().T @ cols - explicit).max() < 1e-13
+    assert np.abs(to_real(explicit, basis) - cols).max() < 1e-13
 
 
 def test_to_momentum_dimension_mismatch():

@@ -1,0 +1,109 @@
+"""Chunked phase-realization engine against a per-phase scalar reference."""
+
+import math
+
+import numpy as np
+import pytest
+
+from obsent import (
+    ModelParams,
+    build_hamiltonian,
+    eigendecompose,
+    eigenstate_entropy_table,
+    evolve_many,
+    kinetic_index_order,
+    macrostate_probs,
+    make_block_partition,
+    mid_spectrum_states,
+    momentum_basis,
+    observational_entropy,
+    phase_sequence,
+    quench_entropy_table,
+    site_state,
+    to_momentum,
+)
+from obsent.sampling import chunk_size, phase_weights
+
+
+def scalar_entropies(states, L, m_list, basis_tag, momentum_order):
+    """{m: entropy per state} through macrostate_probs + observational_entropy."""
+    if basis_tag == "momentum":
+        basis = momentum_basis(L)
+        perm = kinetic_index_order(L) if momentum_order == "kinetic" else np.arange(L)
+        states = [to_momentum(psi, basis)[perm] for psi in states]
+    return {
+        m: np.array([observational_entropy(macrostate_probs(psi, make_block_partition(L, m, basis_tag)))
+                     for psi in states])
+        for m in m_list
+    }
+
+
+def mean_and_stderr(samples):
+    samples = np.asarray(samples)
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(samples.shape[0])
+
+
+def phase_eigensystems(L, delta, n_phi, seed, bc):
+    for phi in phase_sequence(seed, L, delta, n_phi):
+        yield eigendecompose(build_hamiltonian(ModelParams(L=L, delta=delta, phi=phi, bc=bc)))
+
+
+def test_chunk_size_depends_on_L_only():
+    assert [chunk_size(L) for L in (16, 32, 64, 128, 256, 512)] == [128, 32, 8, 2, 1, 1]
+
+
+def test_chunks_cover_every_phase_in_order():
+    params = ModelParams(L=64, delta=1.0)
+    chunks = list(phase_weights(params, 37, 5, lambda eig: eig.vectors[..., :2].swapaxes(-1, -2), ("real",)))
+    assert [c["real"].shape for c in chunks] == [(8, 2, 64)] * 4 + [(5, 2, 64)]
+    single = list(phase_eigensystems(64, 1.0, 37, 5, "open"))
+    batched = np.concatenate([c["real"] for c in chunks])
+    for r in (0, 7, 8, 36):
+        assert np.array_equal(batched[r], np.abs(single[r].vectors[:, :2].T) ** 2)
+
+
+@pytest.mark.parametrize(
+    "L, n_phi, bases, bc, selector, momentum_order",
+    [
+        (64, 37, ("real", "momentum"), "open", "mid", "index"),
+        (64, 37, ("momentum",), "periodic", "mid", "kinetic"),
+        (16, 9, ("real", "momentum"), "periodic", "ground", "kinetic"),
+        (32, 41, ("real",), "open", "ground", "index"),
+    ],
+)
+def test_eigenstate_table_matches_scalar_reference(L, n_phi, bases, bc, selector, momentum_order):
+    delta, seed, m_list, count = 1.7, 3, (1, 2, 4), 6
+    table = eigenstate_entropy_table(L, delta, m_list, bases, n_phi=n_phi, seed=seed, mid_count=count,
+                                     selector=selector, bc=bc, momentum_order=momentum_order)
+    per_phase = {(m, b): [] for m in m_list for b in bases}
+    for eig in phase_eigensystems(L, delta, n_phi, seed, bc):
+        states = eig.vectors[:, :1].T if selector == "ground" else mid_spectrum_states(eig, count)
+        for b in bases:
+            for m, values in scalar_entropies(states, L, m_list, b, momentum_order).items():
+                per_phase[(m, b)].append(values.mean())
+    assert set(table) == set(per_phase)
+    for key, samples in per_phase.items():
+        mean, stderr = mean_and_stderr(samples)
+        assert abs(table[key][0] - mean) < 1e-12
+        assert abs(table[key][1] - stderr) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "L, basis_tag, bc, momentum_order",
+    [(32, "real", "open", "index"), (32, "momentum", "periodic", "kinetic"), (64, "real", "periodic", "index")],
+)
+def test_quench_table_matches_scalar_reference(L, basis_tag, bc, momentum_order):
+    delta, seed, n_phi, m_list = 1.2, 4, 37, (1, 4, L)
+    times = np.array([0.0, 0.3, 1.0, 4.0, 12.0])
+    table = quench_entropy_table(ModelParams(L=L, delta=delta, bc=bc), times, m_list, n_phi=n_phi,
+                                 seed=seed, basis_tag=basis_tag, momentum_order=momentum_order)
+    psi0 = site_state(L, L // 2)
+    per_phase = {m: [] for m in m_list}
+    for eig in phase_eigensystems(L, delta, n_phi, seed, bc):
+        for m, values in scalar_entropies(evolve_many(eig, psi0, times), L, m_list, basis_tag,
+                                          momentum_order).items():
+            per_phase[m].append(values)
+    for m, samples in per_phase.items():
+        mean, stderr = mean_and_stderr(samples)
+        assert np.abs(table[m][0] - mean).max() < 1e-12
+        assert np.abs(table[m][1] - stderr).max() < 1e-12
