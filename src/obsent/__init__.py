@@ -20,7 +20,9 @@ from .model import (
     ModelParams,
     MomentumBasis,
     build_hamiltonian,
+    chain_eigenvectors,
     eigendecompose,
+    eigenvalues,
     estimate_localization_length,
     hamiltonian_stack,
     kinetic_index_order,
@@ -49,7 +51,6 @@ from .dynamics import (
     bessel_j,
     bessel_j_sequence,
     bessel_reference_entropy,
-    evolve,
     evolve_many,
     quench_entropy_series,
     quench_entropy_table,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .entropy import uniform_block_entropy
 from .model import EigenSystem, ModelParams
-from .sampling import mean_stderr, phase_weights
+from .sampling import Window, mean_stderr, phase_weights
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,7 @@ def mid_spectrum_states(eig: EigenSystem, count: int = 10) -> np.ndarray:
     their position in the spectrum.  A stack of systems gives a
     (..., count, L) stack of rows.
     """
-    if count > eig.L:
-        raise ValueError(f"count={count} exceeds the {eig.L} available states")
-    order = np.argsort(np.abs(eig.energies), axis=-1, kind="stable")
-    picked = np.sort(order[..., :count], axis=-1)
-    return np.take_along_axis(eig.vectors, picked[..., None, :], axis=-1).swapaxes(-1, -2)
+    return Window(count)(eig)
 
 
 def resolve_mid_count(mid_count, L: int) -> int:
@@ -123,11 +119,7 @@ def eigenstate_entropy_table(
         raise ValueError(f"selector must be 'mid' or 'ground', got {selector!r}")
     kwargs = {} if alpha is None else {"alpha": alpha}
     params = ModelParams(L=L, delta=delta, bc=bc, **kwargs)
-    if selector == "ground":
-        states = lambda eig: eig.vectors[..., :1].swapaxes(-1, -2)
-    else:
-        count = resolve_mid_count(mid_count, L)
-        states = lambda eig: mid_spectrum_states(eig, count)
+    states = Window(1, "ground") if selector == "ground" else Window(resolve_mid_count(mid_count, L))
     samples = {(m, b): [] for m in m_list for b in basis_tags}
     for weights in phase_weights(params, n_phi, seed, states, basis_tags, momentum_order):
         for (m, b), vals in samples.items():

@@ -57,25 +57,21 @@ class EntropySeries:
     meta: dict = field(default_factory=dict)
 
 
-def evolve(eig: EigenSystem, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Propagate psi0 to time t through the eigendecomposition."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return evolve_many(eig, psi0, np.array([float(t)]))[0]
-
-
 def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """States at all requested times, shape (n_times, L).
 
     The eigenbasis projection of psi0 is computed once; each time then
     costs a single matrix-vector product.  A stack of systems gives a
-    (..., n_times, L) stack.
+    (..., n_times, L) stack.  Negative times raise ``ValueError``.
     """
     psi0 = np.asarray(psi0)
     if psi0.shape != (eig.L,):
         raise ValueError(f"state has shape {psi0.shape}, expected ({eig.L},)")
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0):
+        raise ValueError(f"times must be >= 0, got {times.min()}")
     coeff = eig.vectors.conj().swapaxes(-1, -2) @ psi0
-    phases = np.exp(-1j * (np.asarray(times, dtype=float)[:, None] * eig.energies[..., None, :]))
+    phases = np.exp(-1j * (times[:, None] * eig.energies[..., None, :]))
     return (eig.vectors @ (phases * coeff[..., None, :]).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 

@@ -164,6 +164,8 @@ def uniform_block_entropy(amp2: np.ndarray, m: int) -> np.ndarray:
     if L % m != 0:
         raise ValueError(f"m must divide L: got L={L}, m={m}")
     p = amp2.reshape(amp2.shape[:-1] + (L // m, m)).sum(axis=-1)
-    p = np.clip(p, 0.0, 1.0)
-    plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    np.clip(p, 0.0, 1.0, out=p)
+    plogp = np.where(p > 0.0, p, 1.0)
+    np.log(plogp, out=plogp)  # 0 ln 0 = 0 ln 1 = 0
+    plogp *= p
     return np.maximum(-plogp.sum(axis=-1), 0.0) + math.log(m)

@@ -141,6 +141,20 @@ def build_hamiltonian(params: ModelParams) -> HamiltonianMatrix:
     return HamiltonianMatrix(entries=hamiltonian_stack(params, [params.phi])[0], params=params)
 
 
+def _checked_entries(h: HamiltonianMatrix | np.ndarray) -> np.ndarray:
+    """The entries of one matrix or a (..., L, L) stack, checked to be
+    finite and symmetric within 1e-12 (``ValueError`` otherwise)."""
+    entries = h.entries if isinstance(h, HamiltonianMatrix) else np.asarray(h, dtype=float)
+    if entries.ndim < 2 or entries.shape[-1] != entries.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {entries.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        diff = entries - entries.swapaxes(-1, -2)
+        asymmetry = np.abs(diff, out=diff).max()
+    if not asymmetry <= 1e-12:
+        raise ValueError(f"matrix is not symmetric and finite (asymmetry {asymmetry:.3g})")
+    return entries
+
+
 def eigendecompose(h: HamiltonianMatrix | np.ndarray) -> EigenSystem:
     """Dense diagonalization; energies come back ascending.
 
@@ -149,15 +163,69 @@ def eigendecompose(h: HamiltonianMatrix | np.ndarray) -> EigenSystem:
     ``ValueError`` unless every entry is finite and symmetric within 1e-12,
     and ``numpy.linalg.LinAlgError`` if the eigensolver fails to converge.
     """
-    entries = h.entries if isinstance(h, HamiltonianMatrix) else np.asarray(h, dtype=float)
-    if entries.ndim < 2 or entries.shape[-1] != entries.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {entries.shape}")
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
-        asymmetry = np.abs(entries - entries.swapaxes(-1, -2)).max()
-    if not asymmetry <= 1e-12:
-        raise ValueError(f"matrix is not symmetric and finite (asymmetry {asymmetry:.3g})")
-    energies, vectors = np.linalg.eigh(entries)
+    energies, vectors = np.linalg.eigh(_checked_entries(h))
     return EigenSystem(energies=energies, vectors=vectors)
+
+
+def eigenvalues(h: HamiltonianMatrix | np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues only (``np.linalg.eigvalsh``), shape (..., L),
+    with the same input checks and errors as :func:`eigendecompose`."""
+    return np.linalg.eigvalsh(_checked_entries(h))
+
+
+def chain_eigenvectors(diag, energies) -> np.ndarray:
+    """Eigenvectors of open chains (hopping -1) by inverse iteration.
+
+    ``diag`` (B, L) holds the on-site energies of B chains and ``energies``
+    (B, n) eigenvalues of each chain, as :func:`eigenvalues` returns them;
+    the result is the (B, n, L) stack of unit eigenvectors, one row each,
+    with arbitrary signs.  Every (chain, eigenvalue) pair is one lane of an
+    (L, lanes) layout, so the sequential sweeps over the sites run once for
+    all lanes: ``T - E = LU`` without pivoting, each pivot pushed away from
+    zero by ``eps * (2 + max|diag|)``, then ``U x = 1`` (Wilkinson's start)
+    and one more full solve.  Accuracy is not checked here; see
+    :func:`eigenpair_errors`.  Failures show up as NaN rows.
+    """
+    diag = np.asarray(diag, dtype=float)
+    energies = np.asarray(energies, dtype=float)
+    (B, L), n = diag.shape, energies.shape[-1]
+    tiny = np.finfo(float).eps * (2.0 + np.abs(diag).max(initial=0.0))
+    # inv[i] holds d_i - E and becomes 1/u_i, the reciprocal LU pivot
+    inv = (diag.T[:, :, None] - energies[None, :, :]).reshape(L, B * n)
+    x = np.ones_like(inv)
+    R, X, tmp = list(inv), list(x), np.empty(B * n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(L):
+            if i:
+                np.subtract(R[i], R[i - 1], out=R[i])  # u_i = d_i - E - 1/u_{i-1}
+            np.add(R[i], np.copysign(tiny, R[i], out=tmp), out=R[i])
+            np.reciprocal(R[i], out=R[i])
+        for sweep in range(2):
+            if sweep:
+                for i in range(1, L):  # L y = x
+                    np.multiply(R[i - 1], X[i - 1], out=tmp)
+                    np.add(X[i], tmp, out=X[i])
+            np.multiply(X[-1], R[-1], out=X[-1])
+            for i in range(L - 2, -1, -1):  # U x = y
+                np.add(X[i], X[i + 1], out=X[i])
+                np.multiply(X[i], R[i], out=X[i])
+            x /= np.abs(x).max(axis=0)
+        x /= np.sqrt(np.einsum("ij,ij->j", x, x))
+    del R, X, inv
+    return np.ascontiguousarray(x.T).reshape(B, n, L)
+
+
+def eigenpair_errors(diag, energies, rows):
+    """Per chain: the largest ``|(T - E) x|`` entry over its rows, and the
+    largest entry of ``X X^T - I``; arguments as in :func:`chain_eigenvectors`."""
+    diag, energies, rows = (np.asarray(a, dtype=float) for a in (diag, energies, rows))
+    residual = diag[:, None, :] - energies[..., None]
+    residual *= rows
+    residual[..., 1:] -= rows[..., :-1]
+    residual[..., :-1] -= rows[..., 1:]
+    overlap = rows @ rows.swapaxes(-1, -2)
+    overlap -= np.eye(rows.shape[-2])
+    return np.abs(residual, out=residual).max(axis=(-2, -1)), np.abs(overlap).max(axis=(-2, -1))
 
 
 def momentum_basis(L: int) -> MomentumBasis:
@@ -184,12 +252,12 @@ def to_momentum(state: np.ndarray, basis: MomentumBasis, axis: int = 0) -> np.nd
     return np.fft.fft(state, axis=axis, norm="ortho")
 
 
-def to_real(state: np.ndarray, basis: MomentumBasis) -> np.ndarray:
-    """Inverse of :func:`to_momentum` (along axis 0)."""
+def to_real(state: np.ndarray, basis: MomentumBasis, axis: int = 0) -> np.ndarray:
+    """Inverse of :func:`to_momentum` along ``axis`` (default 0)."""
     state = np.asarray(state)
-    if state.shape[0] != basis.L:
-        raise ValueError(f"state has {state.shape[0]} amplitudes, basis expects {basis.L}")
-    return np.fft.ifft(state, axis=0, norm="ortho")
+    if state.shape[axis] != basis.L:
+        raise ValueError(f"state has {state.shape[axis]} amplitudes, basis expects {basis.L}")
+    return np.fft.ifft(state, axis=axis, norm="ortho")
 
 
 def kinetic_index_order(L: int) -> np.ndarray:

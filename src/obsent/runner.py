@@ -14,6 +14,7 @@ import math
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -202,23 +203,34 @@ def validate(config: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # grid jobs (module level so a process pool can pickle them)
 
+@contextmanager
+def _grid_point(L, delta):
+    """Prefix numerical errors raised inside with the grid point (L, delta)."""
+    try:
+        yield
+    except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+        raise type(exc)(f"L={L}, delta={delta}, {exc}") from exc
+
+
 def _eig_point(job):
     config, L, delta = job
-    return eigenstate_entropy_table(
-        L, delta, config.m, config.basis_tags(), n_phi=config.n_phi, seed=config.seed,
-        mid_count=config.mid_count, selector=config.selector, bc=config.bc,
-        momentum_order=config.momentum_order,
-    )
+    with _grid_point(L, delta):
+        return eigenstate_entropy_table(
+            L, delta, config.m, config.basis_tags(), n_phi=config.n_phi, seed=config.seed,
+            mid_count=config.mid_count, selector=config.selector, bc=config.bc,
+            momentum_order=config.momentum_order,
+        )
 
 
 def _quench_point(job):
     config, L, delta = job
     basis = config.basis_tags()[0]
-    table = quench_entropy_table(
-        ModelParams(L=L, delta=delta, bc=config.bc), config.time_grid(), config.m,
-        n_phi=config.n_phi, seed=config.seed, basis_tag=basis,
-        initial_site=config.initial_site, momentum_order=config.momentum_order,
-    )
+    with _grid_point(L, delta):
+        table = quench_entropy_table(
+            ModelParams(L=L, delta=delta, bc=config.bc), config.time_grid(), config.m,
+            n_phi=config.n_phi, seed=config.seed, basis_tag=basis,
+            initial_site=config.initial_site, momentum_order=config.momentum_order,
+        )
     return {(m, basis): stats for m, stats in table.items()}
 
 

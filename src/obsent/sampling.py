@@ -7,19 +7,42 @@ parameter grid can never change the realizations of an individual grid
 point, and parallel workers need no shared RNG state.
 
 :func:`phase_weights` is the one loop over phase realizations that every
-eigenstate and quench average runs through.
+eigenstate and quench average runs through, and :class:`Window` with
+:func:`window_indices` the one way to pick eigenstates.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import eigendecompose, hamiltonian_stack, kinetic_index_order, momentum_basis, to_momentum
+from .model import (
+    chain_eigenvectors,
+    eigendecompose,
+    eigenpair_errors,
+    eigenvalues,
+    hamiltonian_stack,
+    kinetic_index_order,
+    momentum_basis,
+    to_momentum,
+)
 
-#: Memory budget of one chunk of Hamiltonians in :func:`phase_weights`.
+#: Memory budget of one chunk of Hamiltonians, or of one (L, lanes) inverse
+#: iteration array, in :func:`phase_weights`.
 CHUNK_BYTES = 256 * 1024
+#: Smallest spacing (in units of the hopping) between a selected level and
+#: its neighbours for which inverse iteration is trusted.  Closer levels
+#: make single eigenvectors solver-dependent at about 1e-15 / spacing.
+GAP_MIN = 1e-4
+#: Largest entry of ``(T - E) x`` and of ``X X^T - I`` accepted from inverse
+#: iteration.
+EIGENPAIR_TOL = 1e-10
+#: Open-chain phases whose window fell back to the dense eigensolver, by
+#: reason (see :func:`window_rows`); counts this process only.
+dense_fallbacks = Counter()
 
 
 def phase_stream(seed: int, L: int, delta: float) -> np.random.Generator:
@@ -37,31 +60,128 @@ def phase_sequence(seed: int, L: int, delta: float, n_phi: int) -> np.ndarray:
     return phase_stream(seed, L, delta).uniform(0.0, 2.0 * math.pi, n_phi)
 
 
-def chunk_size(L: int) -> int:
-    """Phases diagonalized together: as many L x L float64 matrices as fit
-    in :data:`CHUNK_BYTES`, at least one.  Depends on L only, so results
-    never depend on how a grid is split across workers."""
-    return max(1, CHUNK_BYTES // (8 * L * L))
+def chunk_size(L: int, n: int | None = None) -> int:
+    """Phases processed together: as many (L, n) float64 arrays per phase as
+    fit in :data:`CHUNK_BYTES`, at least one.  ``n`` defaults to L (dense
+    Hamiltonians); it is the window size for inverse iteration lanes.
+    Depends on L and n only, so results never depend on how a grid is split
+    across workers."""
+    return max(1, CHUNK_BYTES // (8 * L * (L if n is None else n)))
+
+
+def window_indices(energies: np.ndarray, count: int, selector: str = "mid") -> np.ndarray:
+    """Spectrum positions of the selected eigenstates, shape (..., count).
+
+    ``energies`` are ascending along the last axis.  "mid" takes the
+    ``count`` levels nearest zero, ties in |E| broken toward the lower index
+    (stable sort), in spectrum order; "ground" takes the ``count`` lowest.
+    """
+    L = energies.shape[-1]
+    if count > L:
+        raise ValueError(f"count={count} exceeds the {L} available states")
+    if selector == "ground":
+        return np.broadcast_to(np.arange(count), energies.shape[:-1] + (count,))
+    if selector != "mid":
+        raise ValueError(f"selector must be 'mid' or 'ground', got {selector!r}")
+    order = np.argsort(np.abs(energies), axis=-1, kind="stable")
+    return np.sort(order[..., :count], axis=-1)
+
+
+@dataclass(frozen=True)
+class Window:
+    """Eigenstates an eigenstate table measures: ``count`` levels picked by
+    :func:`window_indices`.  Calling it on an :class:`~obsent.model.EigenSystem`
+    (or a stack) returns the (..., count, L) rows of those eigenvectors."""
+
+    count: int
+    selector: str = "mid"
+
+    def indices(self, energies: np.ndarray) -> np.ndarray:
+        return window_indices(energies, self.count, self.selector)
+
+    def margin(self, energies: np.ndarray) -> np.ndarray:
+        """How far the first level left out lies beyond the last one picked,
+        in the selection key (|E| for "mid", E for "ground"); inf when the
+        window holds every level.  Shape (...,)."""
+        if self.count == energies.shape[-1]:
+            return np.full(energies.shape[:-1], np.inf)
+        key = np.sort(np.abs(energies), axis=-1) if self.selector == "mid" else energies
+        return key[..., self.count] - key[..., self.count - 1]
+
+    def __call__(self, eig) -> np.ndarray:
+        picked = self.indices(eig.energies)
+        return np.take_along_axis(eig.vectors, picked[..., None, :], axis=-1).swapaxes(-1, -2)
+
+
+def _window_levels(params, phis: np.ndarray, window: Window):
+    """Diagonals (B, L), selected levels (B, n), smallest spacing around a
+    selected level (B,) and window margin (B,) of the open chains at
+    ``phis``, from one dense ``eigvalsh`` stack."""
+    h = hamiltonian_stack(params, phis)
+    energies = eigenvalues(h)
+    picked = window.indices(energies)
+    spacing = np.diff(energies, axis=-1, prepend=-np.inf, append=np.inf)
+    gap = np.minimum(np.take_along_axis(spacing, picked, axis=-1),
+                     np.take_along_axis(spacing, picked + 1, axis=-1)).min(axis=-1)
+    return (np.diagonal(h, axis1=-2, axis2=-1).copy(), np.take_along_axis(energies, picked, axis=-1),
+            gap, window.margin(energies))
+
+
+def window_rows(params, phis: np.ndarray, window: Window) -> np.ndarray:
+    """(B, n, L) rows of ``window`` for open chains at the phases ``phis``.
+
+    Eigenvalues come from dense ``eigvalsh`` in chunks of :func:`chunk_size`
+    (L); only each phase's diagonal and selected levels are kept, and
+    :func:`~obsent.model.chain_eigenvectors` finds the eigenvectors of all
+    of them at once.  A phase is redone on the dense path, and counted in
+    :data:`dense_fallbacks`, when a selected level lies within
+    :data:`GAP_MIN` of a neighbour ("near_degenerate"), when the window
+    edge is a tie within :data:`EIGENPAIR_TOL` so that rounding decides
+    which level is picked ("window_tie"), or when its vectors miss
+    :data:`EIGENPAIR_TOL` ("inaccurate").
+    """
+    step = chunk_size(params.L)
+    chunks = [_window_levels(params, phis[start:start + step], window)
+              for start in range(0, len(phis), step)]
+    diag, level, gap, margin = (np.concatenate(a) for a in zip(*chunks))
+    rows = chain_eigenvectors(diag, level)
+    error = np.maximum(*eigenpair_errors(diag, level, rows))
+    reason = np.select([gap < GAP_MIN, margin < EIGENPAIR_TOL, ~(error <= EIGENPAIR_TOL)],
+                       ["near_degenerate", "window_tie", "inaccurate"], "")
+    for p in np.flatnonzero(reason):
+        rows[p] = window(eigendecompose(hamiltonian_stack(params, phis[p:p + 1])))[0]
+        dense_fallbacks[str(reason[p])] += 1
+    return rows
 
 
 def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_order: str = "index"):
     """Yield ``{basis_tag: |amplitude|^2}`` for one chunk of phase realizations at a time.
 
-    The seeded phases are processed in chunks of :func:`chunk_size` (L):
-    each chunk's Hamiltonians are built as one stack and diagonalized in one
-    call, and ``states(eig)`` picks the (B, n, L) stack of states (one row
-    each) to measure.  Momentum tags see those states in the plane-wave
-    basis, sorted by kinetic energy when ``momentum_order`` is "kinetic".
-    Every yielded array has shape (B, n, L); the chunks run through the
-    phases in order.
+    ``states`` picks the (B, n, L) stack of states (one row each) to measure
+    in a chunk of B phases.  It is either a :class:`Window` of eigenstates
+    or a function of the chunk's stacked :class:`~obsent.model.EigenSystem`.
+    A window of open chains runs on eigenvalues plus inverse iteration (see
+    :func:`window_rows`) in chunks of :func:`chunk_size` (L, n); everything
+    else diagonalizes stacks of :func:`chunk_size` (L) dense Hamiltonians.
+    Momentum tags see the states in the plane-wave basis, sorted by kinetic
+    energy when ``momentum_order`` is "kinetic".  Chunks run through the
+    phases in order.  Numerical errors name the failing phase indices.
     """
     L = params.L
     basis = momentum_basis(L) if "momentum" in basis_tags else None
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else None
     phis = phase_sequence(seed, L, params.delta, n_phi)
-    step = chunk_size(L)
+    windowed = isinstance(states, Window) and params.bc == "open"
+    step = chunk_size(L, states.count) if windowed else chunk_size(L)
     for start in range(0, n_phi, step):
-        rows = states(eigendecompose(hamiltonian_stack(params, phis[start:start + step])))
+        chunk = phis[start:start + step]
+        try:
+            if windowed:
+                rows = window_rows(params, chunk, states)
+            else:
+                rows = states(eigendecompose(hamiltonian_stack(params, chunk)))
+        except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+            raise type(exc)(f"phase index {start}-{start + len(chunk) - 1}: {exc}") from exc
         weights = {}
         if "real" in basis_tags:
             weights["real"] = np.abs(rows) ** 2
@@ -70,6 +190,8 @@ def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_or
             if perm is not None:
                 k_rows = k_rows[..., perm]
             weights["momentum"] = np.abs(k_rows) ** 2
+            del k_rows
+        del rows  # only the weights stay alive while the consumer reduces them
         yield weights
 
 

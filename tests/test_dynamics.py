@@ -16,7 +16,6 @@ from obsent import (
     bessel_reference_entropy,
     build_hamiltonian,
     eigendecompose,
-    evolve,
     evolve_many,
     fit_log_slope,
     make_block_partition,
@@ -44,22 +43,22 @@ def free_ring_eig(L):
 def test_evolve_t0_is_identity():
     eig = free_ring_eig(32)
     psi0 = site_state(32, 16)
-    assert np.abs(evolve(eig, psi0, 0.0) - psi0).max() < 1e-14
+    assert np.abs(evolve_many(eig, psi0, np.array([0.0]))[0] - psi0).max() < 1e-14
 
 
 def test_evolve_preserves_norm():
     eig = eigendecompose(build_hamiltonian(ModelParams(L=48, delta=2.3, phi=0.7)))
     psi0 = site_state(48, 24)
     for t in (0.3, 2.0, 17.5):
-        assert abs(np.linalg.norm(evolve(eig, psi0, t)) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(evolve_many(eig, psi0, np.array([t]))[0]) - 1.0) < 1e-10
 
 
 def test_evolve_rejects_negative_time_and_bad_shape():
     eig = free_ring_eig(8)
     with pytest.raises(ValueError):
-        evolve(eig, site_state(8, 4), -1.0)
+        evolve_many(eig, site_state(8, 4), np.array([-1.0]))[0]
     with pytest.raises(ValueError):
-        evolve(eig, site_state(16, 4), 1.0)
+        evolve_many(eig, site_state(16, 4), np.array([1.0]))[0]
 
 
 def test_free_ring_amplitudes_are_bessel():
@@ -69,7 +68,7 @@ def test_free_ring_amplitudes_are_bessel():
     psi0 = site_state(L, L // 2)
     half = L // 2
     for t in (1.0, 4.0, 10.0):
-        psi_t = evolve(eig, psi0, t)
+        psi_t = evolve_many(eig, psi0, np.array([t]))[0]
         j = bessel_j_sequence(half, 2.0 * t)
         orders = np.abs(np.arange(1, L + 1) - half)
         assert np.abs(np.abs(psi_t) - np.abs(j[orders])).max() < 1e-6

@@ -12,7 +12,9 @@ from obsent import (
     GOLDEN_RATIO_INVERSE,
     ModelParams,
     build_hamiltonian,
+    chain_eigenvectors,
     eigendecompose,
+    eigenvalues,
     estimate_localization_length,
     evolve_many,
     hamiltonian_stack,
@@ -23,6 +25,7 @@ from obsent import (
     to_momentum,
     to_real,
 )
+from obsent.model import eigenpair_errors
 
 
 def test_golden_ratio_default():
@@ -153,6 +156,47 @@ def test_rejects_infinite_matrix():
         eigendecompose(np.array([[math.inf, -1.0], [-1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("h", [
+    np.array([[0.0, 1.0], [2.0, 0.0]]),
+    np.full((3, 3), math.nan),
+    np.array([[math.inf, -1.0], [-1.0, 0.0]]),
+    np.ones((2, 3)),
+], ids=["asymmetric", "nan", "inf", "not-square"])
+def test_eigenvalues_checks_input_like_eigendecompose(h):
+    with pytest.raises(ValueError):
+        eigenvalues(h)
+
+
+def test_eigenvalues_match_eigendecompose():
+    stack = hamiltonian_stack(ModelParams(L=20, delta=2.4), [0.3, 1.7, 4.0])
+    assert np.abs(eigenvalues(stack) - eigendecompose(stack).energies).max() < 1e-13
+
+
+def test_chain_eigenvectors_open_chain_analytic():
+    # free open chain: psi_n(j) = sqrt(2/(L+1)) sin(n*pi*j/(L+1)), E_n = -2 cos(n*pi/(L+1))
+    L = 12
+    n = np.array([1, 4, 7, 12])
+    energies = -2.0 * np.cos(n * math.pi / (L + 1))
+    rows = chain_eigenvectors(np.zeros((1, L)), energies[None, :])
+    j = np.arange(1, L + 1)
+    exact = math.sqrt(2.0 / (L + 1)) * np.sin(np.outer(n, j) * math.pi / (L + 1))
+    assert rows.shape == (1, 4, L)
+    assert np.abs(rows[0] ** 2 - exact**2).max() < 1e-13
+
+
+@pytest.mark.parametrize("delta", [0.5, 2.0, 4.5])
+def test_chain_eigenvectors_match_dense_stack(delta):
+    stack = hamiltonian_stack(ModelParams(L=40, delta=delta), [0.2, 2.9, 5.1])
+    eig = eigendecompose(stack)
+    picked = np.array([0, 9, 20, 39])
+    diag = np.diagonal(stack, axis1=-2, axis2=-1)
+    rows = chain_eigenvectors(diag, eig.energies[:, picked])
+    dense = eig.vectors[:, :, picked].swapaxes(-1, -2)
+    assert np.abs(rows**2 - dense**2).max() < 1e-12
+    residual, overlap = eigenpair_errors(diag, eig.energies[:, picked], rows)
+    assert residual.max() < 1e-12 and overlap.max() < 1e-12
+
+
 def test_rejects_stack_with_one_asymmetric_matrix():
     stack = hamiltonian_stack(ModelParams(L=6, delta=1.5), [0.1, 0.2, 0.3, 0.4])
     eigendecompose(stack)
@@ -262,6 +306,7 @@ def test_fft_matches_explicit_dft_sum(L):
     assert np.abs(to_momentum(cols.T, basis, axis=-1) - explicit.T).max() < 1e-13
     assert np.abs(basis.dft.conj().T @ cols - explicit).max() < 1e-13
     assert np.abs(to_real(explicit, basis) - cols).max() < 1e-13
+    assert np.abs(to_real(explicit.T, basis, axis=-1) - cols.T).max() < 1e-13
 
 
 def test_to_momentum_dimension_mismatch():

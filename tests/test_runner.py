@@ -230,6 +230,22 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "numerical"
 
 
+@pytest.mark.parametrize("preset, solver", [("fig1", "eigenvalues"), ("fig3", "eigendecompose")])
+def test_cli_numerical_failure_names_grid_point(tmp_path, monkeypatch, capsys, preset, solver):
+    def boom(h):
+        raise np.linalg.LinAlgError("eigensolver did not converge")
+
+    monkeypatch.setattr(obsent.sampling, solver, boom)
+    code = obsent.cli.main([
+        "run", "--preset", preset, "--L", "16", "--delta", "1.5", "--m", "1", "--n-phi", "2",
+        "--out", str(tmp_path),
+    ])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert err["message"] == "L=16, delta=1.5, phase index 0-1: eigensolver did not converge"
+
+
 def test_cli_jobs_env_default(monkeypatch, tmp_path):
     seen = {}
 

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsent import (
     ModelParams,
     build_hamiltonian,
     eigendecompose,
     eigenstate_entropy_table,
+    hamiltonian_stack,
     evolve_many,
     kinetic_index_order,
     macrostate_probs,
@@ -21,8 +24,10 @@ from obsent import (
     quench_entropy_table,
     site_state,
     to_momentum,
+    uniform_block_entropy,
 )
-from obsent.sampling import chunk_size, phase_weights
+from obsent import sampling
+from obsent.sampling import Window, chunk_size, phase_weights, window_rows
 
 
 def scalar_entropies(states, L, m_list, basis_tag, momentum_order):
@@ -50,6 +55,96 @@ def phase_eigensystems(L, delta, n_phi, seed, bc):
 
 def test_chunk_size_depends_on_L_only():
     assert [chunk_size(L) for L in (16, 32, 64, 128, 256, 512)] == [128, 32, 8, 2, 1, 1]
+
+
+def test_lane_chunk_size_depends_on_L_and_window_only():
+    assert [chunk_size(L, L // 8) for L in (16, 64, 128, 256, 512)] == [1024, 64, 16, 4, 1]
+    assert chunk_size(256, 10) == 12
+
+
+def dense_window(params, phis, window):
+    """The window's rows from dense eigh of the chains ``sampling`` builds."""
+    return window(eigendecompose(sampling.hamiltonian_stack(params, phis)))
+
+
+def block_entropies(rows, m):
+    k_rows = to_momentum(rows, momentum_basis(rows.shape[-1]), axis=-1)
+    return uniform_block_entropy(np.abs(rows) ** 2, m), uniform_block_entropy(np.abs(k_rows) ** 2, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.sampled_from((8, 16, 32, 64, 128)),
+    delta=st.floats(0.0, 6.0),
+    phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+    size=st.floats(0.0, 1.0),
+    selector=st.sampled_from(("mid", "ground")),
+)
+def test_window_rows_match_dense_eigh(L, delta, phi, size, selector):
+    params, phis = ModelParams(L=L, delta=delta), np.array([phi])
+    window = Window(1 + int(size * (L - 1)), selector)
+    rows = window_rows(params, phis, window)
+    dense = dense_window(params, phis, window)  # mid_spectrum_states for "mid"
+    assert np.abs(rows @ rows.swapaxes(-1, -2) - np.eye(window.count)).max() <= 1e-10
+    for m in (1, 2, L // 2):
+        for new, old in zip(block_entropies(rows, m), block_entropies(dense, m)):
+            assert np.abs(new - old).max() <= 1e-10
+
+
+def open_chain_stack(diag):
+    """Stand-in for hamiltonian_stack: every phase gets the chain with on-site energies ``diag``."""
+    def stack(params, phis):
+        L = diag.size
+        h = np.zeros((len(phis), L, L))
+        h[:, range(L), range(L)] = diag
+        h[:, range(L - 1), range(1, L)] = h[:, range(1, L), range(L - 1)] = -1.0
+        return h
+    return stack
+
+
+@pytest.mark.parametrize("twin", [True, False], ids=["near-degenerate", "control"])
+def test_near_degenerate_window_takes_dense_path(monkeypatch, twin):
+    # Two equally deep wells 20 sites apart in a strong potential of period 10
+    # bind a pair of states split by far less than GAP_MIN; one well alone does not.
+    diag = 4.0 * np.cos(2.0 * math.pi * np.arange(32) / 10)
+    diag[5] = -20.0
+    if twin:
+        diag[25] = -20.0
+    monkeypatch.setattr(sampling, "hamiltonian_stack", open_chain_stack(diag))
+    params, phis, window = ModelParams(L=32), np.zeros(1), Window(1, "ground")
+    before = sampling.dense_fallbacks["near_degenerate"]
+    rows = window_rows(params, phis, window)
+    dense = dense_window(params, phis, window)
+    assert sampling.dense_fallbacks["near_degenerate"] == before + twin
+    if twin:
+        assert np.array_equal(rows, dense)
+    else:
+        assert np.abs(rows**2 - dense**2).max() < 1e-12
+
+
+def test_window_edge_tie_takes_dense_path():
+    # At delta = 0 the open chain's spectrum is symmetric about zero, so an
+    # odd mid window ends on a |E| tie that rounding alone would decide.
+    params, phis, window = ModelParams(L=16), np.zeros(1), Window(9)
+    before = sampling.dense_fallbacks["window_tie"]
+    rows = window_rows(params, phis, window)
+    assert sampling.dense_fallbacks["window_tie"] == before + 1
+    assert np.array_equal(rows, mid_spectrum_states(eigendecompose(hamiltonian_stack(params, phis)), 9))
+
+
+def test_inaccurate_vectors_take_dense_path(monkeypatch):
+    params, phis, window = ModelParams(L=32, delta=1.3), np.array([0.4, 2.2, 5.0]), Window(4)
+
+    def garbled(diag, energies):
+        rows = np.ones(energies.shape + diag.shape[-1:]) / math.sqrt(diag.shape[-1])
+        rows[1] = np.nan
+        return rows
+
+    monkeypatch.setattr(sampling, "chain_eigenvectors", garbled)
+    before = sampling.dense_fallbacks["inaccurate"]
+    rows = window_rows(params, phis, window)
+    assert sampling.dense_fallbacks["inaccurate"] == before + 3
+    assert np.array_equal(rows, dense_window(params, phis, window))
 
 
 def test_chunks_cover_every_phase_in_order():
