@@ -4,7 +4,7 @@ Submodules
 ----------
 model     Hamiltonian construction, diagonalization, basis changes.
 entropy   Coarse-graining partitions and the entropy functionals.
-dynamics  Quench evolution, entropy time series, free-lattice oracle.
+dynamics  Quench evolution, quench entropy tables, free-lattice oracle.
 sampling  Seeded phases and the phase-realization engine every average runs through.
 analysis  Eigenstate-ensemble statistics, fits, finite-size metrics.
 runner    Presets, validation, CSV/JSON emission.
@@ -16,7 +16,6 @@ from .model import (
     DELOCALIZED,
     GOLDEN_RATIO_INVERSE,
     EigenSystem,
-    HamiltonianMatrix,
     ModelParams,
     MomentumBasis,
     build_hamiltonian,
@@ -46,26 +45,21 @@ from .entropy import (
 from .dynamics import (
     BESSEL_MAX_ARG,
     BESSEL_MAX_ORDER,
-    EntropySeries,
-    QuenchSpec,
     bessel_j,
     bessel_j_sequence,
     bessel_reference_entropy,
     evolve_many,
-    quench_entropy_series,
     quench_entropy_table,
 )
 from .analysis import (
     FitResult,
     FluctuationResult,
     SizeScalingReport,
-    SweepPoint,
     eigenstate_entropy_table,
     fit_log_slope,
     fluctuation_table,
     mid_spectrum_states,
     normalized_fluctuation,
-    phase_averaged_eigen_entropy,
     resolve_mid_count,
     size_scaling_report,
 )

@@ -10,6 +10,7 @@ realizations.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -18,18 +19,6 @@ import numpy as np
 from .entropy import uniform_block_entropy
 from .model import EigenSystem, ModelParams
 from .sampling import Window, mean_stderr, phase_weights
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """Phase-averaged eigenstate entropy at one (L, delta, m, basis) point."""
-
-    L: int
-    delta: float
-    m: int
-    basis_tag: str
-    mean_S: float
-    stderr_S: float
 
 
 @dataclass(frozen=True)
@@ -85,14 +74,12 @@ def resolve_mid_count(mid_count, L: int) -> int:
     if isinstance(mid_count, str):
         if mid_count == "all":
             return L
-        match = re.fullmatch(r"L/(\d+)", mid_count)
+        match = re.fullmatch(r"L/([1-9]\d*)", mid_count)
         if match:
             return max(2, L // int(match.group(1)))
-        raise ValueError(f"mid_count spec not understood: {mid_count!r}")
-    count = int(mid_count)
-    if count < 1:
-        raise ValueError(f"mid_count must be >= 1, got {count}")
-    return min(count, L)
+    elif isinstance(mid_count, numbers.Integral) and mid_count >= 1:
+        return min(int(mid_count), L)
+    raise ValueError(f"mid_count must be an integer >= 1, 'all' or 'L/<k>'; got {mid_count!r}")
 
 
 def eigenstate_entropy_table(
@@ -106,7 +93,6 @@ def eigenstate_entropy_table(
     mid_count=10,
     selector: str = "mid",
     bc: str = "open",
-    alpha: float | None = None,
     momentum_order: str = "index",
 ):
     """Phase-averaged eigenstate entropies for several (m, basis) at once.
@@ -117,8 +103,7 @@ def eigenstate_entropy_table(
     """
     if selector not in ("mid", "ground"):
         raise ValueError(f"selector must be 'mid' or 'ground', got {selector!r}")
-    kwargs = {} if alpha is None else {"alpha": alpha}
-    params = ModelParams(L=L, delta=delta, bc=bc, **kwargs)
+    params = ModelParams(L=L, delta=delta, bc=bc)
     states = Window(1, "ground") if selector == "ground" else Window(resolve_mid_count(mid_count, L))
     samples = {(m, b): [] for m in m_list for b in basis_tags}
     for weights in phase_weights(params, n_phi, seed, states, basis_tags, momentum_order):
@@ -126,25 +111,6 @@ def eigenstate_entropy_table(
             vals.append(uniform_block_entropy(weights[b], m).mean(axis=-1))
     return {key: tuple(float(x) for x in mean_stderr(np.concatenate(vals)))
             for key, vals in samples.items()}
-
-
-def phase_averaged_eigen_entropy(
-    L: int,
-    delta: float,
-    m: int,
-    basis_tag: str = "real",
-    n_phi: int = 100,
-    seed: int = 0,
-    count=10,
-    **kwargs,
-) -> SweepPoint:
-    """One phase-averaged mid-spectrum entropy value (see the table driver
-    for the knobs; ``selector="ground"`` switches to the ground state)."""
-    table = eigenstate_entropy_table(
-        L, delta, [m], (basis_tag,), n_phi=n_phi, seed=seed, mid_count=count, **kwargs
-    )
-    mean, stderr = table[(m, basis_tag)]
-    return SweepPoint(L=L, delta=delta, m=m, basis_tag=basis_tag, mean_S=mean, stderr_S=stderr)
 
 
 def normalized_fluctuation(values_by_L) -> float:

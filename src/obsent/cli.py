@@ -17,44 +17,43 @@ import numpy as np
 from .runner import ConfigError, ExperimentConfig, config_from_mapping, make_config, run, validate
 
 
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x]
+def _number(text):
+    """An int or float where the text reads as one, else the text itself,
+    so that the config checks report it."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
 
 
-def _float_list(text):
-    return [float(x) for x in text.split(",") if x]
-
-
-def _mid_count(text):
-    try:
-        return int(text)
-    except ValueError:
-        return text  # "all" or "L/<k>"
+def _number_list(text):
+    return [_number(x) for x in text.split(",") if x]
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--preset", choices=("fig1", "fig3", "fig4", "fig5", "custom"), default=None)
+    p.add_argument("--preset", default=None)
     p.add_argument("--config", metavar="FILE", default=None, help="JSON config file")
-    p.add_argument("--L", type=_int_list, metavar="N[,N...]", default=None)
-    p.add_argument("--delta", type=_float_list, metavar="X[,X...]", default=None)
-    p.add_argument("--m", type=_int_list, metavar="N[,N...]", default=None)
-    p.add_argument("--basis", choices=("real", "momentum", "both"), default=None)
-    p.add_argument("--bc", choices=("open", "periodic"), default=None)
-    p.add_argument("--n-phi", dest="n_phi", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mid-count", dest="mid_count", type=_mid_count, default=None,
+    p.add_argument("--L", type=_number_list, metavar="N[,N...]", default=None)
+    p.add_argument("--delta", type=_number_list, metavar="X[,X...]", default=None)
+    p.add_argument("--m", type=_number_list, metavar="N[,N...]", default=None)
+    p.add_argument("--basis", default=None)
+    p.add_argument("--bc", default=None)
+    p.add_argument("--n-phi", dest="n_phi", type=_number, default=None)
+    p.add_argument("--seed", type=_number, default=None)
+    p.add_argument("--mid-count", dest="mid_count", type=_number, default=None,
                    help="states per realization: integer, 'all', or 'L/<k>'")
-    p.add_argument("--selector", choices=("mid", "ground"), default=None)
-    p.add_argument("--t-min", dest="t_min", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--t-points", dest="t_points", type=int, default=None)
-    p.add_argument("--times", type=_float_list, metavar="T[,T...]", default=None)
-    p.add_argument("--fit-lo", dest="fit_lo", type=float, default=None)
-    p.add_argument("--fit-hi", dest="fit_hi", type=float, default=None)
-    p.add_argument("--initial-site", dest="initial_site", type=int, default=None)
-    p.add_argument("--momentum-order", dest="momentum_order",
-                   choices=("index", "kinetic"), default=None)
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--selector", default=None)
+    p.add_argument("--t-min", dest="t_min", type=_number, default=None)
+    p.add_argument("--t-max", dest="t_max", type=_number, default=None)
+    p.add_argument("--t-points", dest="t_points", type=_number, default=None)
+    p.add_argument("--times", type=_number_list, metavar="T[,T...]", default=None)
+    p.add_argument("--fit-lo", dest="fit_lo", type=_number, default=None)
+    p.add_argument("--fit-hi", dest="fit_hi", type=_number, default=None)
+    p.add_argument("--initial-site", dest="initial_site", type=_number, default=None)
+    p.add_argument("--momentum-order", dest="momentum_order", default=None)
+    p.add_argument("--jobs", type=_number, default=None,
                    help="parallel workers (default: OBSENT_JOBS or 1)")
     p.add_argument("--out", default=None, metavar="DIR")
 
@@ -63,7 +62,9 @@ def _config_from_args(args) -> ExperimentConfig:
     mapping = {}
     if args.config:
         with open(args.config) as fh:
-            mapping.update(json.load(fh))
+            mapping = json.load(fh)
+        if not isinstance(mapping, dict):
+            raise ConfigError([f"{args.config} must hold a JSON object of config fields"])
     overrides = {
         key: getattr(args, key)
         for key in ("L", "delta", "m", "basis", "bc", "n_phi", "seed", "mid_count",
@@ -71,17 +72,15 @@ def _config_from_args(args) -> ExperimentConfig:
                     "momentum_order", "jobs", "out")
         if getattr(args, key, None) is not None
     }
-    if args.fit_lo is not None or args.fit_hi is not None:
-        base = mapping.get("fit_window", (3.0, 30.0))
-        overrides["fit_window"] = (
-            args.fit_lo if args.fit_lo is not None else base[0],
-            args.fit_hi if args.fit_hi is not None else base[1],
-        )
     mapping.update(overrides)
     if args.preset is not None:
         mapping["preset"] = args.preset
     if "jobs" not in mapping and os.environ.get("OBSENT_JOBS"):
-        mapping["jobs"] = int(os.environ["OBSENT_JOBS"])
+        mapping["jobs"] = _number(os.environ["OBSENT_JOBS"])
+    if args.fit_lo is not None or args.fit_hi is not None:
+        lo, hi = config_from_mapping(mapping).fit_window  # rejects a malformed fit_window
+        mapping["fit_window"] = (lo if args.fit_lo is None else args.fit_lo,
+                                 hi if args.fit_hi is None else args.fit_hi)
     return config_from_mapping(mapping)
 
 

@@ -1,4 +1,4 @@
-"""Quench time evolution, entropy time series, and the free-lattice oracle.
+"""Quench time evolution, quench entropy tables, and the free-lattice oracle.
 
 A quench starts from a particle localized on one site and evolves it with
 the full chain Hamiltonian.  For delta = 0 on a ring the site amplitudes
@@ -10,11 +10,10 @@ closed-form reference for the finest-grained entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import CoarseGraining, uniform_block_entropy
+from .entropy import uniform_block_entropy
 from .model import EigenSystem, ModelParams, site_state
 from .sampling import mean_stderr, phase_weights
 
@@ -22,39 +21,6 @@ from .sampling import mean_stderr, phase_weights
 BESSEL_MAX_ORDER = 300
 #: Largest argument the downward recurrence is tuned (and tested) for.
 BESSEL_MAX_ARG = 100.0
-
-
-@dataclass(frozen=True)
-class QuenchSpec:
-    """Quench protocol: initial site (1-based, default the middle of the
-    lattice) and the times at which the entropy is sampled."""
-
-    params: ModelParams
-    times: np.ndarray
-    initial_site: int | None = None
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("times must be a non-empty 1-D array")
-        if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be non-negative and strictly ascending")
-        object.__setattr__(self, "times", times)
-        site = self.params.L // 2 if self.initial_site is None else self.initial_site
-        if not 1 <= site <= self.params.L:
-            raise ValueError(f"initial_site must lie in 1..{self.params.L}, got {site}")
-        object.__setattr__(self, "initial_site", int(site))
-
-
-@dataclass(frozen=True)
-class EntropySeries:
-    """Mean entropy against an abscissa (time, potential strength, or block
-    size) with the standard error across phase realizations."""
-
-    abscissa: np.ndarray
-    values: np.ndarray
-    spread: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -89,7 +55,9 @@ def quench_entropy_table(
     """Phase-averaged quench entropies for several block sizes at once.
 
     One diagonalization per phase realization serves every time and block
-    size.  Returns ``{m: (mean, stderr)}`` with arrays over the time grid.
+    size.  The particle starts on the 1-based site ``initial_site`` (default
+    the middle of the lattice).  Returns ``{m: (mean, stderr)}`` with arrays
+    over the time grid.
     """
     L = params.L
     psi0 = site_state(L, L // 2 if initial_site is None else initial_site)
@@ -100,46 +68,6 @@ def quench_entropy_table(
         for m, vals in samples.items():
             vals.append(uniform_block_entropy(weights[basis_tag], m))
     return {m: mean_stderr(np.concatenate(vals)) for m, vals in samples.items()}
-
-
-def quench_entropy_series(
-    spec: QuenchSpec,
-    cg: CoarseGraining,
-    *,
-    n_phi: int = 100,
-    seed: int = 0,
-    momentum_order: str = "index",
-) -> EntropySeries:
-    """Phase-averaged entropy over time for one uniform block coarse-graining.
-
-    ``cg`` must be contiguous blocks of one size, as built by
-    :func:`obsent.entropy.make_block_partition`; other partitions raise
-    ``ValueError``.  Momentum-space coarse-grainings see the evolved state in
-    the plane-wave basis.
-    """
-    params = spec.params
-    L = params.L
-    if cg.L != L:
-        raise ValueError(f"coarse-graining is over {cg.L} indices, lattice has {L}")
-    m = cg.m
-    if m is None or not np.array_equal(np.concatenate(cg.blocks), np.arange(L)):
-        raise ValueError("quench_entropy_series needs contiguous blocks of one size")
-    table = quench_entropy_table(
-        params, spec.times, [m], n_phi=n_phi, seed=seed, basis_tag=cg.basis_tag,
-        initial_site=spec.initial_site, momentum_order=momentum_order,
-    )
-    mean, spread = table[m]
-    meta = {
-        "L": L,
-        "delta": params.delta,
-        "m": m,
-        "basis_tag": cg.basis_tag,
-        "bc": params.bc,
-        "n_phi": n_phi,
-        "seed": seed,
-        "initial_site": spec.initial_site,
-    }
-    return EntropySeries(abscissa=spec.times.copy(), values=mean, spread=spread, meta=meta)
 
 
 def _bessel_sequence_raw(n_max: int, x: float) -> np.ndarray:

@@ -65,14 +65,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Dense real-symmetric Hamiltonian together with its parameters."""
-
-    entries: np.ndarray
-    params: ModelParams
-
-
-@dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues and orthonormal eigenvectors (columns).
 
@@ -136,15 +128,15 @@ def hamiltonian_stack(params: ModelParams, phis) -> np.ndarray:
     return h
 
 
-def build_hamiltonian(params: ModelParams) -> HamiltonianMatrix:
+def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """The dense L x L chain Hamiltonian at ``params.phi`` (see :func:`hamiltonian_stack`)."""
-    return HamiltonianMatrix(entries=hamiltonian_stack(params, [params.phi])[0], params=params)
+    return hamiltonian_stack(params, [params.phi])[0]
 
 
-def _checked_entries(h: HamiltonianMatrix | np.ndarray) -> np.ndarray:
-    """The entries of one matrix or a (..., L, L) stack, checked to be
-    finite and symmetric within 1e-12 (``ValueError`` otherwise)."""
-    entries = h.entries if isinstance(h, HamiltonianMatrix) else np.asarray(h, dtype=float)
+def _checked_entries(h: np.ndarray) -> np.ndarray:
+    """One matrix or a (..., L, L) stack as floats, checked to be finite
+    and symmetric within 1e-12 (``ValueError`` otherwise)."""
+    entries = np.asarray(h, dtype=float)
     if entries.ndim < 2 or entries.shape[-1] != entries.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {entries.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
@@ -155,7 +147,7 @@ def _checked_entries(h: HamiltonianMatrix | np.ndarray) -> np.ndarray:
     return entries
 
 
-def eigendecompose(h: HamiltonianMatrix | np.ndarray) -> EigenSystem:
+def eigendecompose(h: np.ndarray) -> EigenSystem:
     """Dense diagonalization; energies come back ascending.
 
     Accepts one matrix or a stack of shape (..., L, L); each matrix of a
@@ -167,7 +159,7 @@ def eigendecompose(h: HamiltonianMatrix | np.ndarray) -> EigenSystem:
     return EigenSystem(energies=energies, vectors=vectors)
 
 
-def eigenvalues(h: HamiltonianMatrix | np.ndarray) -> np.ndarray:
+def eigenvalues(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues only (``np.linalg.eigvalsh``), shape (..., L),
     with the same input checks and errors as :func:`eigendecompose`."""
     return np.linalg.eigvalsh(_checked_entries(h))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -96,12 +97,37 @@ def make_config(preset: str = "custom", **overrides) -> ExperimentConfig:
     return cfg
 
 
+#: numeric fields and their element type; a list field also takes one bare number
+_LIST_FIELDS = {"L": int, "m": int, "delta": float, "times": float, "fit_window": float}
+_SCALAR_FIELDS = {"n_phi": int, "seed": int, "t_points": int, "initial_site": int, "jobs": int,
+                  "t_min": float, "t_max": float}
+
+
+def _cast(x, kind):
+    """``kind(x)`` for a real number (an integral one for int), else None."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        if kind is float or isinstance(x, numbers.Integral) or float(x).is_integer():
+            return kind(x)
+
+
 def _normalized(d: dict) -> dict:
-    out = dict(d)
-    for key, cast in (("L", int), ("m", int), ("delta", float), ("times", float), ("fit_window", float)):
-        if out.get(key) is not None:
-            seq = out[key] if isinstance(out[key], (list, tuple)) else [out[key]]
-            out[key] = tuple(cast(x) for x in seq)
+    """``d`` with numeric fields cast and lists as tuples; raises
+    :class:`ConfigError` naming every value of the wrong type or length."""
+    out, diags = dict(d), []
+    for key, kind in {**_LIST_FIELDS, **_SCALAR_FIELDS}.items():
+        value, is_list = out.get(key), key in _LIST_FIELDS
+        if value is None:
+            continue
+        items = value if is_list and isinstance(value, (list, tuple)) else [value]
+        values = tuple(_cast(x, kind) for x in items)
+        if None in values or (key == "fit_window" and len(values) != 2):
+            shape = ("two values" if key == "fit_window"
+                     else "a list of values" if is_list else "one value")
+            diags.append(f"{key} must be {shape} of type {kind.__name__}, got {value!r}")
+        else:
+            out[key] = values if is_list else values[0]
+    if diags:
+        raise ConfigError(diags)
     if out.get("out") is not None:
         out["out"] = str(out["out"])
     return out

@@ -16,7 +16,6 @@ from obsent import (
     fluctuation_table,
     mid_spectrum_states,
     normalized_fluctuation,
-    phase_averaged_eigen_entropy,
     resolve_mid_count,
     size_scaling_report,
 )
@@ -55,7 +54,7 @@ def test_mid_spectrum_default_count_is_ten():
 def test_mid_spectrum_symmetric_selection():
     # free open chain has a spectrum symmetric about zero, so the selected
     # energies come in +/- pairs
-    h = build_hamiltonian(ModelParams(L=8, delta=0.0)).entries
+    h = build_hamiltonian(ModelParams(L=8, delta=0.0))
     eig = eigendecompose(h)
     picked = sorted(float(s @ h @ s) for s in mid_spectrum_states(eig, 4))
     assert_allclose(picked, sorted(-x for x in picked), atol=1e-12)
@@ -76,31 +75,31 @@ def test_resolve_mid_count():
 def test_ground_state_free_ring_is_maximal_for_every_m():
     L = 64
     for m in (1, 2, 8, 64):
-        point = phase_averaged_eigen_entropy(
-            L, 0.0, m, n_phi=2, seed=0, selector="ground", bc="periodic"
-        )
-        assert abs(point.mean_S - math.log(L)) < 1e-8
+        mean, _ = eigenstate_entropy_table(
+            L, 0.0, [m], n_phi=2, seed=0, selector="ground", bc="periodic"
+        )[(m, "real")]
+        assert abs(mean - math.log(L)) < 1e-8
 
 
 def test_deep_localized_limit_tracks_log_m():
     for m in (8, 16, 64):
-        point = phase_averaged_eigen_entropy(64, 10.0, m, n_phi=10, seed=1)
-        assert abs(point.mean_S - math.log(m)) < 0.1
+        mean, _ = eigenstate_entropy_table(64, 10.0, [m], n_phi=10, seed=1)[(m, "real")]
+        assert abs(mean - math.log(m)) < 0.1
 
 
 def test_delocalized_saturates_to_log_dim():
     L = 256
-    point = phase_averaged_eigen_entropy(L, 1.0, L // 8, n_phi=10, seed=0)
-    assert abs(point.mean_S - math.log(L)) < 0.05
+    mean, _ = eigenstate_entropy_table(L, 1.0, [L // 8], n_phi=10, seed=0)[(L // 8, "real")]
+    assert abs(mean - math.log(L)) < 0.05
 
 
 def test_sweep_determinism_and_composition_independence():
-    a = phase_averaged_eigen_entropy(32, 2.0, 4, n_phi=6, seed=9)
-    b = phase_averaged_eigen_entropy(32, 2.0, 4, n_phi=6, seed=9)
-    assert a.mean_S == b.mean_S and a.stderr_S == b.stderr_S
+    a = eigenstate_entropy_table(32, 2.0, [4], n_phi=6, seed=9)[(4, "real")]
+    b = eigenstate_entropy_table(32, 2.0, [4], n_phi=6, seed=9)[(4, "real")]
+    assert a == b
     # the same grid point inside a larger sweep sees identical realizations
     table = eigenstate_entropy_table(32, 2.0, [1, 4, 8], ("real", "momentum"), n_phi=6, seed=9)
-    assert table[(4, "real")][0] == a.mean_S
+    assert table[(4, "real")][0] == a[0]
 
 
 def test_normalized_fluctuation_examples():

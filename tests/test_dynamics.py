@@ -1,4 +1,4 @@
-"""Quench evolution, entropy time series, and Bessel machinery."""
+"""Quench evolution, quench entropy tables, and Bessel machinery."""
 
 import math
 
@@ -8,9 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from obsent import (
-    EntropySeries,
     ModelParams,
-    QuenchSpec,
     bessel_j,
     bessel_j_sequence,
     bessel_reference_entropy,
@@ -18,9 +16,6 @@ from obsent import (
     eigendecompose,
     evolve_many,
     fit_log_slope,
-    make_block_partition,
-    partition_from_blocks,
-    quench_entropy_series,
     quench_entropy_table,
     site_state,
 )
@@ -76,63 +71,35 @@ def test_free_ring_amplitudes_are_bessel():
 
 def test_quench_spec_validation():
     params = ModelParams(L=8)
-    spec = QuenchSpec(params=params, times=np.array([0.0, 1.0]))
-    assert spec.initial_site == 4
+    times = np.array([0.0, 1.0])
+    default = quench_entropy_table(params, times, [1], n_phi=2, seed=0)
+    middle = quench_entropy_table(params, times, [1], n_phi=2, seed=0, initial_site=4)
+    assert np.array_equal(default[1][0], middle[1][0])
     with pytest.raises(ValueError):
-        QuenchSpec(params=params, times=np.array([1.0, 0.5]))
+        quench_entropy_table(params, np.array([-1.0, 0.5]), [1], n_phi=2, seed=0)
     with pytest.raises(ValueError):
-        QuenchSpec(params=params, times=np.array([-1.0, 0.5]))
-    with pytest.raises(ValueError):
-        QuenchSpec(params=params, times=np.array([0.0, 1.0]), initial_site=9)
+        quench_entropy_table(params, times, [1], n_phi=2, seed=0, initial_site=9)
 
 
 def test_quench_series_start_values():
     params = ModelParams(L=16, delta=1.0)
-    spec = QuenchSpec(params=params, times=np.array([0.0, 0.5]))
-    finest = quench_entropy_series(spec, make_block_partition(16, 1), n_phi=3, seed=1)
-    assert finest.values[0] < 1e-12  # exact zero up to eigenbasis round-trip noise
+    table = quench_entropy_table(params, np.array([0.0, 0.5]), [1, 2, 4], n_phi=3, seed=1)
+    assert table[1][0][0] < 1e-12  # exact zero up to eigenbasis round-trip noise
     for m in (2, 4):
-        series = quench_entropy_series(spec, make_block_partition(16, m), n_phi=3, seed=1)
-        assert_allclose(series.values[0], math.log(m), atol=1e-12)
+        assert_allclose(table[m][0][0], math.log(m), atol=1e-12)
 
 
 def test_quench_series_roughest_is_log_dim():
     params = ModelParams(L=16, delta=2.0)
-    spec = QuenchSpec(params=params, times=np.array([0.0, 1.0, 5.0]))
-    series = quench_entropy_series(spec, make_block_partition(16, 16), n_phi=2, seed=0)
-    assert_allclose(series.values, math.log(16), atol=1e-12)
-    assert series.meta["m"] == 16
+    table = quench_entropy_table(params, np.array([0.0, 1.0, 5.0]), [16], n_phi=2, seed=0)
+    assert_allclose(table[16][0], math.log(16), atol=1e-12)
 
 
 def test_quench_series_metadata_and_spread():
     params = ModelParams(L=8, delta=1.5)
-    spec = QuenchSpec(params=params, times=np.array([0.2, 1.0]))
-    series = quench_entropy_series(spec, make_block_partition(8, 2), n_phi=4, seed=3)
-    assert isinstance(series, EntropySeries)
-    assert series.meta["n_phi"] == 4 and series.meta["L"] == 8
-    assert np.all(series.spread >= 0.0)
-    assert np.all(series.values <= math.log(8) + 1e-10)
-
-
-def test_table_matches_series():
-    params = ModelParams(L=16, delta=1.2)
-    times = np.array([0.0, 0.7, 3.0])
-    table = quench_entropy_table(params, times, [1, 4], n_phi=3, seed=5)
-    for m in (1, 4):
-        spec = QuenchSpec(params=params, times=times)
-        series = quench_entropy_series(spec, make_block_partition(16, m), n_phi=3, seed=5)
-        assert_allclose(table[m][0], series.values, atol=1e-12)
-        assert_allclose(table[m][1], series.spread, atol=1e-12)
-
-
-@pytest.mark.parametrize("blocks", [
-    [range(0, 3), range(3, 8)],  # unequal block sizes
-    [[0, 2], [1, 3], [4, 6], [5, 7]],  # equal sizes, not contiguous
-])
-def test_quench_series_rejects_non_uniform_partition(blocks):
-    spec = QuenchSpec(params=ModelParams(L=8, delta=1.0), times=np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="contiguous blocks of one size"):
-        quench_entropy_series(spec, partition_from_blocks(blocks), n_phi=2, seed=0)
+    mean, spread = quench_entropy_table(params, np.array([0.2, 1.0]), [2], n_phi=4, seed=3)[2]
+    assert np.all(spread >= 0.0)
+    assert np.all(mean <= math.log(8) + 1e-10)
 
 
 def test_localized_phase_shows_no_log_growth():
@@ -151,9 +118,8 @@ def test_off_center_initial_site():
     table = quench_entropy_table(params, np.array([0.0]), [4], n_phi=2, seed=0,
                                  initial_site=3)
     assert_allclose(table[4][0][0], math.log(4), atol=1e-12)
-    spec = QuenchSpec(params=params, times=np.array([0.0]), initial_site=1)
-    series = quench_entropy_series(spec, make_block_partition(16, 8), n_phi=2, seed=0)
-    assert_allclose(series.values[0], math.log(8), atol=1e-12)
+    table = quench_entropy_table(params, np.array([0.0]), [8], n_phi=2, seed=0, initial_site=1)
+    assert_allclose(table[8][0][0], math.log(8), atol=1e-12)
 
 
 def test_quench_order_relations_small():

@@ -57,13 +57,13 @@ def test_phase_wraps_into_two_pi():
 
 
 def test_hopping_only_two_sites():
-    h = build_hamiltonian(ModelParams(L=2, delta=0.0)).entries
+    h = build_hamiltonian(ModelParams(L=2, delta=0.0))
     assert_allclose(h, [[0.0, -1.0], [-1.0, 0.0]], atol=0.0)
 
 
 def test_zero_potential_diagonal_is_zero():
     for L in (2, 5, 16):
-        h = build_hamiltonian(ModelParams(L=L, delta=0.0, phi=1.3)).entries
+        h = build_hamiltonian(ModelParams(L=L, delta=0.0, phi=1.3))
         assert np.all(np.diag(h) == 0.0)
 
 
@@ -72,7 +72,7 @@ def test_diagonal_against_high_precision_formula():
     mp.mp.dps = 50
     alpha = (mp.sqrt(5) - 1) / 2
     expected = [float(2 * mp.cos(2 * mp.pi * alpha * j)) for j in range(1, 5)]
-    h = build_hamiltonian(ModelParams(L=4, delta=2.0, phi=0.0)).entries
+    h = build_hamiltonian(ModelParams(L=4, delta=2.0, phi=0.0))
     assert_allclose(np.diag(h), expected, atol=5e-15)
 
 
@@ -87,7 +87,7 @@ def test_structure_random_params(bc):
             phi=float(rng.uniform(0.0, 2 * math.pi)),
             bc=bc,
         )
-        h = build_hamiltonian(params).entries
+        h = build_hamiltonian(params)
         assert np.array_equal(h, h.T)
         off = h - np.diag(np.diag(h))
         expected = np.zeros((L, L))
@@ -133,7 +133,7 @@ def test_eigensystem_invariants_random_params():
         assert np.all(np.diff(eig.energies) >= 0.0)
         gram = eig.vectors.T @ eig.vectors
         assert np.abs(gram - np.eye(L)).max() < 1e-10
-        resid = h.entries @ eig.vectors - eig.vectors * eig.energies
+        resid = h @ eig.vectors - eig.vectors * eig.energies
         assert np.linalg.norm(resid, axis=0).max() < 1e-8
 
 
@@ -145,7 +145,7 @@ def test_rejects_asymmetric_matrix():
 def test_rejects_nan_matrix():
     with pytest.raises(ValueError):
         eigendecompose(np.full((3, 3), math.nan))
-    h = build_hamiltonian(ModelParams(L=4)).entries.copy()
+    h = build_hamiltonian(ModelParams(L=4))
     h[1, 1] = math.nan
     with pytest.raises(ValueError):
         eigendecompose(h)
@@ -212,7 +212,7 @@ def test_hamiltonian_stack_matches_build_hamiltonian(bc):
     stack = hamiltonian_stack(params, phis)
     assert stack.shape == (5, 12, 12)
     for h, phi in zip(stack, phis):
-        single = build_hamiltonian(ModelParams(L=12, delta=2.7, phi=phi, bc=bc)).entries
+        single = build_hamiltonian(ModelParams(L=12, delta=2.7, phi=phi, bc=bc))
         assert np.array_equal(h, single)
 
 

@@ -217,6 +217,44 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     assert "is not finite" in "".join(capsys.readouterr())
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("config, flags, field", [
+    ([1, 2], [], "JSON object"),
+    ({"L": "abc"}, [], "L"),
+    ({"n_phi": "ten"}, [], "n_phi"),
+    ({"preset": "fig3", "t_points": 1.5}, [], "t_points"),
+    ({"preset": "fig3", "fit_window": [3]}, [], "fit_window"),
+    ({"preset": "fig3", "fit_window": [3]}, ["--fit-hi", "40"], "fit_window"),
+    ({"seed": 1.5}, [], "seed"),
+    ({"mid_count": [1]}, [], "mid_count"),
+    (None, ["--preset", "bogus"], "preset"),
+    (None, ["--basis", "bogus"], "basis"),
+    (None, ["--bc", "bogus"], "bc"),
+    (None, ["--selector", "bogus"], "selector"),
+    (None, ["--momentum-order", "bogus"], "momentum_order"),
+    (None, ["--L", "abc"], "L"),
+    (None, ["--n-phi", "ten"], "n_phi"),
+    (None, ["--mid-count", "L/0"], "mid_count"),
+], ids=["file-list", "L-str", "n_phi-str", "t_points-float", "fit_window-short",
+        "fit_window-short-fit-hi", "seed-float", "mid_count-list", "preset", "basis", "bc",
+        "selector", "momentum_order", "L-flag", "n_phi-flag", "mid_count-flag"])
+def test_cli_rejects_malformed_values(tmp_path, monkeypatch, capsys, command, config, flags, field):
+    def no_compute(*args):
+        raise AssertionError("computation started for an invalid config")
+
+    monkeypatch.setattr(obsent.runner, "_map_grid", no_compute)
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        flags = ["--config", str(path), *flags]
+    code = obsent.cli.main([command, *flags, "--out", str(tmp_path)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    report = json.loads(err or out)  # run and bad files: stderr; validate: stdout
+    assert report.get("error") == "config" or report.get("valid") is False
+    assert any(field in d for d in report["diagnostics"])
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(config):
         raise np.linalg.LinAlgError("eigensolver did not converge")
@@ -260,6 +298,9 @@ def test_cli_jobs_env_default(monkeypatch, tmp_path):
     obsent.cli.main(["run", "--preset", "fig1", "--L", "16", "--m", "1", "--jobs", "2",
                      "--out", str(tmp_path)])
     assert seen["jobs"] == 2
+    monkeypatch.setenv("OBSENT_JOBS", "abc")
+    assert obsent.cli.main(["run", "--preset", "fig1", "--L", "16", "--m", "1",
+                            "--out", str(tmp_path)]) == 2
 
 
 def test_console_entry_point(tmp_path):
