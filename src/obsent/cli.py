@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-Configuration errors are reported as a JSON object on stderr so callers
-can parse them.
+``validate`` prints its JSON report on stdout; ``run`` reports errors as a
+JSON object on stderr, so callers can parse them.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .runner import ConfigError, ExperimentConfig, config_from_mapping, make_config, run, validate
+from .runner import _LIST_FIELDS, ConfigError, ExperimentConfig, config_from_mapping, run, validate
 
 
 def _number(text):
@@ -33,54 +34,40 @@ def _number_list(text):
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--preset", default=None)
-    p.add_argument("--config", metavar="FILE", default=None, help="JSON config file")
-    p.add_argument("--L", type=_number_list, metavar="N[,N...]", default=None)
-    p.add_argument("--delta", type=_number_list, metavar="X[,X...]", default=None)
-    p.add_argument("--m", type=_number_list, metavar="N[,N...]", default=None)
-    p.add_argument("--basis", default=None)
-    p.add_argument("--bc", default=None)
-    p.add_argument("--n-phi", dest="n_phi", type=_number, default=None)
-    p.add_argument("--seed", type=_number, default=None)
-    p.add_argument("--mid-count", dest="mid_count", type=_number, default=None,
-                   help="states per realization: integer, 'all', or 'L/<k>'")
-    p.add_argument("--selector", default=None)
-    p.add_argument("--t-min", dest="t_min", type=_number, default=None)
-    p.add_argument("--t-max", dest="t_max", type=_number, default=None)
-    p.add_argument("--t-points", dest="t_points", type=_number, default=None)
-    p.add_argument("--times", type=_number_list, metavar="T[,T...]", default=None)
-    p.add_argument("--fit-lo", dest="fit_lo", type=_number, default=None)
-    p.add_argument("--fit-hi", dest="fit_hi", type=_number, default=None)
-    p.add_argument("--initial-site", dest="initial_site", type=_number, default=None)
-    p.add_argument("--momentum-order", dest="momentum_order", default=None)
-    p.add_argument("--jobs", type=_number, default=None,
-                   help="parallel workers (default: OBSENT_JOBS or 1)")
-    p.add_argument("--out", default=None, metavar="DIR")
+    """One flag per config field, typed from the runner's field tables;
+    --fit-lo/--fit-hi stand in for fit_window."""
+    for f in fields(ExperimentConfig):
+        if f.name == "fit_window":
+            p.add_argument("--fit-lo", type=_number)
+            p.add_argument("--fit-hi", type=_number)
+            continue
+        if f.name in _LIST_FIELDS:
+            item = "N" if _LIST_FIELDS[f.name] is int else "X"
+            kwargs = dict(type=_number_list, metavar=f"{item}[,{item}...]")
+        else:
+            kwargs = dict(type=None if f.type in (str, "str") else _number)
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **{**kwargs, **f.metadata})
+        if f.name == "preset":
+            p.add_argument("--config", metavar="FILE", help="JSON config file")
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args: dict) -> ExperimentConfig:
+    """The config that ``--config`` and the flags in ``args`` describe."""
+    path, fit_lo, fit_hi = args.pop("config"), args.pop("fit_lo"), args.pop("fit_hi")
     mapping = {}
-    if args.config:
-        with open(args.config) as fh:
+    if path:
+        with open(path) as fh:
             mapping = json.load(fh)
         if not isinstance(mapping, dict):
-            raise ConfigError([f"{args.config} must hold a JSON object of config fields"])
-    overrides = {
-        key: getattr(args, key)
-        for key in ("L", "delta", "m", "basis", "bc", "n_phi", "seed", "mid_count",
-                    "selector", "t_min", "t_max", "t_points", "times", "initial_site",
-                    "momentum_order", "jobs", "out")
-        if getattr(args, key, None) is not None
-    }
-    mapping.update(overrides)
-    if args.preset is not None:
-        mapping["preset"] = args.preset
+            raise ConfigError([f"{path} must hold a JSON object of config fields"])
+    mapping.update({key: value for key, value in args.items() if value is not None})
     if "jobs" not in mapping and os.environ.get("OBSENT_JOBS"):
         mapping["jobs"] = _number(os.environ["OBSENT_JOBS"])
-    if args.fit_lo is not None or args.fit_hi is not None:
-        lo, hi = config_from_mapping(mapping).fit_window  # rejects a malformed fit_window
-        mapping["fit_window"] = (lo if args.fit_lo is None else args.fit_lo,
-                                 hi if args.fit_hi is None else args.fit_hi)
+    if fit_lo is not None or fit_hi is not None:
+        window = config_from_mapping(mapping).fit_window
+        if isinstance(window, tuple):  # else malformed, for validate() to report
+            mapping["fit_window"] = (window[0] if fit_lo is None else fit_lo,
+                                     window[1] if fit_hi is None else fit_hi)
     return config_from_mapping(mapping)
 
 
@@ -100,23 +87,23 @@ def main(argv=None) -> int:
     val_p = sub.add_parser("validate", help="check a configuration without running it")
     _add_run_flags(val_p)
 
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    command = args.pop("command")
     try:
         config = _config_from_args(args)
-    except ConfigError as exc:
-        return _fail("config", {"diagnostics": exc.diagnostics}, 2)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail("config", {"diagnostics": [str(exc)]}, 2)
-
-    if args.command == "validate":
         diagnostics = validate(config)
+    except ConfigError as exc:
+        diagnostics = exc.diagnostics
+    except (OSError, json.JSONDecodeError) as exc:
+        diagnostics = [str(exc)]
+
+    if command == "validate":
         print(json.dumps({"valid": not diagnostics, "diagnostics": diagnostics}, indent=2))
         return 0 if not diagnostics else 2
-
+    if diagnostics:
+        return _fail("config", {"diagnostics": diagnostics}, 2)
     try:
         outputs = run(config)
-    except ConfigError as exc:
-        return _fail("config", {"diagnostics": exc.diagnostics}, 2)
     except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
         return _fail("numerical", {"message": str(exc)}, 3)
     for path in outputs:

@@ -161,6 +161,8 @@ def uniform_block_entropy(amp2: np.ndarray, m: int) -> np.ndarray:
     :func:`macrostate_probs` + :func:`observational_entropy`.
     """
     L = amp2.shape[-1]
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if L % m != 0:
         raise ValueError(f"m must divide L: got L={L}, m={m}")
     p = amp2.reshape(amp2.shape[:-1] + (L // m, m)).sum(axis=-1)

@@ -30,8 +30,8 @@ class ModelParams:
     Parameters
     ----------
     L : int
-        Number of lattice sites (at least 2).  Block coarse-graining
-        workflows additionally want L to be a power of two.
+        Number of lattice sites (at least 2).  A block coarse-graining of
+        size m needs m to divide L.
     delta : float
         Amplitude of the cosine potential, finite and >= 0.  The localization
         transition of the infinite chain sits at delta = 2.

@@ -16,7 +16,7 @@ import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,9 +26,6 @@ from . import __version__
 from .analysis import eigenstate_entropy_table, fit_log_slope, normalized_fluctuation, resolve_mid_count
 from .dynamics import quench_entropy_table
 from .model import ModelParams
-
-PRESETS = ("fig1", "fig3", "fig4", "fig5", "custom")
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries the full diagnostics list."""
@@ -40,27 +37,32 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one run; see the preset table for defaults."""
+    """Complete description of one run; see the preset table for defaults.
+
+    A field's ``metadata`` holds extra keywords for its command-line flag.
+    """
 
     preset: str = "custom"
     L: tuple = (256,)
     delta: tuple = (1.0,)
     m: tuple = (1,)
-    basis: str = "real"  # real | momentum | both
+    basis: str = "real"
     bc: str = "open"
     n_phi: int = 100
     seed: int = 42
-    mid_count: object = 10  # int | "all" | "L/<k>"
-    selector: str = "mid"  # mid | ground
+    mid_count: object = field(default=10, metadata=dict(
+        help="states per realization: integer, 'all', or 'L/<k>'"))
+    selector: str = "mid"
     t_min: float = 0.1
     t_max: float = 100.0
     t_points: int = 60
-    times: tuple | None = None  # explicit grid overrides t_min/t_max/t_points
+    # an explicit time grid overrides t_min/t_max/t_points
+    times: tuple | None = field(default=None, metadata=dict(metavar="T[,T...]"))
     fit_window: tuple = (3.0, 30.0)
     initial_site: int | None = None
-    momentum_order: str = "index"  # index | kinetic
-    jobs: int = 1
-    out: str = "."
+    momentum_order: str = "index"
+    jobs: int = field(default=1, metadata=dict(help="parallel workers (default: OBSENT_JOBS or 1)"))
+    out: str = field(default=".", metadata=dict(metavar="DIR"))
 
     def time_grid(self) -> np.ndarray:
         if self.times is not None:
@@ -82,25 +84,16 @@ _PRESET_DEFAULTS = {
     "custom": dict(),
 }
 
-
-def make_config(preset: str = "custom", **overrides) -> ExperimentConfig:
-    """Fill preset defaults, then apply explicit overrides."""
-    if preset not in PRESETS:
-        raise ConfigError([f"unknown preset {preset!r}; expected one of {PRESETS}"])
-    merged = dict(_PRESET_DEFAULTS[preset])
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    merged["preset"] = preset
-    cfg = ExperimentConfig(**_normalized(merged))
-    if cfg.m is None:  # fig1 default: every dyadic block size of the lattice
-        L0 = cfg.L[0]
-        cfg = replace(cfg, m=tuple(2**k for k in range(int(math.log2(L0)) + 1)))
-    return cfg
-
-
 #: numeric fields and their element type; a list field also takes one bare number
 _LIST_FIELDS = {"L": int, "m": int, "delta": float, "times": float, "fit_window": float}
 _SCALAR_FIELDS = {"n_phi": int, "seed": int, "t_points": int, "initial_site": int, "jobs": int,
                   "t_min": float, "t_max": float}
+_NUMERIC_FIELDS = {**_LIST_FIELDS, **_SCALAR_FIELDS}
+#: fields restricted to a fixed set of values, and integer fields with a lower bound
+_CHOICES = {"preset": tuple(_PRESET_DEFAULTS), "basis": ("real", "momentum", "both"),
+            "bc": ("open", "periodic"), "selector": ("mid", "ground"),
+            "momentum_order": ("index", "kinetic")}
+_MINIMUM = {"n_phi": 1, "seed": 0, "jobs": 1}
 
 
 def _cast(x, kind):
@@ -110,27 +103,36 @@ def _cast(x, kind):
             return kind(x)
 
 
-def _normalized(d: dict) -> dict:
-    """``d`` with numeric fields cast and lists as tuples; raises
-    :class:`ConfigError` naming every value of the wrong type or length."""
-    out, diags = dict(d), []
-    for key, kind in {**_LIST_FIELDS, **_SCALAR_FIELDS}.items():
-        value, is_list = out.get(key), key in _LIST_FIELDS
-        if value is None:
-            continue
-        items = value if is_list and isinstance(value, (list, tuple)) else [value]
-        values = tuple(_cast(x, kind) for x in items)
-        if None in values or (key == "fit_window" and len(values) != 2):
-            shape = ("two values" if key == "fit_window"
-                     else "a list of values" if is_list else "one value")
-            diags.append(f"{key} must be {shape} of type {kind.__name__}, got {value!r}")
-        else:
-            out[key] = values if is_list else values[0]
-    if diags:
-        raise ConfigError(diags)
-    if out.get("out") is not None:
-        out["out"] = str(out["out"])
-    return out
+def _typed(key: str, value):
+    """``value`` cast to the type of numeric field ``key``, a list as a tuple;
+    None if it is None or of the wrong type or length."""
+    kind, is_list = _NUMERIC_FIELDS[key], key in _LIST_FIELDS
+    items = value if is_list and isinstance(value, (list, tuple)) else [value]
+    values = tuple(_cast(x, kind) for x in items)
+    if value is None or None in values or (key == "fit_window" and len(values) != 2):
+        return None
+    return values if is_list else values[0]
+
+
+def make_config(preset: str = "custom", **overrides) -> ExperimentConfig:
+    """Fill preset defaults, then apply explicit overrides.
+
+    Numeric values are cast to their field's type where they can be; the
+    rest are kept as given for :func:`validate` to report.
+    """
+    if preset not in _CHOICES["preset"]:
+        raise ConfigError([f"unknown preset {preset!r}; expected one of {_CHOICES['preset']}"])
+    merged = dict(_PRESET_DEFAULTS[preset])
+    merged.update({k: v for k, v in overrides.items() if v is not None})
+    merged["preset"] = preset
+    typed = {key: _typed(key, merged.get(key)) for key in _NUMERIC_FIELDS}
+    merged.update({key: value for key, value in typed.items() if value is not None})
+    if "out" in merged:
+        merged["out"] = str(merged["out"])
+    L = typed["L"]  # fig1's default m: every dyadic block size of L[0], where it has one
+    if merged.get("m", ExperimentConfig.m) is None and L and L[0] >= 1:
+        merged["m"] = tuple(2**k for k in range(int(math.log2(L[0])) + 1))
+    return ExperimentConfig(**merged)
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
@@ -143,86 +145,73 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     return make_config(preset, **{k: v for k, v in mapping.items() if k != "preset"})
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _runs_quench(config: ExperimentConfig) -> bool:
     return config.preset == "fig3" or (config.preset == "custom" and config.times is not None)
 
 
 def validate(config: ExperimentConfig) -> list:
-    """All configuration violations, without executing anything."""
-    diags = []
-    if config.preset not in PRESETS:
-        diags.append(f"unknown preset {config.preset!r}")
-    if not config.L:
-        diags.append("L list is empty")
-    for L in config.L:
+    """All configuration violations, without executing anything.
+
+    A numeric field of the wrong type or length is reported and left out of
+    the value checks, so that it hides no other violation.
+    """
+    diags, typed, bad = [], {}, set()
+    for key, kind in _NUMERIC_FIELDS.items():
+        raw = getattr(config, key)
+        typed[key] = _typed(key, raw)
+        if raw is not None and typed[key] is None:
+            shape = ("two values" if key == "fit_window"
+                     else "a list of values" if key in _LIST_FIELDS else "one value")
+            diags.append(f"{key} must be {shape} of type {kind.__name__}, got {raw!r}")
+            bad.add(key)
+    for key in ("L", "m", "delta"):
+        if typed[key] == ():
+            diags.append(f"{key} list is empty")
+    for L in typed["L"] or ():
         if L < 2:
             diags.append(f"L={L} is below the minimum lattice size 2")
-        elif not _is_pow2(L):
-            diags.append(f"L={L} is not a power of 2")
-    if not config.m:
-        diags.append("m list is empty")
-    for m in config.m:
+    for m in typed["m"] or ():
         if m < 1:
             diags.append(f"m={m} is not a positive block size")
-            continue
-        for L in config.L:
-            if L >= 2 and L % m != 0:
-                diags.append(f"m={m} does not divide L={L}")
-    if not config.delta:
-        diags.append("delta list is empty")
-    for delta in config.delta:
-        if not math.isfinite(delta):
-            diags.append(f"delta={delta} is not finite")
-        elif delta < 0:
+        else:
+            diags += [f"m={m} does not divide L={L}" for L in typed["L"] or () if L % m != 0]
+    for delta in typed["delta"] or ():
+        if delta < 0:
             diags.append(f"delta={delta} is negative")
-    finite_times = True
-    for name in ("t_min", "t_max", "times", "fit_window"):
-        value = getattr(config, name)
-        if value is not None and not np.all(np.isfinite(value)):
-            diags.append(f"{name}={value} is not finite")
-            finite_times = False
-    if config.basis not in ("real", "momentum", "both"):
-        diags.append(f"basis must be real, momentum, or both; got {config.basis!r}")
-    if config.bc not in ("open", "periodic"):
-        diags.append(f"bc must be open or periodic; got {config.bc!r}")
-    if config.selector not in ("mid", "ground"):
-        diags.append(f"selector must be mid or ground; got {config.selector!r}")
-    if config.momentum_order not in ("index", "kinetic"):
-        diags.append(f"momentum_order must be index or kinetic; got {config.momentum_order!r}")
-    if config.n_phi < 1:
-        diags.append(f"n_phi={config.n_phi} must be >= 1")
-    if config.seed < 0:
-        diags.append(f"seed={config.seed} must be >= 0")
-    if config.jobs < 1:
-        diags.append(f"jobs={config.jobs} must be >= 1")
+    for key in ("delta", "t_min", "t_max", "times", "fit_window"):
+        if typed[key] is not None and not np.all(np.isfinite(typed[key])):
+            diags.append(f"{key}={typed[key]} is not finite")
+            bad.add(key)
+    for key, allowed in _CHOICES.items():
+        if getattr(config, key) not in allowed:
+            diags.append(f"{key} must be one of {', '.join(allowed)}; got {getattr(config, key)!r}")
+    for key, minimum in _MINIMUM.items():
+        if typed[key] is not None and typed[key] < minimum:
+            diags.append(f"{key}={typed[key]} must be >= {minimum}")
     try:
-        for L in config.L:
-            if L >= 2:
-                resolve_mid_count(config.mid_count, L)
+        resolve_mid_count(config.mid_count, 2)  # the rule does not depend on L
     except ValueError as exc:
         diags.append(str(exc))
-    if _runs_quench(config) and finite_times:
-        try:
-            grid = config.time_grid()
-            if grid.size == 0:
-                diags.append("time grid is empty")
-            elif grid[0] < 0 or np.any(np.diff(grid) <= 0):
-                diags.append("time grid must be non-negative and strictly ascending")
-        except ValueError as exc:
-            diags.append(f"time grid is invalid: {exc}")
-        if config.times is None and (config.t_min <= 0 or config.t_max <= config.t_min or config.t_points < 2):
-            diags.append("log time grid needs 0 < t_min < t_max and t_points >= 2")
+    if typed["initial_site"] is not None:
+        diags += [f"initial_site={typed['initial_site']} outside 1..{L}"
+                  for L in typed["L"] or () if not 1 <= typed["initial_site"] <= L]
+    if _runs_quench(config) and not bad & {"t_min", "t_max", "t_points", "times", "fit_window"}:
         lo, hi = config.fit_window
         if not lo < hi:
             diags.append(f"fit window [{lo}, {hi}] is empty")
-    if config.initial_site is not None:
-        for L in config.L:
-            if not 1 <= config.initial_site <= L:
-                diags.append(f"initial_site={config.initial_site} outside 1..{L}")
+        log_grid_ok = 0 < config.t_min < config.t_max and config.t_points >= 2
+        grid = config.time_grid() if config.times is not None or log_grid_ok else None
+        if grid is None:
+            diags.append("log time grid needs 0 < t_min < t_max and t_points >= 2")
+        elif grid.size == 0:
+            diags.append("time grid is empty")
+        elif grid[0] < 0 or np.any(np.diff(grid) <= 0):
+            diags.append("time grid must be non-negative and strictly ascending")
+        elif config.preset == "fig3" and lo < hi:
+            try:
+                fit_log_slope(grid, np.zeros_like(grid), config.fit_window)
+            except ValueError as exc:
+                diags.append(f"fit_window: {exc}")
     return diags
 
 
@@ -297,10 +286,7 @@ def _fig3_slopes(config: ExperimentConfig, tables: dict):
     for delta in config.delta:
         for m in config.m:
             mean = tables[(config.L[0], delta)][(m, basis)][0]
-            try:
-                fit = fit_log_slope(times, mean, config.fit_window)
-            except ValueError:
-                continue  # window not covered by this grid; flagged by validate()
+            fit = fit_log_slope(times, mean, config.fit_window)
             rows.append((delta, m, *config.fit_window, fit.slope, fit.intercept, fit.r_squared))
     return "fig3_slopes.csv", ("delta", "m", "t_lo", "t_hi", "slope", "intercept", "r_squared"), rows
 

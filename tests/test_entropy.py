@@ -49,6 +49,9 @@ def test_partition_rejects_non_divisor():
         make_block_partition(8, 0)
     with pytest.raises(ValueError):
         make_block_partition(8, 2, basis_tag="position")
+    for m in (0, -2):  # the vectorized path names the same rule
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            uniform_block_entropy(np.full(8, 1 / 8), m)
 
 
 def test_partition_from_blocks_validates():

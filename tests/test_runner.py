@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -41,9 +42,11 @@ def test_unknown_preset_and_fields():
         config_from_mapping({"preset": "fig1", "Lmax": 64})
 
 
-def test_validate_power_of_two():
-    cfg = make_config("custom", L=[12], delta=[1.0], m=[1])
-    assert any("not a power of 2" in d for d in validate(cfg))
+def test_validate_non_power_of_two_sizes():
+    for m in (1, 3):
+        assert validate(make_config("custom", L=[12], delta=[1.0], m=[m])) == []
+    cfg = make_config("custom", L=[12], delta=[1.0], m=[5])
+    assert validate(cfg) == ["m=5 does not divide L=12"]
 
 
 def test_validate_divisibility():
@@ -64,10 +67,13 @@ def test_validate_collects_everything():
     cfg = make_config("custom", L=[12], delta=[-1.0], m=[5], n_phi=0, jobs=0)
     diags = validate(cfg)
     assert len(diags) >= 4
+    # a value of the wrong type hides none of the other violations
+    diags = validate(make_config("custom", delta=[-1.0], t_min="abc"))
+    assert any("t_min" in d for d in diags) and "delta=-1.0 is negative" in diags
 
 
 def test_run_rejects_invalid_config(tmp_path):
-    cfg = make_config("custom", L=[12], delta=[1.0], m=[1], out=str(tmp_path))
+    cfg = make_config("custom", L=[12], delta=[1.0], m=[5], out=str(tmp_path))
     with pytest.raises(ConfigError):
         run(cfg)
 
@@ -190,12 +196,24 @@ def test_cli_validate_config_file(tmp_path):
 
 def test_cli_config_error_is_machine_readable(tmp_path, capsys):
     code = obsent.cli.main([
-        "run", "--preset", "fig1", "--L", "12", "--m", "1", "--out", str(tmp_path),
+        "run", "--preset", "fig1", "--L", "12", "--m", "5", "--out", str(tmp_path),
     ])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
-    assert any("power of 2" in d for d in err["diagnostics"])
+    assert err["diagnostics"] == ["m=5 does not divide L=12"]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_help_lists_every_config_flag(capsys, command):
+    with pytest.raises(SystemExit):
+        obsent.cli.main([command, "--help"])
+    options = capsys.readouterr().out.split("options:")[1]
+    assert re.findall(r"^  (-h|--[A-Za-z-]+)", options, flags=re.M) == [
+        "-h", "--preset", "--config", "--L", "--delta", "--m", "--basis", "--bc", "--n-phi",
+        "--seed", "--mid-count", "--selector", "--t-min", "--t-max", "--t-points", "--times",
+        "--fit-lo", "--fit-hi", "--initial-site", "--momentum-order", "--jobs", "--out",
+    ]
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -235,9 +253,17 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     (None, ["--L", "abc"], "L"),
     (None, ["--n-phi", "ten"], "n_phi"),
     (None, ["--mid-count", "L/0"], "mid_count"),
+    (None, ["--preset", "fig1", "--L", "0"], "L=0"),
+    (None, ["--preset", "fig1", "--L", "-4"], "L=-4"),
+    (None, ["--preset", "fig1", "--L", ","], "L list is empty"),
+    (None, ["--preset", "fig3", "--L", "16", "--m", "1,4", "--n-phi", "2", "--fit-lo", "3",
+            "--fit-hi", "3.5"], "fit_window"),
+    (None, ["--preset", "fig3", "--L", "16", "--m", "1,4", "--n-phi", "2",
+            "--times", "0,1,2,3,4,5,6", "--fit-lo", "0", "--fit-hi", "6"], "fit_window"),
 ], ids=["file-list", "L-str", "n_phi-str", "t_points-float", "fit_window-short",
         "fit_window-short-fit-hi", "seed-float", "mid_count-list", "preset", "basis", "bc",
-        "selector", "momentum_order", "L-flag", "n_phi-flag", "mid_count-flag"])
+        "selector", "momentum_order", "L-flag", "n_phi-flag", "mid_count-flag", "fig1-L-zero",
+        "fig1-L-negative", "fig1-L-empty", "fig3-fit-window-short", "fig3-fit-window-t0"])
 def test_cli_rejects_malformed_values(tmp_path, monkeypatch, capsys, command, config, flags, field):
     def no_compute(*args):
         raise AssertionError("computation started for an invalid config")
@@ -250,8 +276,12 @@ def test_cli_rejects_malformed_values(tmp_path, monkeypatch, capsys, command, co
     code = obsent.cli.main([command, *flags, "--out", str(tmp_path)])
     assert code == 2
     out, err = capsys.readouterr()
-    report = json.loads(err or out)  # run and bad files: stderr; validate: stdout
-    assert report.get("error") == "config" or report.get("valid") is False
+    if command == "validate":
+        report = json.loads(out)
+        assert report["valid"] is False and err == ""
+    else:
+        report = json.loads(err)
+        assert report["error"] == "config" and out == ""
     assert any(field in d for d in report["diagnostics"])
 
 
