@@ -42,7 +42,7 @@ def test_unknown_preset_and_fields():
         config_from_mapping({"preset": "fig1", "Lmax": 64})
 
 
-def test_validate_non_power_of_two_sizes():
+def test_validate_power_of_two():
     for m in (1, 3):
         assert validate(make_config("custom", L=[12], delta=[1.0], m=[m])) == []
     cfg = make_config("custom", L=[12], delta=[1.0], m=[5])
