@@ -19,7 +19,11 @@ from .model import (
     ModelParams,
     MomentumBasis,
     build_hamiltonian,
+    chain_diagonals,
+    chain_eigensystem,
+    chain_eigenvalues,
     chain_eigenvectors,
+    chain_solvers,
     eigendecompose,
     eigenvalues,
     estimate_localization_length,

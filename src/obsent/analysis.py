@@ -94,19 +94,22 @@ def eigenstate_entropy_table(
     selector: str = "mid",
     bc: str = "open",
     momentum_order: str = "index",
+    fallbacks=None,
 ):
     """Phase-averaged eigenstate entropies for several (m, basis) at once.
 
     Returns ``{(m, basis_tag): (mean, stderr)}``.  ``selector`` picks the
     states per realization: "mid" for the mid-spectrum window of
-    ``mid_count`` states, "ground" for the lowest-energy state.
+    ``mid_count`` states, "ground" for the lowest-energy state.  A
+    ``fallbacks`` Counter gains the phases that left the windowed solver,
+    by reason (see :func:`obsent.sampling.window_rows`).
     """
     if selector not in ("mid", "ground"):
         raise ValueError(f"selector must be 'mid' or 'ground', got {selector!r}")
     params = ModelParams(L=L, delta=delta, bc=bc)
     states = Window(1, "ground") if selector == "ground" else Window(resolve_mid_count(mid_count, L))
     samples = {(m, b): [] for m in m_list for b in basis_tags}
-    for weights in phase_weights(params, n_phi, seed, states, basis_tags, momentum_order):
+    for weights in phase_weights(params, n_phi, seed, states, basis_tags, momentum_order, fallbacks):
         for (m, b), vals in samples.items():
             vals.append(uniform_block_entropy(weights[b], m).mean(axis=-1))
     return {key: tuple(float(x) for x in mean_stderr(np.concatenate(vals)))

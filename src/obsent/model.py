@@ -8,6 +8,7 @@ are pure functions of their arguments and safe to call concurrently.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -104,28 +105,35 @@ class MomentumBasis:
         return np.exp(1j * self.k_values[None, :] * j) / math.sqrt(self.L)
 
 
-def hamiltonian_stack(params: ModelParams, phis) -> np.ndarray:
-    """Dense (n, L, L) chain Hamiltonians of ``params`` at each phase in ``phis``.
-
-    The diagonal carries the quasiperiodic potential evaluated at sites
-    j = 1..L; the first off-diagonals are -1, and the corner elements are
-    -1 only for periodic boundaries.  Phases are reduced into [0, 2*pi) as
-    in :class:`ModelParams`; ``params.phi`` is ignored.
-    """
+def chain_diagonals(params: ModelParams, phis) -> np.ndarray:
+    """On-site energies (n, L) of ``params`` at each phase in ``phis``: the
+    quasiperiodic potential at sites j = 1..L.  Phases are reduced into
+    [0, 2*pi) as in :class:`ModelParams`; ``params.phi`` is ignored."""
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 1 or not np.all(np.isfinite(phis)):
         raise ValueError("phis must be a 1-D array of finite phases")
-    L = params.L
-    sites = np.arange(1, L + 1, dtype=float)
-    h = np.zeros((phis.size, L, L))
+    sites = np.arange(1, params.L + 1, dtype=float)
+    return params.delta * np.cos(_TWO_PI * params.alpha * sites + (phis % _TWO_PI)[:, None])
+
+
+def _tridiagonal(diag: np.ndarray, periodic: bool = False) -> np.ndarray:
+    """Dense (n, L, L) chains with diagonals ``diag`` (n, L) and hopping -1,
+    closed into rings when ``periodic``."""
+    B, L = diag.shape
+    h = np.zeros((B, L, L))
     idx = np.arange(L)
-    h[:, idx, idx] = params.delta * np.cos(_TWO_PI * params.alpha * sites + (phis % _TWO_PI)[:, None])
-    h[:, idx[:-1], idx[1:]] = -1.0
-    h[:, idx[1:], idx[:-1]] = -1.0
-    if params.bc == "periodic":
-        h[:, 0, L - 1] = -1.0
-        h[:, L - 1, 0] = -1.0
+    h[:, idx, idx] = diag
+    h[:, idx[:-1], idx[1:]] = h[:, idx[1:], idx[:-1]] = -1.0
+    if periodic:
+        h[:, 0, L - 1] = h[:, L - 1, 0] = -1.0
     return h
+
+
+def hamiltonian_stack(params: ModelParams, phis) -> np.ndarray:
+    """Dense (n, L, L) chain Hamiltonians of ``params`` at each phase in ``phis``:
+    :func:`chain_diagonals` on the diagonal, -1 on the first off-diagonals,
+    and -1 in the corners only for periodic boundaries."""
+    return _tridiagonal(chain_diagonals(params, phis), params.bc == "periodic")
 
 
 def build_hamiltonian(params: ModelParams) -> np.ndarray:
@@ -165,11 +173,91 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_checked_entries(h))
 
 
+def _bind_lapack():
+    """``dsterf`` and ``dstevd`` from the LAPACK that numpy's linalg extension
+    links, each None when it is not exported.  ``dlsym`` on the extension's
+    handle also searches the libraries it depends on, such as the OpenBLAS
+    of numpy wheels.  Only the ILP64 spellings (64-bit integers) are bound."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None, None
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    signatures = {  # dstevd's last argument is the hidden length of JOBZ
+        "dsterf": [i64, ptr, ptr, i64],
+        "dstevd": [ctypes.c_char_p, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ctypes.c_size_t],
+    }
+    routines = []
+    for name, argtypes in signatures.items():
+        routine = next((getattr(lib, s) for s in (f"scipy_{name}_64_", f"{name}_64_") if hasattr(lib, s)), None)
+        if routine is not None:
+            routine.argtypes, routine.restype = argtypes, None
+        routines.append(routine)
+    return routines
+
+
+_DSTERF, _DSTEVD = _bind_lapack()
+
+
+def chain_solvers() -> dict:
+    """The routine behind :func:`chain_eigenvalues` and :func:`chain_eigensystem`:
+    the bound LAPACK symbol, or "numpy-dense" where it is missing."""
+    return {"chain_eigenvalues": getattr(_DSTERF, "__name__", "numpy-dense"),
+            "chain_eigensystem": getattr(_DSTEVD, "__name__", "numpy-dense")}
+
+
+def _chain_problem(diag):
+    """``diag`` as a fresh C-ordered (B, L) float array, checked to be finite,
+    and the (B, L - 1) hopping -1 that LAPACK overwrites."""
+    d = np.array(diag, dtype=float, order="C")
+    if d.ndim != 2 or not np.all(np.isfinite(d)):
+        raise ValueError(f"expected a finite (B, L) stack of diagonals, got shape {d.shape}")
+    return d, np.full((d.shape[0], max(d.shape[1] - 1, 1)), -1.0)
+
+
+def chain_eigenvalues(diag) -> np.ndarray:
+    """Ascending eigenvalues (B, L) of open chains (hopping -1) with on-site
+    energies ``diag`` (B, L), by LAPACK ``dsterf`` chain by chain, or by
+    :func:`eigenvalues` of the dense matrices where ``dsterf`` is not bound;
+    both give the same bits.  Raises ``ValueError`` for non-finite input and
+    ``numpy.linalg.LinAlgError`` if the solver fails."""
+    d, e = _chain_problem(diag)
+    if _DSTERF is None:
+        return eigenvalues(_tridiagonal(d))
+    B, L = d.shape
+    n, info = ctypes.c_int64(L), ctypes.c_int64(0)
+    for b in range(B):
+        _DSTERF(n, d.ctypes.data + b * d.strides[0], e.ctypes.data + b * e.strides[0], info)
+        if info.value:
+            raise np.linalg.LinAlgError(f"dsterf failed on chain {b} of the stack (info={info.value})")
+    return d
+
+
+def chain_eigensystem(diag) -> EigenSystem:
+    """Full eigensystems of open chains as in :func:`chain_eigenvalues`, by
+    LAPACK ``dstevd``, or by :func:`eigendecompose` of the dense matrices
+    where ``dstevd`` is not bound; both agree up to eigenvector signs."""
+    d, e = _chain_problem(diag)
+    if _DSTEVD is None:
+        return eigendecompose(_tridiagonal(d))
+    B, L = d.shape
+    z = np.empty((B, L, L))  # chain b's column-major Z is z[b].T
+    work, iwork = np.empty(1 + 4 * L + L * L), np.empty(3 + 5 * L, dtype=np.int64)
+    n, lwork, liwork, info = (ctypes.c_int64(v) for v in (L, work.size, iwork.size, 0))
+    for b in range(B):
+        _DSTEVD(b"V", n, d.ctypes.data + b * d.strides[0], e.ctypes.data + b * e.strides[0],
+                z.ctypes.data + b * z.strides[0], n, work.ctypes.data, lwork,
+                iwork.ctypes.data, liwork, info, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(f"dstevd failed on chain {b} of the stack (info={info.value})")
+    return EigenSystem(energies=d, vectors=z.swapaxes(-1, -2))
+
+
 def chain_eigenvectors(diag, energies) -> np.ndarray:
     """Eigenvectors of open chains (hopping -1) by inverse iteration.
 
     ``diag`` (B, L) holds the on-site energies of B chains and ``energies``
-    (B, n) eigenvalues of each chain, as :func:`eigenvalues` returns them;
+    (B, n) eigenvalues of each chain, as :func:`chain_eigenvalues` returns them;
     the result is the (B, n, L) stack of unit eigenvectors, one row each,
     with arbitrary signs.  Every (chain, eigenvalue) pair is one lane of an
     (L, lanes) layout, so the sequential sweeps over the sites run once for

@@ -12,8 +12,10 @@ import csv
 import json
 import math
 import numbers
+import os
 import platform
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -25,7 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import eigenstate_entropy_table, fit_log_slope, normalized_fluctuation, resolve_mid_count
 from .dynamics import quench_entropy_table
-from .model import ModelParams
+from .model import ModelParams, chain_solvers
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries the full diagnostics list."""
@@ -229,12 +231,14 @@ def _grid_point(L, delta):
 
 def _eig_point(job):
     config, L, delta = job
+    fallbacks = Counter()
     with _grid_point(L, delta):
-        return eigenstate_entropy_table(
+        table = eigenstate_entropy_table(
             L, delta, config.m, config.basis_tags(), n_phi=config.n_phi, seed=config.seed,
             mid_count=config.mid_count, selector=config.selector, bc=config.bc,
-            momentum_order=config.momentum_order,
+            momentum_order=config.momentum_order, fallbacks=fallbacks,
         )
+    return table, fallbacks
 
 
 def _quench_point(job):
@@ -246,18 +250,21 @@ def _quench_point(job):
             n_phi=config.n_phi, seed=config.seed, basis_tag=basis,
             initial_site=config.initial_site, momentum_order=config.momentum_order,
         )
-    return {(m, basis): stats for m, stats in table.items()}
+    return {(m, basis): stats for m, stats in table.items()}, Counter()
 
 
-def _map_grid(point, config: ExperimentConfig, L_values) -> dict:
-    """``{(L, delta): point((config, L, delta))}`` over L_values x config.delta."""
+def _map_grid(point, config: ExperimentConfig, L_values, fallbacks: Counter) -> dict:
+    """``{(L, delta): table}`` over L_values x config.delta.  ``point`` returns
+    the table and its dense-fallback Counter, which is added to ``fallbacks``."""
     jobs = [(config, L, delta) for L in L_values for delta in config.delta]
     if config.jobs <= 1 or len(jobs) <= 1:
         results = [point(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(point, jobs))
-    return {(L, delta): result for (_, L, delta), result in zip(jobs, results)}
+    for _, counts in results:
+        fallbacks.update(counts)
+    return {(L, delta): table for (_, L, delta), (table, _) in zip(jobs, results)}
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +324,12 @@ _PRESET_TABLES = {
 }
 
 
-def _write_table(config: ExperimentConfig, point, path: Path, columns) -> dict:
+def _write_table(config: ExperimentConfig, point, path: Path, columns, fallbacks: Counter) -> dict:
     """Run ``point`` over the grid, write its rows, and return the results."""
     L_values = config.L if "L" in columns else config.L[:1]
     bases = config.basis_tags() if "basis" in columns else config.basis_tags()[:1]
     times = config.time_grid() if point is _quench_point else [None]
-    tables = _map_grid(point, config, L_values)
+    tables = _map_grid(point, config, L_values, fallbacks)
     rows = []
     for basis in bases:
         for L in L_values:
@@ -350,11 +357,11 @@ def run(config: ExperimentConfig) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
-    outputs = []
+    outputs, fallbacks = [], Counter()
     for point, name, columns, extra in _PRESET_TABLES[config.preset]:
         if point is _quench_point and not _runs_quench(config):
             continue
-        tables = _write_table(config, point, out_dir / name, columns)
+        tables = _write_table(config, point, out_dir / name, columns, fallbacks)
         outputs.append(name)
         if extra is not None:
             extra_name, extra_columns, extra_rows = extra(config, tables)
@@ -368,6 +375,10 @@ def run(config: ExperimentConfig) -> list:
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
+        "eigensolver": chain_solvers(),
+        "threads": {name: os.environ.get(name)
+                    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+        "dense_fallbacks": dict(sorted(fallbacks.items())),
         "started_utc": started.isoformat(),
         "wall_time_s": time.perf_counter() - t0,
         "outputs": outputs,

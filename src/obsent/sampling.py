@@ -14,24 +14,25 @@ eigenstate and quench average runs through, and :class:`Window` with
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
+    chain_diagonals,
+    chain_eigensystem,
+    chain_eigenvalues,
     chain_eigenvectors,
     eigendecompose,
     eigenpair_errors,
-    eigenvalues,
     hamiltonian_stack,
     kinetic_index_order,
     momentum_basis,
     to_momentum,
 )
 
-#: Memory budget of one chunk of Hamiltonians, or of one (L, lanes) inverse
-#: iteration array, in :func:`phase_weights`.
+#: Memory budget of one chunk of eigenvector matrices, or of one (L, lanes)
+#: inverse iteration array, in :func:`phase_weights`.
 CHUNK_BYTES = 256 * 1024
 #: Smallest spacing (in units of the hopping) between a selected level and
 #: its neighbours for which inverse iteration is trusted.  Closer levels
@@ -40,9 +41,6 @@ GAP_MIN = 1e-4
 #: Largest entry of ``(T - E) x`` and of ``X X^T - I`` accepted from inverse
 #: iteration.
 EIGENPAIR_TOL = 1e-10
-#: Open-chain phases whose window fell back to the dense eigensolver, by
-#: reason (see :func:`window_rows`); counts this process only.
-dense_fallbacks = Counter()
 
 
 def phase_stream(seed: int, L: int, delta: float) -> np.random.Generator:
@@ -62,8 +60,8 @@ def phase_sequence(seed: int, L: int, delta: float, n_phi: int) -> np.ndarray:
 
 def chunk_size(L: int, n: int | None = None) -> int:
     """Phases processed together: as many (L, n) float64 arrays per phase as
-    fit in :data:`CHUNK_BYTES`, at least one.  ``n`` defaults to L (dense
-    Hamiltonians); it is the window size for inverse iteration lanes.
+    fit in :data:`CHUNK_BYTES`, at least one.  ``n`` defaults to L (full
+    eigensystems); it is the window size for inverse iteration lanes.
     Depends on L and n only, so results never depend on how a grid is split
     across workers."""
     return max(1, CHUNK_BYTES // (8 * L * (L if n is None else n)))
@@ -113,59 +111,53 @@ class Window:
         return np.take_along_axis(eig.vectors, picked[..., None, :], axis=-1).swapaxes(-1, -2)
 
 
-def _window_levels(params, phis: np.ndarray, window: Window):
-    """Diagonals (B, L), selected levels (B, n), smallest spacing around a
-    selected level (B,) and window margin (B,) of the open chains at
-    ``phis``, from one dense ``eigvalsh`` stack."""
-    h = hamiltonian_stack(params, phis)
-    energies = eigenvalues(h)
-    picked = window.indices(energies)
-    spacing = np.diff(energies, axis=-1, prepend=-np.inf, append=np.inf)
-    gap = np.minimum(np.take_along_axis(spacing, picked, axis=-1),
-                     np.take_along_axis(spacing, picked + 1, axis=-1)).min(axis=-1)
-    return (np.diagonal(h, axis1=-2, axis2=-1).copy(), np.take_along_axis(energies, picked, axis=-1),
-            gap, window.margin(energies))
-
-
-def window_rows(params, phis: np.ndarray, window: Window) -> np.ndarray:
+def window_rows(params, phis: np.ndarray, window: Window, fallbacks=None) -> np.ndarray:
     """(B, n, L) rows of ``window`` for open chains at the phases ``phis``.
 
-    Eigenvalues come from dense ``eigvalsh`` in chunks of :func:`chunk_size`
-    (L); only each phase's diagonal and selected levels are kept, and
-    :func:`~obsent.model.chain_eigenvectors` finds the eigenvectors of all
-    of them at once.  A phase is redone on the dense path, and counted in
-    :data:`dense_fallbacks`, when a selected level lies within
+    Eigenvalues come from :func:`~obsent.model.chain_eigenvalues` of the
+    chains' diagonals, and :func:`~obsent.model.chain_eigenvectors` finds
+    the eigenvectors of all selected levels at once.  A phase is redone on
+    the full eigensystem, and counted by reason in the ``fallbacks``
+    Counter if one is given, when a selected level lies within
     :data:`GAP_MIN` of a neighbour ("near_degenerate"), when the window
     edge is a tie within :data:`EIGENPAIR_TOL` so that rounding decides
     which level is picked ("window_tie"), or when its vectors miss
     :data:`EIGENPAIR_TOL` ("inaccurate").
     """
-    step = chunk_size(params.L)
-    chunks = [_window_levels(params, phis[start:start + step], window)
-              for start in range(0, len(phis), step)]
-    diag, level, gap, margin = (np.concatenate(a) for a in zip(*chunks))
+    diag = chain_diagonals(params, phis)
+    energies = chain_eigenvalues(diag)
+    picked = window.indices(energies)
+    level = np.take_along_axis(energies, picked, axis=-1)
+    spacing = np.diff(energies, axis=-1, prepend=-np.inf, append=np.inf)
+    gap = np.minimum(np.take_along_axis(spacing, picked, axis=-1),
+                     np.take_along_axis(spacing, picked + 1, axis=-1)).min(axis=-1)
     rows = chain_eigenvectors(diag, level)
     error = np.maximum(*eigenpair_errors(diag, level, rows))
-    reason = np.select([gap < GAP_MIN, margin < EIGENPAIR_TOL, ~(error <= EIGENPAIR_TOL)],
+    reason = np.select([gap < GAP_MIN, window.margin(energies) < EIGENPAIR_TOL, ~(error <= EIGENPAIR_TOL)],
                        ["near_degenerate", "window_tie", "inaccurate"], "")
     for p in np.flatnonzero(reason):
-        rows[p] = window(eigendecompose(hamiltonian_stack(params, phis[p:p + 1])))[0]
-        dense_fallbacks[str(reason[p])] += 1
+        rows[p] = window(chain_eigensystem(diag[p:p + 1]))[0]
+    if fallbacks is not None:
+        fallbacks.update(reason[reason != ""].tolist())
     return rows
 
 
-def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_order: str = "index"):
+def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_order: str = "index",
+                  fallbacks=None):
     """Yield ``{basis_tag: |amplitude|^2}`` for one chunk of phase realizations at a time.
 
     ``states`` picks the (B, n, L) stack of states (one row each) to measure
     in a chunk of B phases.  It is either a :class:`Window` of eigenstates
     or a function of the chunk's stacked :class:`~obsent.model.EigenSystem`.
     A window of open chains runs on eigenvalues plus inverse iteration (see
-    :func:`window_rows`) in chunks of :func:`chunk_size` (L, n); everything
-    else diagonalizes stacks of :func:`chunk_size` (L) dense Hamiltonians.
-    Momentum tags see the states in the plane-wave basis, sorted by kinetic
-    energy when ``momentum_order`` is "kinetic".  Chunks run through the
-    phases in order.  Numerical errors name the failing phase indices.
+    :func:`window_rows`, which counts its fallbacks in ``fallbacks``) in
+    chunks of :func:`chunk_size` (L, n); everything else diagonalizes
+    :func:`chunk_size` (L) phases at a time, open chains through
+    :func:`~obsent.model.chain_eigensystem` and periodic ones as dense
+    Hamiltonians.  Momentum tags see the states in the plane-wave basis,
+    sorted by kinetic energy when ``momentum_order`` is "kinetic".  Chunks
+    run through the phases in order.  Numerical errors name the failing
+    phase indices.
     """
     L = params.L
     basis = momentum_basis(L) if "momentum" in basis_tags else None
@@ -177,7 +169,9 @@ def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_or
         chunk = phis[start:start + step]
         try:
             if windowed:
-                rows = window_rows(params, chunk, states)
+                rows = window_rows(params, chunk, states, fallbacks)
+            elif params.bc == "open":
+                rows = states(chain_eigensystem(chain_diagonals(params, chunk)))
             else:
                 rows = states(eigendecompose(hamiltonian_stack(params, chunk)))
         except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:

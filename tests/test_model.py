@@ -12,6 +12,9 @@ from obsent import (
     GOLDEN_RATIO_INVERSE,
     ModelParams,
     build_hamiltonian,
+    chain_diagonals,
+    chain_eigensystem,
+    chain_eigenvalues,
     chain_eigenvectors,
     eigendecompose,
     eigenvalues,
@@ -25,6 +28,7 @@ from obsent import (
     to_momentum,
     to_real,
 )
+from obsent import model
 from obsent.model import eigenpair_errors
 
 
@@ -195,6 +199,33 @@ def test_chain_eigenvectors_match_dense_stack(delta):
     assert np.abs(rows**2 - dense**2).max() < 1e-12
     residual, overlap = eigenpair_errors(diag, eig.energies[:, picked], rows)
     assert residual.max() < 1e-12 and overlap.max() < 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3, 2.0, 6.0])
+@pytest.mark.parametrize("L", [2, 3, 16, 64, 256])
+def test_chain_solvers_match_dense_route(monkeypatch, L, delta):
+    diag = chain_diagonals(ModelParams(L=L, delta=delta), [0.4, 2.1, 5.3])
+    energies, eig = chain_eigenvalues(diag), chain_eigensystem(diag)
+    monkeypatch.setattr(model, "_DSTERF", None)
+    monkeypatch.setattr(model, "_DSTEVD", None)
+    assert model.chain_solvers() == {"chain_eigenvalues": "numpy-dense", "chain_eigensystem": "numpy-dense"}
+    dense = chain_eigensystem(diag)
+    assert np.array_equal(energies, chain_eigenvalues(diag))
+    assert eig.vectors.shape == (3, L, L)
+    # dstevd and eigh agree up to column signs; at delta = 0 the spectrum's
+    # symmetry leaves the last bits to the algorithm
+    tol = 1e-10 if delta == 0.0 else 0.0
+    assert np.abs(eig.energies - dense.energies).max() <= tol
+    assert np.abs(np.abs(eig.vectors) - np.abs(dense.vectors)).max() <= tol
+    assert np.abs(eig.vectors @ (eig.energies[:, :, None] * eig.vectors.swapaxes(-1, -2))
+                  - hamiltonian_stack(ModelParams(L=L, delta=delta), [0.4, 2.1, 5.3])).max() < 1e-12
+
+
+@pytest.mark.parametrize("solver", [chain_eigenvalues, chain_eigensystem])
+@pytest.mark.parametrize("diag", [np.array([[0.0, math.nan, 1.0]]), np.zeros(3)], ids=["nan", "1-D"])
+def test_chain_solvers_reject_bad_diagonals(solver, diag):
+    with pytest.raises(ValueError):
+        solver(diag)
 
 
 def test_rejects_stack_with_one_asymmetric_matrix():

@@ -1,6 +1,7 @@
 """Configuration validation, preset outputs, reproducibility, CLI contract."""
 
 import csv
+import ctypes
 import json
 import math
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import obsent.cli
+import obsent.model
 import obsent.runner
 from obsent import ConfigError, config_from_mapping, make_config, run, validate
 
@@ -148,6 +150,9 @@ def test_manifest_contents(tmp_path):
     assert manifest["versions"]["numpy"] == np.__version__
     assert manifest["outputs"] == ["fig1.csv"]
     assert manifest["wall_time_s"] >= 0.0
+    assert manifest["eigensolver"] == obsent.model.chain_solvers()
+    assert set(manifest["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert manifest["dense_fallbacks"] == {}
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -170,6 +175,21 @@ def test_parallel_matches_serial(tmp_path, preset, extra):
     assert csvs
     for a, b in csvs:
         assert a.name == b.name and a.read_bytes() == b.read_bytes()
+
+
+def test_parallel_fallback_counts_match_serial(tmp_path):
+    # delta=4 puts a near-degenerate pair into one of the 30 windows, and at
+    # delta=0 every odd window ends on a |E| tie
+    kwargs = dict(L=[64], delta=[0.0, 4.0], m=[1, 4], n_phi=30, mid_count=15)
+    manifests, csvs = [], []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        run(make_config("fig1", out=str(out), jobs=jobs, **kwargs))
+        manifests.append(json.loads((out / "run_manifest.json").read_text()))
+        csvs.append((out / "fig1.csv").read_bytes())
+    assert manifests[0]["dense_fallbacks"] == manifests[1]["dense_fallbacks"] == {
+        "near_degenerate": 1, "window_tie": 30}
+    assert csvs[0] == csvs[1]
 
 
 # --- CLI ------------------------------------------------------------------
@@ -298,20 +318,49 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "numerical"
 
 
-@pytest.mark.parametrize("preset, solver", [("fig1", "eigenvalues"), ("fig3", "eigendecompose")])
+def run_cli(preset, out, *flags):
+    return obsent.cli.main(["run", "--preset", preset, "--L", "16", *flags, "--n-phi", "2",
+                            "--out", str(out)])
+
+
+@pytest.mark.parametrize("preset, solver", [("fig1", "chain_eigenvalues"), ("fig3", "chain_eigensystem")])
 def test_cli_numerical_failure_names_grid_point(tmp_path, monkeypatch, capsys, preset, solver):
-    def boom(h):
+    def boom(diag):
         raise np.linalg.LinAlgError("eigensolver did not converge")
 
     monkeypatch.setattr(obsent.sampling, solver, boom)
-    code = obsent.cli.main([
-        "run", "--preset", preset, "--L", "16", "--delta", "1.5", "--m", "1", "--n-phi", "2",
-        "--out", str(tmp_path),
-    ])
+    code = run_cli(preset, tmp_path, "--delta", "1.5", "--m", "1")
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "numerical"
     assert err["message"] == "L=16, delta=1.5, phase index 0-1: eigensolver did not converge"
+
+
+def test_cli_lapack_info_names_grid_point(tmp_path, monkeypatch, capsys):
+    def unconverged(n, d, e, info):  # dsterf's arguments; info > 0 means no convergence
+        assert isinstance(info, ctypes.c_int64)
+        info.value = 2
+
+    monkeypatch.setattr(obsent.model, "_DSTERF", unconverged)
+    code = run_cli("fig1", tmp_path, "--delta", "1.5", "--m", "1")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert err["message"] == "L=16, delta=1.5, phase index 0-1: dsterf failed on chain 0 of the stack (info=2)"
+
+
+@pytest.mark.parametrize("preset, flags", [("fig1", ()), ("fig3", ("--m", "1,4,16"))], ids=["fig1", "fig3"])
+def test_cli_csvs_do_not_depend_on_solver_route(tmp_path, monkeypatch, preset, flags):
+    assert run_cli(preset, tmp_path / "lapack", *flags) == 0
+    monkeypatch.setattr(obsent.model, "_DSTERF", None)
+    monkeypatch.setattr(obsent.model, "_DSTEVD", None)
+    assert run_cli(preset, tmp_path / "dense", *flags) == 0
+    manifest = json.loads((tmp_path / "dense" / "run_manifest.json").read_text())
+    assert set(manifest["eigensolver"].values()) == {"numpy-dense"}
+    names = sorted(p.name for p in (tmp_path / "lapack").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "dense").glob("*.csv")) and names
+    for name in names:
+        assert (tmp_path / "lapack" / name).read_bytes() == (tmp_path / "dense" / name).read_bytes()
 
 
 def test_cli_jobs_env_default(monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 """Chunked phase-realization engine against a per-phase scalar reference."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from obsent import (
     ModelParams,
     build_hamiltonian,
+    chain_diagonals,
+    chain_eigensystem,
     eigendecompose,
     eigenstate_entropy_table,
     hamiltonian_stack,
@@ -63,8 +66,13 @@ def test_lane_chunk_size_depends_on_L_and_window_only():
 
 
 def dense_window(params, phis, window):
-    """The window's rows from dense eigh of the chains ``sampling`` builds."""
-    return window(eigendecompose(sampling.hamiltonian_stack(params, phis)))
+    """The window's rows from dense eigh of the chains at ``phis``."""
+    return window(eigendecompose(hamiltonian_stack(params, phis)))
+
+
+def full_window(params, phis, window):
+    """The window's rows from the full eigensystem of the chains ``sampling`` builds."""
+    return window(chain_eigensystem(sampling.chain_diagonals(params, phis)))
 
 
 def block_entropies(rows, m):
@@ -91,15 +99,9 @@ def test_window_rows_match_dense_eigh(L, delta, phi, size, selector):
             assert np.abs(new - old).max() <= 1e-10
 
 
-def open_chain_stack(diag):
-    """Stand-in for hamiltonian_stack: every phase gets the chain with on-site energies ``diag``."""
-    def stack(params, phis):
-        L = diag.size
-        h = np.zeros((len(phis), L, L))
-        h[:, range(L), range(L)] = diag
-        h[:, range(L - 1), range(1, L)] = h[:, range(1, L), range(L - 1)] = -1.0
-        return h
-    return stack
+def fixed_diagonals(diag):
+    """Stand-in for chain_diagonals: every phase gets the on-site energies ``diag``."""
+    return lambda params, phis: np.tile(diag, (len(phis), 1))
 
 
 @pytest.mark.parametrize("twin", [True, False], ids=["near-degenerate", "control"])
@@ -110,12 +112,12 @@ def test_near_degenerate_window_takes_dense_path(monkeypatch, twin):
     diag[5] = -20.0
     if twin:
         diag[25] = -20.0
-    monkeypatch.setattr(sampling, "hamiltonian_stack", open_chain_stack(diag))
+    monkeypatch.setattr(sampling, "chain_diagonals", fixed_diagonals(diag))
     params, phis, window = ModelParams(L=32), np.zeros(1), Window(1, "ground")
-    before = sampling.dense_fallbacks["near_degenerate"]
-    rows = window_rows(params, phis, window)
-    dense = dense_window(params, phis, window)
-    assert sampling.dense_fallbacks["near_degenerate"] == before + twin
+    fallbacks = Counter()
+    rows = window_rows(params, phis, window, fallbacks)
+    dense = full_window(params, phis, window)
+    assert fallbacks["near_degenerate"] == twin
     if twin:
         assert np.array_equal(rows, dense)
     else:
@@ -126,10 +128,10 @@ def test_window_edge_tie_takes_dense_path():
     # At delta = 0 the open chain's spectrum is symmetric about zero, so an
     # odd mid window ends on a |E| tie that rounding alone would decide.
     params, phis, window = ModelParams(L=16), np.zeros(1), Window(9)
-    before = sampling.dense_fallbacks["window_tie"]
-    rows = window_rows(params, phis, window)
-    assert sampling.dense_fallbacks["window_tie"] == before + 1
-    assert np.array_equal(rows, mid_spectrum_states(eigendecompose(hamiltonian_stack(params, phis)), 9))
+    fallbacks = Counter()
+    rows = window_rows(params, phis, window, fallbacks)
+    assert fallbacks == {"window_tie": 1}
+    assert np.array_equal(rows, mid_spectrum_states(chain_eigensystem(chain_diagonals(params, phis)), 9))
 
 
 def test_inaccurate_vectors_take_dense_path(monkeypatch):
@@ -141,10 +143,10 @@ def test_inaccurate_vectors_take_dense_path(monkeypatch):
         return rows
 
     monkeypatch.setattr(sampling, "chain_eigenvectors", garbled)
-    before = sampling.dense_fallbacks["inaccurate"]
-    rows = window_rows(params, phis, window)
-    assert sampling.dense_fallbacks["inaccurate"] == before + 3
-    assert np.array_equal(rows, dense_window(params, phis, window))
+    fallbacks = Counter()
+    rows = window_rows(params, phis, window, fallbacks)
+    assert fallbacks == {"inaccurate": 3}
+    assert np.array_equal(rows, full_window(params, phis, window))
 
 
 def test_chunks_cover_every_phase_in_order():
