@@ -218,12 +218,13 @@ def _chain_problem(diag):
 def chain_eigenvalues(diag) -> np.ndarray:
     """Ascending eigenvalues (B, L) of open chains (hopping -1) with on-site
     energies ``diag`` (B, L), by LAPACK ``dsterf`` chain by chain, or by
-    :func:`eigenvalues` of the dense matrices where ``dsterf`` is not bound;
-    both give the same bits.  Raises ``ValueError`` for non-finite input and
-    ``numpy.linalg.LinAlgError`` if the solver fails."""
+    :func:`eigenvalues` of the dense matrices, one at a time, where
+    ``dsterf`` is not bound; both give the same bits.  Raises
+    ``ValueError`` for non-finite input and ``numpy.linalg.LinAlgError`` if
+    the solver fails."""
     d, e = _chain_problem(diag)
-    if _DSTERF is None:
-        return eigenvalues(_tridiagonal(d))
+    if _DSTERF is None:  # a block of window lanes may hold many chains
+        return np.concatenate([eigenvalues(_tridiagonal(d[b:b + 1])) for b in range(len(d))])
     B, L = d.shape
     n, info = ctypes.c_int64(L), ctypes.c_int64(0)
     for b in range(B):
@@ -258,20 +259,24 @@ def chain_eigenvectors(diag, energies) -> np.ndarray:
 
     ``diag`` (B, L) holds the on-site energies of B chains and ``energies``
     (B, n) eigenvalues of each chain, as :func:`chain_eigenvalues` returns them;
-    the result is the (B, n, L) stack of unit eigenvectors, one row each,
-    with arbitrary signs.  Every (chain, eigenvalue) pair is one lane of an
-    (L, lanes) layout, so the sequential sweeps over the sites run once for
-    all lanes: ``T - E = LU`` without pivoting, each pivot pushed away from
-    zero by ``eps * (2 + max|diag|)``, then ``U x = 1`` (Wilkinson's start)
-    and one more full solve.  Accuracy is not checked here; see
-    :func:`eigenpair_errors`.  Failures show up as NaN rows.
+    the result is the C-ordered (B, n, L) stack of unit eigenvectors, one
+    row each, with arbitrary signs.  Every (chain, eigenvalue) pair is one
+    lane of an (L, lanes) layout, so the sequential sweeps over the sites
+    run once for all lanes: ``T - E = LU`` without pivoting, each pivot
+    pushed away from zero by ``eps * (2 + max|diag|)`` of its own chain,
+    then ``U x = 1`` (Wilkinson's start) and one more full solve.  A lane's
+    bits do not depend on which chains share the call.  The pivots and the
+    vectors take two (L, lanes) arrays; the rows are written into the
+    pivots' buffer, so no third one is made.  Accuracy is not checked here;
+    see :func:`eigenpair_errors`.  Failures show up as NaN rows.
     """
     diag = np.asarray(diag, dtype=float)
     energies = np.asarray(energies, dtype=float)
     (B, L), n = diag.shape, energies.shape[-1]
-    tiny = np.finfo(float).eps * (2.0 + np.abs(diag).max(initial=0.0))
+    tiny = np.repeat(np.finfo(float).eps * (2.0 + np.abs(diag).max(axis=1, initial=0.0)), n)
     # inv[i] holds d_i - E and becomes 1/u_i, the reciprocal LU pivot
-    inv = (diag.T[:, :, None] - energies[None, :, :]).reshape(L, B * n)
+    inv = np.empty((L, B * n))
+    np.subtract(diag.T[:, :, None], energies, out=inv.reshape(L, B, n))
     x = np.ones_like(inv)
     R, X, tmp = list(inv), list(x), np.empty(B * n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -289,10 +294,13 @@ def chain_eigenvectors(diag, energies) -> np.ndarray:
             for i in range(L - 2, -1, -1):  # U x = y
                 np.add(X[i], X[i + 1], out=X[i])
                 np.multiply(X[i], R[i], out=X[i])
-            x /= np.abs(x).max(axis=0)
-        x /= np.sqrt(np.einsum("ij,ij->j", x, x))
-    del R, X, inv
-    return np.ascontiguousarray(x.T).reshape(B, n, L)
+            x /= np.maximum(x.max(axis=0), -x.min(axis=0))  # max |x| without an |x| array
+        # einsum sums several lanes site by site but a single lane pairwise; cumsum goes site by site
+        x /= np.sqrt(np.einsum("ij,ij->j", x, x) if B * n > 1 else np.cumsum(x * x, axis=0)[-1])
+    del R, X
+    rows = inv.reshape(B * n, L)  # the pivots are spent; their buffer takes the rows
+    rows[...] = x.T
+    return rows.reshape(B, n, L)
 
 
 def eigenpair_errors(diag, energies, rows):

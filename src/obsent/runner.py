@@ -16,7 +16,6 @@ import os
 import platform
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -260,6 +259,8 @@ def _map_grid(point, config: ExperimentConfig, L_values, fallbacks: Counter) -> 
     if config.jobs <= 1 or len(jobs) <= 1:
         results = [point(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # costs about 20 ms of import; serial runs skip it
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(point, jobs))
     for _, counts in results:

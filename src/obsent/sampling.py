@@ -31,8 +31,8 @@ from .model import (
     to_momentum,
 )
 
-#: Memory budget of one chunk of eigenvector matrices, or of one (L, lanes)
-#: inverse iteration array, in :func:`phase_weights`.
+#: Memory budget of one chunk of eigenvector matrices, or of one chunk of
+#: window rows, in :func:`phase_weights`.
 CHUNK_BYTES = 256 * 1024
 #: Smallest spacing (in units of the hopping) between a selected level and
 #: its neighbours for which inverse iteration is trusted.  Closer levels
@@ -61,7 +61,7 @@ def phase_sequence(seed: int, L: int, delta: float, n_phi: int) -> np.ndarray:
 def chunk_size(L: int, n: int | None = None) -> int:
     """Phases processed together: as many (L, n) float64 arrays per phase as
     fit in :data:`CHUNK_BYTES`, at least one.  ``n`` defaults to L (full
-    eigensystems); it is the window size for inverse iteration lanes.
+    eigensystems); it is the window size for chunks of window rows.
     Depends on L and n only, so results never depend on how a grid is split
     across workers."""
     return max(1, CHUNK_BYTES // (8 * L * (L if n is None else n)))
@@ -116,13 +116,18 @@ def window_rows(params, phis: np.ndarray, window: Window, fallbacks=None) -> np.
 
     Eigenvalues come from :func:`~obsent.model.chain_eigenvalues` of the
     chains' diagonals, and :func:`~obsent.model.chain_eigenvectors` finds
-    the eigenvectors of all selected levels at once.  A phase is redone on
+    the eigenvectors of all selected levels at once; unless a phase fell
+    back, the result is its C-ordered working array.  A phase is redone on
     the full eigensystem, and counted by reason in the ``fallbacks``
     Counter if one is given, when a selected level lies within
     :data:`GAP_MIN` of a neighbour ("near_degenerate"), when the window
     edge is a tie within :data:`EIGENPAIR_TOL` so that rounding decides
     which level is picked ("window_tie"), or when its vectors miss
-    :data:`EIGENPAIR_TOL` ("inaccurate").
+    :data:`EIGENPAIR_TOL` ("inaccurate").  The first two are decided from
+    the eigenvalues and solved before the inverse iteration allocates its
+    arrays, which then leaves those phases out, so that a full eigensystem
+    and a block of lanes are never held at once.  Each row depends only on
+    its own phase, not on the others in ``phis``.
     """
     diag = chain_diagonals(params, phis)
     energies = chain_eigenvalues(diag)
@@ -131,12 +136,21 @@ def window_rows(params, phis: np.ndarray, window: Window, fallbacks=None) -> np.
     spacing = np.diff(energies, axis=-1, prepend=-np.inf, append=np.inf)
     gap = np.minimum(np.take_along_axis(spacing, picked, axis=-1),
                      np.take_along_axis(spacing, picked + 1, axis=-1)).min(axis=-1)
-    rows = chain_eigenvectors(diag, level)
-    error = np.maximum(*eigenpair_errors(diag, level, rows))
-    reason = np.select([gap < GAP_MIN, window.margin(energies) < EIGENPAIR_TOL, ~(error <= EIGENPAIR_TOL)],
-                       ["near_degenerate", "window_tie", "inaccurate"], "")
-    for p in np.flatnonzero(reason):
-        rows[p] = window(chain_eigensystem(diag[p:p + 1]))[0]
+    reason = np.select([gap < GAP_MIN, window.margin(energies) < EIGENPAIR_TOL],
+                       ["near_degenerate", "window_tie"], "")
+    solve = lambda p: window(chain_eigensystem(diag[p:p + 1]))[0]
+    redo, rest = np.flatnonzero(reason), np.flatnonzero(reason == "")
+    full = [solve(p) for p in redo]
+    rows = chain_eigenvectors(diag[rest], level[rest])
+    error = np.maximum(*eigenpair_errors(diag[rest], level[rest], rows))
+    for i in np.flatnonzero(~(error <= EIGENPAIR_TOL)):
+        reason[rest[i]] = "inaccurate"
+        rows[i] = solve(rest[i])
+    if redo.size:  # the phases solved in full go back to their places
+        rows, found = np.empty((len(diag),) + rows.shape[1:]), rows
+        rows[rest] = found
+        for p, full_rows in zip(redo, full):
+            rows[p] = full_rows
     if fallbacks is not None:
         fallbacks.update(reason[reason != ""].tolist())
     return rows
@@ -151,13 +165,17 @@ def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_or
     or a function of the chunk's stacked :class:`~obsent.model.EigenSystem`.
     A window of open chains runs on eigenvalues plus inverse iteration (see
     :func:`window_rows`, which counts its fallbacks in ``fallbacks``) in
-    chunks of :func:`chunk_size` (L, n); everything else diagonalizes
-    :func:`chunk_size` (L) phases at a time, open chains through
-    :func:`~obsent.model.chain_eigensystem` and periodic ones as dense
-    Hamiltonians.  Momentum tags see the states in the plane-wave basis,
-    sorted by kinetic energy when ``momentum_order`` is "kinetic".  Chunks
-    run through the phases in order.  Numerical errors name the failing
-    phase indices.
+    blocks of ``max(chunk_size(L, n), L // n)`` phases, so that at least L
+    lanes share each sweep; its pivots and vectors then take up to 2*8*L**2
+    bytes, as much as one full eigensystem of a fallback.  Everything else
+    diagonalizes :func:`chunk_size` (L) phases at a time, open chains
+    through :func:`~obsent.model.chain_eigensystem` and periodic ones as
+    dense Hamiltonians.  Either way the weights come in chunks of
+    :func:`chunk_size` phases, and a block is released before the next one
+    is built.  Momentum tags see the states in the plane-wave basis, sorted
+    by kinetic energy when ``momentum_order`` is "kinetic".  Chunks run
+    through the phases in order.  Numerical errors name the failing phase
+    indices.
     """
     L = params.L
     basis = momentum_basis(L) if "momentum" in basis_tags else None
@@ -165,28 +183,31 @@ def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_or
     phis = phase_sequence(seed, L, params.delta, n_phi)
     windowed = isinstance(states, Window) and params.bc == "open"
     step = chunk_size(L, states.count) if windowed else chunk_size(L)
-    for start in range(0, n_phi, step):
-        chunk = phis[start:start + step]
+    block = max(step, L // states.count) if windowed else step
+    for start in range(0, n_phi, block):
+        phases = phis[start:start + block]
         try:
             if windowed:
-                rows = window_rows(params, chunk, states, fallbacks)
+                rows = window_rows(params, phases, states, fallbacks)
             elif params.bc == "open":
-                rows = states(chain_eigensystem(chain_diagonals(params, chunk)))
+                rows = states(chain_eigensystem(chain_diagonals(params, phases)))
             else:
-                rows = states(eigendecompose(hamiltonian_stack(params, chunk)))
+                rows = states(eigendecompose(hamiltonian_stack(params, phases)))
         except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
-            raise type(exc)(f"phase index {start}-{start + len(chunk) - 1}: {exc}") from exc
-        weights = {}
-        if "real" in basis_tags:
-            weights["real"] = np.abs(rows) ** 2
-        if basis is not None:
-            k_rows = to_momentum(rows, basis, axis=-1)
-            if perm is not None:
-                k_rows = k_rows[..., perm]
-            weights["momentum"] = np.abs(k_rows) ** 2
-            del k_rows
-        del rows  # only the weights stay alive while the consumer reduces them
-        yield weights
+            raise type(exc)(f"phase index {start}-{start + len(phases) - 1}: {exc}") from exc
+        for chunk in range(0, len(rows), step):
+            part, weights = rows[chunk:chunk + step], {}
+            if "real" in basis_tags:
+                weights["real"] = np.abs(part) ** 2
+            if basis is not None:
+                k_rows = to_momentum(part, basis, axis=-1)
+                if perm is not None:
+                    k_rows = k_rows[..., perm]
+                weights["momentum"] = np.abs(k_rows) ** 2
+                del k_rows
+            del part  # a view of the block, which it would keep alive past `del rows`
+            yield weights  # only these weights and the block's rows stay alive while the consumer reduces
+        del rows
 
 
 def mean_stderr(samples: np.ndarray):

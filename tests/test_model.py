@@ -201,6 +201,17 @@ def test_chain_eigenvectors_match_dense_stack(delta):
     assert residual.max() < 1e-12 and overlap.max() < 1e-12
 
 
+@pytest.mark.parametrize("L, n", [(2, 1), (64, 1), (64, 2), (100, 7), (512, 64)])
+def test_chain_eigenvectors_of_a_block_equal_per_chain_calls(L, n):
+    # chains of different delta share the block, so their pivot floors differ
+    diag = np.concatenate([chain_diagonals(ModelParams(L=L, delta=d), [0.3, 2.0, 4.4]) for d in (0.5, 2.5, 6.0)])
+    levels = chain_eigenvalues(diag)[:, L // 2 - n // 2:][:, :n]
+    rows = chain_eigenvectors(diag, levels)
+    assert rows.shape == (9, n, L) and rows.flags.c_contiguous
+    single = np.concatenate([chain_eigenvectors(diag[b:b + 1], levels[b:b + 1]) for b in range(9)])
+    assert np.array_equal(rows, single)
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.3, 2.0, 6.0])
 @pytest.mark.parametrize("L", [2, 3, 16, 64, 256])
 def test_chain_solvers_match_dense_route(monkeypatch, L, delta):

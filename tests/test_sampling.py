@@ -1,6 +1,7 @@
 """Chunked phase-realization engine against a per-phase scalar reference."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -29,7 +30,7 @@ from obsent import (
     to_momentum,
     uniform_block_entropy,
 )
-from obsent import sampling
+from obsent import model, sampling
 from obsent.sampling import Window, chunk_size, phase_weights, window_rows
 
 
@@ -104,14 +105,20 @@ def fixed_diagonals(diag):
     return lambda params, phis: np.tile(diag, (len(phis), 1))
 
 
-@pytest.mark.parametrize("twin", [True, False], ids=["near-degenerate", "control"])
-def test_near_degenerate_window_takes_dense_path(monkeypatch, twin):
-    # Two equally deep wells 20 sites apart in a strong potential of period 10
-    # bind a pair of states split by far less than GAP_MIN; one well alone does not.
+def wells(twin):
+    """On-site energies of 32 sites: two equally deep wells 20 sites apart in a
+    strong potential of period 10 bind a pair of states split by far less than
+    GAP_MIN; one well alone (``twin`` false) does not."""
     diag = 4.0 * np.cos(2.0 * math.pi * np.arange(32) / 10)
     diag[5] = -20.0
     if twin:
         diag[25] = -20.0
+    return diag
+
+
+@pytest.mark.parametrize("twin", [True, False], ids=["near-degenerate", "control"])
+def test_near_degenerate_window_takes_dense_path(monkeypatch, twin):
+    diag = wells(twin)
     monkeypatch.setattr(sampling, "chain_diagonals", fixed_diagonals(diag))
     params, phis, window = ModelParams(L=32), np.zeros(1), Window(1, "ground")
     fallbacks = Counter()
@@ -122,6 +129,66 @@ def test_near_degenerate_window_takes_dense_path(monkeypatch, twin):
         assert np.array_equal(rows, dense)
     else:
         assert np.abs(rows**2 - dense**2).max() < 1e-12
+
+
+def test_window_rows_of_a_block_equal_per_phase_blocks(monkeypatch):
+    # phase 0.0 gets the twin wells, whose ground pair is near-degenerate
+    chain_diagonals_of = sampling.chain_diagonals
+
+    def diagonals(params, phis):
+        diag = chain_diagonals_of(params, phis)
+        diag[phis == 0.0] = wells(True)
+        return diag
+
+    monkeypatch.setattr(sampling, "chain_diagonals", diagonals)
+    params, phis, window = ModelParams(L=32, delta=1.5), np.array([0.4, 0.0, 2.2, 5.0, 0.0]), Window(2, "ground")
+    block, per_phase = Counter(), Counter()
+    rows = window_rows(params, phis, window, block)
+    single = np.concatenate([window_rows(params, phis[p:p + 1], window, per_phase) for p in range(len(phis))])
+    assert block == per_phase == {"near_degenerate": 2}
+    assert np.array_equal(rows, single)
+    assert np.array_equal(rows[1], full_window(params, phis[1:2], window)[0])
+
+
+@pytest.mark.parametrize("L, n, n_phi, blocks, chunk", [
+    (512, 64, 25, [8, 8, 8, 1], 1),  # chunk_size(512, 64) = 1 phase, a block is L // n = 8
+    (256, 32, 10, [8, 2], 4),
+    (128, 16, 20, [16, 4], 16),  # chunk_size already holds at least L lanes
+])
+def test_lane_blocks_hold_at_least_L_lanes(monkeypatch, L, n, n_phi, blocks, chunk):
+    params, window, seen = ModelParams(L=L, delta=1.0), Window(n), []
+
+    def recording(params, phis, window, fallbacks=None):
+        seen.append(len(phis))
+        return window_rows(params, phis, window, fallbacks)
+
+    monkeypatch.setattr(sampling, "window_rows", recording)
+    chunks = [w["momentum"] for w in phase_weights(params, n_phi, 7, window, ("real", "momentum"))]
+    assert seen == blocks and chunk == chunk_size(L, n)
+    assert [len(c) for c in chunks] == [min(chunk, b - s) for b in blocks for s in range(0, b, chunk)]
+    rows = window_rows(params, phase_sequence(7, L, 1.0, n_phi), window)
+    k_rows = to_momentum(rows, momentum_basis(L), axis=-1)
+    assert np.array_equal(np.concatenate(chunks), np.abs(k_rows) ** 2)
+
+
+@pytest.mark.parametrize("route", ["lapack", "numpy-dense"])
+def test_lane_block_peak_memory_stays_within_a_dense_fallback(monkeypatch, route):
+    # One fig4-sized grid point that also takes dense fallbacks: the block's
+    # pivots and vectors (2*8*L**2 bytes) never coexist with a full eigensystem,
+    # and the dense route builds one L x L matrix at a time.
+    if route == "numpy-dense":
+        monkeypatch.setattr(model, "_DSTERF", None)
+        monkeypatch.setattr(model, "_DSTEVD", None)
+    L, fallbacks = 512, Counter()
+    tracemalloc.start()
+    try:
+        eigenstate_entropy_table(L, 2.5, (1, 2, 4, 8), ("real", "momentum"), n_phi=25, seed=42,
+                                 mid_count="L/8", fallbacks=fallbacks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fallbacks["near_degenerate"] > 0
+    assert peak <= 3 * 8 * L**2
 
 
 def test_window_edge_tie_takes_dense_path():
