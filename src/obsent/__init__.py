@@ -27,7 +27,6 @@ from .model import (
     eigendecompose,
     eigenvalues,
     estimate_localization_length,
-    hamiltonian_stack,
     kinetic_index_order,
     momentum_basis,
     plane_wave_state,
@@ -38,6 +37,7 @@ from .model import (
 from .entropy import (
     CoarseGraining,
     MacrostateDistribution,
+    block_entropy,
     is_rougher,
     macrostate_probs,
     make_block_partition,

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .entropy import uniform_block_entropy
+from .entropy import block_entropy, uniform_block_entropy
 from .model import EigenSystem, ModelParams, site_state
 from .sampling import mean_stderr, phase_weights
 
@@ -70,14 +70,19 @@ def quench_entropy_table(
     return {m: mean_stderr(np.concatenate(vals)) for m, vals in samples.items()}
 
 
-def _bessel_sequence_raw(n_max: int, x: float) -> np.ndarray:
-    """J_0(x)..J_n_max(x) by downward recurrence with sum-rule normalization.
+def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
+    """Orders 0..n_max of the Bessel function of the first kind at x >= 0.
 
-    The recurrence starts well above both n_max and x so the dominant
-    solution has decayed by the time the wanted orders are reached; the
-    result is normalized with J_0 + 2 * sum_k J_{2k} = 1.  Intermediate
-    values are rescaled before they can overflow.
+    Downward recurrence with sum-rule normalization: the recurrence starts
+    well above both n_max and x so the dominant solution has decayed by the
+    time the wanted orders are reached; the result is normalized with
+    J_0 + 2 * sum_k J_{2k} = 1.  Intermediate values are rescaled before
+    they can overflow.
     """
+    if not 0 <= n_max <= BESSEL_MAX_ORDER:
+        raise ValueError(f"order must lie in 0..{BESSEL_MAX_ORDER}, got {n_max}")
+    if not 0.0 <= x <= BESSEL_MAX_ARG:
+        raise ValueError(f"argument must lie in [0, {BESSEL_MAX_ARG}], got {x}")
     if x == 0.0:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
@@ -93,15 +98,6 @@ def _bessel_sequence_raw(n_max: int, x: float) -> np.ndarray:
             vals[k - 1:] /= 1e250
     norm = 2.0 * vals[0::2].sum() - vals[0]
     return vals[: n_max + 1] / norm
-
-
-def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
-    """Orders 0..n_max of the Bessel function of the first kind at x >= 0."""
-    if not 0 <= n_max <= BESSEL_MAX_ORDER:
-        raise ValueError(f"order must lie in 0..{BESSEL_MAX_ORDER}, got {n_max}")
-    if not 0.0 <= x <= BESSEL_MAX_ARG:
-        raise ValueError(f"argument must lie in [0, {BESSEL_MAX_ARG}], got {x}")
-    return _bessel_sequence_raw(n_max, x)
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -130,14 +126,10 @@ def bessel_reference_entropy(t: float, span: int) -> float:
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     half = span // 2
-    j = bessel_j_sequence(half, 2.0 * t)
-    p = j**2
-    # orders 1..half-1 appear twice (+n and -n), order 0 once, order half once
-    total = p[0] + 2.0 * p[1:half].sum() + p[half]
+    p = bessel_j_sequence(half, 2.0 * t) ** 2
+    # |n| over n = -half..half-1: half once, half-1..1 twice, 0 once
+    p = np.concatenate([p[half:0:-1], p[:half]])
+    total = p.sum()
     if total < 1.0 - 1e-12:
-        raise ValueError(
-            f"span={span} captures only {total:.15f} of the norm at t={t}; increase span"
-        )
-    nz = p > 0.0
-    plogp = np.where(nz, p * np.log(np.where(nz, p, 1.0)), 0.0)
-    return float(max(0.0, -(plogp[0] + 2.0 * plogp[1:half].sum() + plogp[half])))
+        raise ValueError(f"span={span} captures only {total:.15f} of the norm at t={t}; increase span")
+    return float(block_entropy(p, 0.0))

@@ -25,27 +25,41 @@ BASIS_TAGS = ("real", "momentum")
 class CoarseGraining:
     """Ordered partition of basis indices into macrostate blocks.
 
-    ``m`` is the common block size for uniform partitions and None
-    otherwise.  Build instances through :func:`make_block_partition` or
-    :func:`partition_from_blocks`, which validate that the blocks are
-    disjoint and cover 0..L-1.
+    ``owner[i]`` is the block number of basis index i; the blocks are
+    numbered 0..n_blocks-1 and each holds at least one index.  Build
+    instances through :func:`make_block_partition` or
+    :func:`partition_from_blocks`, which validate the partition.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    owner: np.ndarray
     basis_tag: str
-    m: int | None = None
+
+    def __post_init__(self):
+        if self.basis_tag not in BASIS_TAGS:
+            raise ValueError(f"basis_tag must be one of {BASIS_TAGS}, got {self.basis_tag!r}")
 
     @property
     def volumes(self) -> np.ndarray:
-        return np.array([b.size for b in self.blocks], dtype=int)
+        return np.bincount(self.owner)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The ascending basis indices of each block, in block order."""
+        return tuple(np.split(np.argsort(self.owner, kind="stable"), np.cumsum(self.volumes)[:-1]))
+
+    @property
+    def m(self) -> int | None:
+        """The common block size, or None when the blocks differ in size."""
+        sizes = np.unique(self.volumes)
+        return int(sizes[0]) if sizes.size == 1 else None
 
     @property
     def L(self) -> int:
-        return int(sum(b.size for b in self.blocks))
+        return self.owner.size
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self.volumes.size
 
 
 @dataclass(frozen=True)
@@ -63,19 +77,15 @@ class MacrostateDistribution:
 
 
 def partition_from_blocks(blocks, basis_tag: str = "real") -> CoarseGraining:
-    """Validate an explicit list of index blocks and wrap it."""
-    if basis_tag not in BASIS_TAGS:
-        raise ValueError(f"basis_tag must be one of {BASIS_TAGS}, got {basis_tag!r}")
-    arrs = tuple(np.asarray(b, dtype=int) for b in blocks)
-    if not arrs or any(a.size == 0 for a in arrs):
+    """Validate an explicit list of index blocks and wrap it; block i becomes macrostate i."""
+    arrs = [np.asarray(b, dtype=int) for b in blocks]
+    if not arrs or any(a.ndim != 1 or a.size == 0 for a in arrs):
         raise ValueError("blocks must be non-empty")
     joined = np.concatenate(arrs)
-    L = joined.size
-    if not np.array_equal(np.sort(joined), np.arange(L)):
+    if not np.array_equal(np.sort(joined), np.arange(joined.size)):
         raise ValueError("blocks must partition 0..L-1 exactly")
-    sizes = {a.size for a in arrs}
-    m = sizes.pop() if len(sizes) == 1 else None
-    return CoarseGraining(blocks=arrs, basis_tag=basis_tag, m=m)
+    owner = np.repeat(np.arange(len(arrs)), [a.size for a in arrs])[np.argsort(joined)]
+    return CoarseGraining(owner=owner, basis_tag=basis_tag)
 
 
 def make_block_partition(L: int, m: int, basis_tag: str = "real") -> CoarseGraining:
@@ -85,14 +95,11 @@ def make_block_partition(L: int, m: int, basis_tag: str = "real") -> CoarseGrain
     entropy reduces to the Shannon entropy) and m = L the roughest (a
     single identity block with entropy ln L).  m must divide L.
     """
-    if basis_tag not in BASIS_TAGS:
-        raise ValueError(f"basis_tag must be one of {BASIS_TAGS}, got {basis_tag!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if L % m != 0:
         raise ValueError(f"m must divide L: got L={L}, m={m}")
-    blocks = tuple(np.arange(eta * m, (eta + 1) * m) for eta in range(L // m))
-    return CoarseGraining(blocks=blocks, basis_tag=basis_tag, m=m)
+    return CoarseGraining(owner=np.arange(L) // m, basis_tag=basis_tag)
 
 
 def is_rougher(c1: CoarseGraining, c2: CoarseGraining) -> bool:
@@ -104,24 +111,12 @@ def is_rougher(c1: CoarseGraining, c2: CoarseGraining) -> bool:
     """
     if c1.basis_tag != c2.basis_tag:
         raise ValueError("coarse-grainings live in different bases")
-    L = c1.L
-    if L != c2.L:
+    if c1.L != c2.L:
         raise ValueError("coarse-grainings have different L")
-    owner = np.empty(L, dtype=int)
-    for i, blk in enumerate(c1.blocks):
-        owner[blk] = i
-    return all(np.all(owner[blk] == owner[blk[0]]) for blk in c2.blocks)
-
-
-def _checked_probs(p: np.ndarray) -> np.ndarray:
-    """Clip accumulated probabilities into [0, 1] and fix tiny norm drift."""
-    drift = abs(p.sum() - 1.0)
-    if drift > _PROB_SUM_RENORM:
-        raise ValueError(f"probabilities sum to 1 only within {drift:.3e}; state not normalized?")
-    p = np.clip(p, 0.0, 1.0)
-    if drift <= _PROB_SUM_TOL:
-        return p
-    return p / p.sum()
+    # label each c2 block by the c1 block of one of its indices, which all its indices must share
+    label = np.empty(c2.n_blocks, dtype=int)
+    label[c2.owner] = c1.owner
+    return bool(np.array_equal(label[c2.owner], c1.owner))
 
 
 def macrostate_probs(state: np.ndarray, cg: CoarseGraining) -> MacrostateDistribution:
@@ -129,45 +124,49 @@ def macrostate_probs(state: np.ndarray, cg: CoarseGraining) -> MacrostateDistrib
 
     The state must already be expressed in the basis the coarse-graining
     refers to (transform with ``to_momentum`` first for momentum blocks).
-    """
+    The probabilities are clipped into [0, 1] and tiny norm drift is fixed."""
     state = np.asarray(state)
-    if state.shape[0] != cg.L:
-        raise ValueError(f"state has {state.shape[0]} amplitudes, coarse-graining expects {cg.L}")
-    amp2 = np.abs(state) ** 2
-    p = np.array([amp2[blk].sum() for blk in cg.blocks])
-    return MacrostateDistribution(probs=_checked_probs(p), volumes=cg.volumes)
+    if state.shape != (cg.L,):
+        raise ValueError(f"state has shape {state.shape}, coarse-graining expects ({cg.L},)")
+    p = np.bincount(cg.owner, weights=np.abs(state) ** 2)
+    drift = abs(p.sum() - 1.0)
+    if drift > _PROB_SUM_RENORM:
+        raise ValueError(f"probabilities sum to 1 only within {drift:.3e}; state not normalized?")
+    p = np.clip(p, 0.0, 1.0)
+    if drift > _PROB_SUM_TOL:
+        p /= p.sum()
+    return MacrostateDistribution(probs=p, volumes=cg.volumes)
+
+
+def block_entropy(p: np.ndarray, log_volume) -> np.ndarray:
+    """``max(-sum p ln p, 0) + log_volume`` over the last axis of ``p``, with
+    ``p`` clipped into [0, 1] and 0 ln 0 = 0.  With the mean log volume
+    ``sum p ln V`` as ``log_volume`` this is the observational entropy, with 0
+    the Shannon entropy; the package evaluates ``p ln p`` nowhere else."""
+    p = np.clip(p, 0.0, 1.0)
+    plogp = np.where(p > 0.0, p, 1.0)
+    np.log(plogp, out=plogp)  # 0 ln 0 = 0 ln 1 = 0
+    plogp *= p
+    return np.maximum(-plogp.sum(axis=-1), 0.0) + log_volume
 
 
 def shannon_entropy(d: MacrostateDistribution) -> float:
     """-sum p ln p with 0 ln 0 = 0."""
-    p = d.probs
-    nz = p > 0.0
-    return float(max(0.0, -(p[nz] * np.log(p[nz])).sum()))
+    return float(block_entropy(d.probs, 0.0))
 
 
 def observational_entropy(d: MacrostateDistribution) -> float:
     """Shannon part plus the mean log macrostate volume, sum p ln V."""
-    p = d.probs
-    nz = p > 0.0
-    return float(max(0.0, (p[nz] * (np.log(d.volumes[nz]) - np.log(p[nz]))).sum()))
+    return float(block_entropy(d.probs, d.probs @ np.log(d.volumes)))
 
 
 def uniform_block_entropy(amp2: np.ndarray, m: int) -> np.ndarray:
-    """Observational entropy under size-m contiguous blocks, vectorized.
-
+    """Observational entropy under size-m contiguous blocks, vectorized:
     ``amp2`` holds probability weights over the last axis (length L with
-    m | L); any leading axes are batch dimensions.  Used by the sweep and
-    quench drivers; agrees with the scalar path through
-    :func:`macrostate_probs` + :func:`observational_entropy`.
-    """
+    m | L), and any leading axes are batch dimensions."""
     L = amp2.shape[-1]
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if L % m != 0:
         raise ValueError(f"m must divide L: got L={L}, m={m}")
-    p = amp2.reshape(amp2.shape[:-1] + (L // m, m)).sum(axis=-1)
-    np.clip(p, 0.0, 1.0, out=p)
-    plogp = np.where(p > 0.0, p, 1.0)
-    np.log(plogp, out=plogp)  # 0 ln 0 = 0 ln 1 = 0
-    plogp *= p
-    return np.maximum(-plogp.sum(axis=-1), 0.0) + math.log(m)
+    return block_entropy(amp2.reshape(amp2.shape[:-1] + (L // m, m)).sum(axis=-1), math.log(m))

@@ -129,16 +129,14 @@ def _tridiagonal(diag: np.ndarray, periodic: bool = False) -> np.ndarray:
     return h
 
 
-def hamiltonian_stack(params: ModelParams, phis) -> np.ndarray:
-    """Dense (n, L, L) chain Hamiltonians of ``params`` at each phase in ``phis``:
+def build_hamiltonian(params: ModelParams, phis=None) -> np.ndarray:
+    """The dense L x L chain Hamiltonian at ``params.phi``: the potential of
     :func:`chain_diagonals` on the diagonal, -1 on the first off-diagonals,
-    and -1 in the corners only for periodic boundaries."""
-    return _tridiagonal(chain_diagonals(params, phis), params.bc == "periodic")
-
-
-def build_hamiltonian(params: ModelParams) -> np.ndarray:
-    """The dense L x L chain Hamiltonian at ``params.phi`` (see :func:`hamiltonian_stack`)."""
-    return hamiltonian_stack(params, [params.phi])[0]
+    and -1 in the corners only for periodic boundaries.  Given ``phis``, the
+    (n, L, L) stack of these matrices at each of those phases instead."""
+    stack = _tridiagonal(chain_diagonals(params, [params.phi] if phis is None else phis),
+                         params.bc == "periodic")
+    return stack[0] if phis is None else stack
 
 
 def _checked_entries(h: np.ndarray) -> np.ndarray:

@@ -95,6 +95,7 @@ _CHOICES = {"preset": tuple(_PRESET_DEFAULTS), "basis": ("real", "momentum", "bo
             "bc": ("open", "periodic"), "selector": ("mid", "ground"),
             "momentum_order": ("index", "kinetic")}
 _MINIMUM = {"n_phi": 1, "seed": 0, "jobs": 1}
+_MAX_TIMES = 10_000  # most points a time grid may hold, checked before one is built
 
 
 def _cast(x, kind):
@@ -146,10 +147,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     return make_config(preset, **{k: v for k, v in mapping.items() if k != "preset"})
 
 
-def _runs_quench(config: ExperimentConfig) -> bool:
-    return config.preset == "fig3" or (config.preset == "custom" and config.times is not None)
-
-
 def validate(config: ExperimentConfig) -> list:
     """All configuration violations, without executing anything.
 
@@ -189,6 +186,16 @@ def validate(config: ExperimentConfig) -> list:
     for key, minimum in _MINIMUM.items():
         if typed[key] is not None and typed[key] < minimum:
             diags.append(f"{key}={typed[key]} must be >= {minimum}")
+    for key, n_times in (("t_points", typed["t_points"] or 0), ("times", len(typed["times"] or ()))):
+        if n_times > _MAX_TIMES:
+            diags.append(f"{key} asks for {n_times} times; a time grid holds at most {_MAX_TIMES}")
+            bad.add(key)
+    tables = _tables(config)
+    for _, name, columns, _ in tables:
+        if "L" not in columns and len(typed["L"] or ()) > 1:
+            diags.append(f"{name} has no L column and takes one L; got L={list(typed['L'])}")
+        if "basis" not in columns and config.basis == "both":
+            diags.append(f"{name} has no basis column and takes basis real or momentum; got both")
     try:
         resolve_mid_count(config.mid_count, 2)  # the rule does not depend on L
     except ValueError as exc:
@@ -196,7 +203,8 @@ def validate(config: ExperimentConfig) -> list:
     if typed["initial_site"] is not None:
         diags += [f"initial_site={typed['initial_site']} outside 1..{L}"
                   for L in typed["L"] or () if not 1 <= typed["initial_site"] <= L]
-    if _runs_quench(config) and not bad & {"t_min", "t_max", "t_points", "times", "fit_window"}:
+    runs_quench = any(point is _quench_point for point, *_ in tables)
+    if runs_quench and not bad & {"t_min", "t_max", "t_points", "times", "fit_window"}:
         lo, hi = config.fit_window
         if not lo < hi:
             diags.append(f"fit window [{lo}, {hi}] is empty")
@@ -242,20 +250,19 @@ def _eig_point(job):
 
 def _quench_point(job):
     config, L, delta = job
-    basis = config.basis_tags()[0]
     with _grid_point(L, delta):
         table = quench_entropy_table(
             ModelParams(L=L, delta=delta, bc=config.bc), config.time_grid(), config.m,
-            n_phi=config.n_phi, seed=config.seed, basis_tag=basis,
+            n_phi=config.n_phi, seed=config.seed, basis_tag=config.basis,
             initial_site=config.initial_site, momentum_order=config.momentum_order,
         )
-    return {(m, basis): stats for m, stats in table.items()}, Counter()
+    return {(m, config.basis): stats for m, stats in table.items()}, Counter()
 
 
-def _map_grid(point, config: ExperimentConfig, L_values, fallbacks: Counter) -> dict:
-    """``{(L, delta): table}`` over L_values x config.delta.  ``point`` returns
+def _map_grid(point, config: ExperimentConfig, fallbacks: Counter) -> dict:
+    """``{(L, delta): table}`` over config.L x config.delta.  ``point`` returns
     the table and its dense-fallback Counter, which is added to ``fallbacks``."""
-    jobs = [(config, L, delta) for L in L_values for delta in config.delta]
+    jobs = [(config, L, delta) for L in config.L for delta in config.delta]
     if config.jobs <= 1 or len(jobs) <= 1:
         results = [point(job) for job in jobs]
     else:
@@ -289,20 +296,18 @@ def _write_csv(path: Path, header, rows):
 
 def _fig3_slopes(config: ExperimentConfig, tables: dict):
     times = config.time_grid()
-    basis = config.basis_tags()[0]
     rows = []
     for delta in config.delta:
         for m in config.m:
-            mean = tables[(config.L[0], delta)][(m, basis)][0]
+            mean = tables[(config.L[0], delta)][(m, config.basis)][0]
             fit = fit_log_slope(times, mean, config.fit_window)
             rows.append((delta, m, *config.fit_window, fit.slope, fit.intercept, fit.r_squared))
     return "fig3_slopes.csv", ("delta", "m", "t_lo", "t_hi", "slope", "intercept", "r_squared"), rows
 
 
 def _fig5_fluctuation(config: ExperimentConfig, tables: dict):
-    basis = config.basis_tags()[0]
     rows = [
-        (delta, m, normalized_fluctuation([tables[(L, delta)][(m, basis)][0] for L in config.L]))
+        (delta, m, normalized_fluctuation([tables[(L, delta)][(m, config.basis)][0] for L in config.L]))
         for delta in config.delta
         for m in config.m
     ]
@@ -312,8 +317,7 @@ def _fig5_fluctuation(config: ExperimentConfig, tables: dict):
 _SWEEP_COLUMNS = ("basis", "L", "delta", "m", "mean_S", "stderr_S", "n_phi")
 
 #: preset -> CSV tables, each (grid point, file name, columns, extra CSV or None).
-#: A table without an "L" column covers only the first L, and one without a
-#: "basis" column only the first basis.  Rows run basis > L > delta > m (> t).
+#: Rows run basis > L > delta > m (> t).
 _PRESET_TABLES = {
     "fig1": [(_eig_point, "fig1.csv", ("delta", "m", "mean_S", "stderr_S", "n_phi"), None)],
     "fig3": [(_quench_point, "fig3.csv", ("delta", "m", "t", "mean_S", "stderr_S"), _fig3_slopes)],
@@ -325,15 +329,19 @@ _PRESET_TABLES = {
 }
 
 
+def _tables(config: ExperimentConfig) -> list:
+    """The preset's tables that ``config`` writes; custom writes quench.csv only with a time grid."""
+    quench = config.preset != "custom" or config.times is not None
+    return [table for table in _PRESET_TABLES.get(config.preset, ()) if table[0] is _eig_point or quench]
+
+
 def _write_table(config: ExperimentConfig, point, path: Path, columns, fallbacks: Counter) -> dict:
     """Run ``point`` over the grid, write its rows, and return the results."""
-    L_values = config.L if "L" in columns else config.L[:1]
-    bases = config.basis_tags() if "basis" in columns else config.basis_tags()[:1]
     times = config.time_grid() if point is _quench_point else [None]
-    tables = _map_grid(point, config, L_values, fallbacks)
+    tables = _map_grid(point, config, fallbacks)
     rows = []
-    for basis in bases:
-        for L in L_values:
+    for basis in config.basis_tags():
+        for L in config.L:
             for delta in config.delta:
                 for m in config.m:
                     mean, stderr = map(np.atleast_1d, tables[(L, delta)][(m, basis)])
@@ -359,9 +367,7 @@ def run(config: ExperimentConfig) -> list:
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
     outputs, fallbacks = [], Counter()
-    for point, name, columns, extra in _PRESET_TABLES[config.preset]:
-        if point is _quench_point and not _runs_quench(config):
-            continue
+    for point, name, columns, extra in _tables(config):
         tables = _write_table(config, point, out_dir / name, columns, fallbacks)
         outputs.append(name)
         if extra is not None:

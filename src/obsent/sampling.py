@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    build_hamiltonian,
     chain_diagonals,
     chain_eigensystem,
     chain_eigenvalues,
     chain_eigenvectors,
     eigendecompose,
     eigenpair_errors,
-    hamiltonian_stack,
     kinetic_index_order,
     momentum_basis,
     to_momentum,
@@ -192,7 +192,7 @@ def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_or
             elif params.bc == "open":
                 rows = states(chain_eigensystem(chain_diagonals(params, phases)))
             else:
-                rows = states(eigendecompose(hamiltonian_stack(params, phases)))
+                rows = states(eigendecompose(build_hamiltonian(params, phases)))
         except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
             raise type(exc)(f"phase index {start}-{start + len(phases) - 1}: {exc}") from exc
         for chunk in range(0, len(rows), step):

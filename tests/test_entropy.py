@@ -21,6 +21,8 @@ from obsent import (
     uniform_block_entropy,
 )
 
+import reference
+
 
 def random_state(L, seed):
     rng = np.random.default_rng(seed)
@@ -202,6 +204,35 @@ def test_roughest_equals_log_dim_in_both_bases():
 def test_vectorized_path_matches_scalar(seed, log2m):
     L, m = 32, 2**log2m
     psi = random_state(L, seed)
+    expected = reference.observational_entropy(np.abs(psi) ** 2, reference.contiguous_blocks(L, m))
     scalar = observational_entropy(macrostate_probs(psi, make_block_partition(L, m)))
     vectorized = float(uniform_block_entropy(np.abs(psi) ** 2, m))
-    assert abs(scalar - vectorized) < 1e-12
+    assert abs(scalar - expected) < 1e-12
+    assert abs(vectorized - expected) < 1e-12
+
+
+def shuffled_blocks(draw, indices):
+    """A random partition of ``indices`` into lists: a shuffle of them cut at
+    random places, so blocks of 0..L-1 are generally not contiguous."""
+    order = draw(st.permutations(indices))
+    n = len(order)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    return [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), L=st.integers(2, 24), seed=st.integers(0, 2**31), refine=st.booleans())
+def test_shuffled_partitions_match_reference(data, L, seed, refine):
+    blocks1 = shuffled_blocks(data.draw, list(range(L)))
+    # half the cases cut the blocks of the first partition further, so that
+    # it is rougher than the second
+    blocks2 = ([part for b in blocks1 for part in shuffled_blocks(data.draw, b)] if refine
+               else shuffled_blocks(data.draw, list(range(L))))
+    c1, c2 = partition_from_blocks(blocks1), partition_from_blocks(blocks2)
+    assert [b.tolist() for b in c1.blocks] == [sorted(b) for b in blocks1]
+    assert c1.volumes.tolist() == [len(b) for b in blocks1]
+    psi = random_state(L, seed)
+    expected = reference.observational_entropy(np.abs(psi) ** 2, blocks1)
+    assert abs(observational_entropy(macrostate_probs(psi, c1)) - expected) < 1e-12
+    assert is_rougher(c1, c2) == reference.is_rougher(blocks1, blocks2)
+    assert is_rougher(c2, c1) == reference.is_rougher(blocks2, blocks1)

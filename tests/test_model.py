@@ -20,7 +20,6 @@ from obsent import (
     eigenvalues,
     estimate_localization_length,
     evolve_many,
-    hamiltonian_stack,
     mid_spectrum_states,
     momentum_basis,
     plane_wave_state,
@@ -172,7 +171,7 @@ def test_eigenvalues_checks_input_like_eigendecompose(h):
 
 
 def test_eigenvalues_match_eigendecompose():
-    stack = hamiltonian_stack(ModelParams(L=20, delta=2.4), [0.3, 1.7, 4.0])
+    stack = build_hamiltonian(ModelParams(L=20, delta=2.4), [0.3, 1.7, 4.0])
     assert np.abs(eigenvalues(stack) - eigendecompose(stack).energies).max() < 1e-13
 
 
@@ -190,7 +189,7 @@ def test_chain_eigenvectors_open_chain_analytic():
 
 @pytest.mark.parametrize("delta", [0.5, 2.0, 4.5])
 def test_chain_eigenvectors_match_dense_stack(delta):
-    stack = hamiltonian_stack(ModelParams(L=40, delta=delta), [0.2, 2.9, 5.1])
+    stack = build_hamiltonian(ModelParams(L=40, delta=delta), [0.2, 2.9, 5.1])
     eig = eigendecompose(stack)
     picked = np.array([0, 9, 20, 39])
     diag = np.diagonal(stack, axis1=-2, axis2=-1)
@@ -229,7 +228,7 @@ def test_chain_solvers_match_dense_route(monkeypatch, L, delta):
     assert np.abs(eig.energies - dense.energies).max() <= tol
     assert np.abs(np.abs(eig.vectors) - np.abs(dense.vectors)).max() <= tol
     assert np.abs(eig.vectors @ (eig.energies[:, :, None] * eig.vectors.swapaxes(-1, -2))
-                  - hamiltonian_stack(ModelParams(L=L, delta=delta), [0.4, 2.1, 5.3])).max() < 1e-12
+                  - build_hamiltonian(ModelParams(L=L, delta=delta), [0.4, 2.1, 5.3])).max() < 1e-12
 
 
 @pytest.mark.parametrize("solver", [chain_eigenvalues, chain_eigensystem])
@@ -240,7 +239,7 @@ def test_chain_solvers_reject_bad_diagonals(solver, diag):
 
 
 def test_rejects_stack_with_one_asymmetric_matrix():
-    stack = hamiltonian_stack(ModelParams(L=6, delta=1.5), [0.1, 0.2, 0.3, 0.4])
+    stack = build_hamiltonian(ModelParams(L=6, delta=1.5), [0.1, 0.2, 0.3, 0.4])
     eigendecompose(stack)
     stack[2, 0, 1] += 1e-9
     with pytest.raises(ValueError):
@@ -251,7 +250,7 @@ def test_rejects_stack_with_one_asymmetric_matrix():
 def test_hamiltonian_stack_matches_build_hamiltonian(bc):
     params = ModelParams(L=12, delta=2.7, bc=bc)
     phis = [0.0, 1.1, 6.2, 7.5, -0.4]
-    stack = hamiltonian_stack(params, phis)
+    stack = build_hamiltonian(params, phis)
     assert stack.shape == (5, 12, 12)
     for h, phi in zip(stack, phis):
         single = build_hamiltonian(ModelParams(L=12, delta=2.7, phi=phi, bc=bc))
@@ -260,13 +259,13 @@ def test_hamiltonian_stack_matches_build_hamiltonian(bc):
 
 def test_hamiltonian_stack_rejects_non_finite_phases():
     with pytest.raises(ValueError):
-        hamiltonian_stack(ModelParams(L=4), [0.0, math.nan])
+        build_hamiltonian(ModelParams(L=4), [0.0, math.nan])
 
 
 @pytest.mark.parametrize("bc", ["open", "periodic"])
 def test_stacked_eigendecompose_is_bit_identical(bc):
     phis = np.random.default_rng(8).uniform(0.0, 2 * math.pi, 7)
-    stack = hamiltonian_stack(ModelParams(L=24, delta=1.9, bc=bc), phis)
+    stack = build_hamiltonian(ModelParams(L=24, delta=1.9, bc=bc), phis)
     eig = eigendecompose(stack)
     psi0, times = site_state(24, 12), np.array([0.0, 0.5, 3.0])
     assert eig.energies.shape == (7, 24) and eig.vectors.shape == (7, 24, 24)

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,39 @@ def test_validate_empty_time_grid():
 
 def test_validate_clean_config():
     assert validate(make_config("fig1", L=[64], m=[1, 2], n_phi=2)) == []
+
+
+@pytest.mark.parametrize("preset, overrides, dropped", [
+    ("fig1", dict(L=[16, 32], m=[1, 2]), "fig1.csv has no L column"),
+    ("fig3", dict(L=[16, 32], m=[1, 16]), "fig3.csv has no L column"),
+    ("fig1", dict(L=[16], m=[1, 2], basis="both"), "fig1.csv has no basis column"),
+    ("fig3", dict(L=[16], m=[1, 16], basis="both"), "fig3.csv has no basis column"),
+    ("fig5", dict(L=[8, 16], m=[1, 2], basis="both"), "fig5_curves.csv has no basis column"),
+    ("custom", dict(L=[8, 16], m=[1, 2], basis="both", times=[0.0, 1.0]), "quench.csv has no basis column"),
+], ids=["fig1-L", "fig3-L", "fig1-basis", "fig3-basis", "fig5-basis", "custom-times-basis"])
+def test_validate_reports_what_a_table_would_drop(preset, overrides, dropped):
+    diags = validate(make_config(preset, **overrides))
+    assert len(diags) == 1 and diags[0].startswith(dropped)
+
+
+def test_validate_keeps_tables_that_hold_every_L_and_basis():
+    both = dict(L=[8, 16], m=[1, 2], basis="both")
+    assert validate(make_config("fig4", **both)) == []
+    assert validate(make_config("custom", **both)) == []
+    assert validate(make_config("fig5", L=[8, 16], m=[1, 2], basis="momentum")) == []
+    assert validate(make_config("custom", L=[8, 16], m=[1, 2], times=[0.0, 1.0])) == []
+
+
+def test_validate_caps_the_time_grid_before_building_it():
+    tracemalloc.start()
+    diags = validate(make_config("fig3", L=[16], m=[1], t_points=10**7))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(diags) == 1 and diags[0].startswith("t_points asks for 10000000 times")
+    assert peak < 1_000_000
+    diags = validate(make_config("custom", L=[16], m=[1], times=list(range(10_001))))
+    assert len(diags) == 1 and diags[0].startswith("times asks for 10001 times")
+    assert validate(make_config("fig3", L=[16], m=[1], t_points=10_000)) == []
 
 
 def test_validate_collects_everything():
@@ -164,11 +198,11 @@ def test_rerun_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("preset, extra", [
     ("fig4", {}),
-    ("fig3", dict(t_min=0.5, t_max=40.0, t_points=12)),
+    ("fig3", dict(L=[8], t_min=0.5, t_max=40.0, t_points=12)),  # fig3.csv has no L column
     ("custom", dict(times=[0.0, 1.0, 2.0])),
 ], ids=["fig4", "fig3", "custom-times"])
 def test_parallel_matches_serial(tmp_path, preset, extra):
-    kwargs = dict(L=[8, 16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6, **extra)
+    kwargs = {**dict(L=[8, 16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6), **extra}
     serial = run(make_config(preset, out=str(tmp_path / "serial"), jobs=1, **kwargs))
     parallel = run(make_config(preset, out=str(tmp_path / "parallel"), jobs=2, **kwargs))
     csvs = [(a, b) for a, b in zip(serial, parallel) if a.suffix == ".csv"]
@@ -280,10 +314,14 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
             "--fit-hi", "3.5"], "fit_window"),
     (None, ["--preset", "fig3", "--L", "16", "--m", "1,4", "--n-phi", "2",
             "--times", "0,1,2,3,4,5,6", "--fit-lo", "0", "--fit-hi", "6"], "fit_window"),
+    (None, ["--preset", "fig1", "--L", "16,32", "--m", "1,2", "--n-phi", "2"], "no L column"),
+    (None, ["--preset", "fig3", "--L", "16", "--m", "1", "--basis", "both"], "no basis column"),
+    (None, ["--preset", "fig3", "--L", "16", "--m", "1", "--t-points", "10000000"], "t_points"),
 ], ids=["file-list", "L-str", "n_phi-str", "t_points-float", "fit_window-short",
         "fit_window-short-fit-hi", "seed-float", "mid_count-list", "preset", "basis", "bc",
         "selector", "momentum_order", "L-flag", "n_phi-flag", "mid_count-flag", "fig1-L-zero",
-        "fig1-L-negative", "fig1-L-empty", "fig3-fit-window-short", "fig3-fit-window-t0"])
+        "fig1-L-negative", "fig1-L-empty", "fig3-fit-window-short", "fig3-fit-window-t0",
+        "fig1-two-L", "fig3-both-bases", "fig3-t-points-cap"])
 def test_cli_rejects_malformed_values(tmp_path, monkeypatch, capsys, command, config, flags, field):
     def no_compute(*args):
         raise AssertionError("computation started for an invalid config")

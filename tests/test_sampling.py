@@ -16,14 +16,10 @@ from obsent import (
     chain_eigensystem,
     eigendecompose,
     eigenstate_entropy_table,
-    hamiltonian_stack,
     evolve_many,
     kinetic_index_order,
-    macrostate_probs,
-    make_block_partition,
     mid_spectrum_states,
     momentum_basis,
-    observational_entropy,
     phase_sequence,
     quench_entropy_table,
     site_state,
@@ -33,15 +29,17 @@ from obsent import (
 from obsent import model, sampling
 from obsent.sampling import Window, chunk_size, phase_weights, window_rows
 
+import reference
+
 
 def scalar_entropies(states, L, m_list, basis_tag, momentum_order):
-    """{m: entropy per state} through macrostate_probs + observational_entropy."""
+    """{m: entropy per state} from the plain-Python reference over contiguous blocks."""
     if basis_tag == "momentum":
         basis = momentum_basis(L)
         perm = kinetic_index_order(L) if momentum_order == "kinetic" else np.arange(L)
         states = [to_momentum(psi, basis)[perm] for psi in states]
     return {
-        m: np.array([observational_entropy(macrostate_probs(psi, make_block_partition(L, m, basis_tag)))
+        m: np.array([reference.observational_entropy(np.abs(psi) ** 2, reference.contiguous_blocks(L, m))
                      for psi in states])
         for m in m_list
     }
@@ -68,7 +66,7 @@ def test_lane_chunk_size_depends_on_L_and_window_only():
 
 def dense_window(params, phis, window):
     """The window's rows from dense eigh of the chains at ``phis``."""
-    return window(eigendecompose(hamiltonian_stack(params, phis)))
+    return window(eigendecompose(build_hamiltonian(params, phis)))
 
 
 def full_window(params, phis, window):
