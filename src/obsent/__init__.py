@@ -13,11 +13,9 @@ runner    Presets, validation, CSV/JSON emission.
 __version__ = "0.1.0"
 
 from .model import (
-    DELOCALIZED,
     GOLDEN_RATIO_INVERSE,
     EigenSystem,
     ModelParams,
-    MomentumBasis,
     build_hamiltonian,
     chain_diagonals,
     chain_eigensystem,
@@ -25,14 +23,9 @@ from .model import (
     chain_eigenvectors,
     chain_solvers,
     eigendecompose,
-    eigenvalues,
-    estimate_localization_length,
     kinetic_index_order,
-    momentum_basis,
-    plane_wave_state,
     site_state,
     to_momentum,
-    to_real,
 )
 from .entropy import (
     CoarseGraining,
@@ -62,10 +55,9 @@ from .analysis import (
     eigenstate_entropy_table,
     fit_log_slope,
     fluctuation_table,
-    mid_spectrum_states,
     normalized_fluctuation,
     resolve_mid_count,
     size_scaling_report,
 )
-from .sampling import phase_sequence, phase_stream
+from .sampling import phase_sequence
 from .runner import ConfigError, ExperimentConfig, config_from_mapping, make_config, run, validate

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import uniform_block_entropy
-from .model import EigenSystem, ModelParams
+from .model import ModelParams
 from .sampling import Window, mean_stderr, phase_weights
 
 
@@ -52,17 +52,6 @@ class SizeScalingReport:
     mean_S: np.ndarray
     stderr_S: np.ndarray
     diffs: np.ndarray  # mean_S[i+1] - mean_S[i]
-
-
-def mid_spectrum_states(eig: EigenSystem, count: int = 10) -> np.ndarray:
-    """The ``count`` eigenstates with energies nearest zero, one per row.
-
-    Ties in |E| are broken toward the lower eigenvalue index (stable
-    sort), so the selection is deterministic.  Rows come back ordered by
-    their position in the spectrum.  A stack of systems gives a
-    (..., count, L) stack of rows.
-    """
-    return Window(count)(eig)
 
 
 def resolve_mid_count(mid_count, L: int) -> int:

@@ -17,10 +17,6 @@ import numpy as np
 #: Inverse golden ratio, the default incommensurate frequency.
 GOLDEN_RATIO_INVERSE = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Sentinel returned by :func:`estimate_localization_length` when no
-#: exponential decay is resolvable (state is delocalized).
-DELOCALIZED = math.inf
-
 _TWO_PI = 2.0 * math.pi
 
 
@@ -79,30 +75,6 @@ class EigenSystem:
     @property
     def L(self) -> int:
         return self.energies.shape[-1]
-
-
-@dataclass(frozen=True)
-class MomentumBasis:
-    """Plane-wave basis of an L-site ring and the kinetic-energy diagonal.
-
-    ``dft[j, n] = exp(i * k_n * j) / sqrt(L)`` with ``k_n = 2*pi*n/L``, so
-    the columns are the plane waves and ``dft`` is unitary.  ``o_diagonal``
-    holds the kinetic-energy eigenvalues ``-2*cos(k_n)``.  The dense
-    ``dft`` matrix is built only on request; :func:`to_momentum` and
-    :func:`to_real` use the FFT.
-    """
-
-    k_values: np.ndarray
-    o_diagonal: np.ndarray
-
-    @property
-    def L(self) -> int:
-        return self.k_values.shape[0]
-
-    @property
-    def dft(self) -> np.ndarray:
-        j = np.arange(self.L)[:, None]
-        return np.exp(1j * self.k_values[None, :] * j) / math.sqrt(self.L)
 
 
 def chain_diagonals(params: ModelParams, phis) -> np.ndarray:
@@ -165,12 +137,6 @@ def eigendecompose(h: np.ndarray) -> EigenSystem:
     return EigenSystem(energies=energies, vectors=vectors)
 
 
-def eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues only (``np.linalg.eigvalsh``), shape (..., L),
-    with the same input checks and errors as :func:`eigendecompose`."""
-    return np.linalg.eigvalsh(_checked_entries(h))
-
-
 def _bind_lapack():
     """``dsterf`` and ``dstevd`` from the LAPACK that numpy's linalg extension
     links, each None when it is not exported.  ``dlsym`` on the extension's
@@ -216,13 +182,13 @@ def _chain_problem(diag):
 def chain_eigenvalues(diag) -> np.ndarray:
     """Ascending eigenvalues (B, L) of open chains (hopping -1) with on-site
     energies ``diag`` (B, L), by LAPACK ``dsterf`` chain by chain, or by
-    :func:`eigenvalues` of the dense matrices, one at a time, where
+    ``numpy.linalg.eigvalsh`` of the dense matrices, one at a time, where
     ``dsterf`` is not bound; both give the same bits.  Raises
     ``ValueError`` for non-finite input and ``numpy.linalg.LinAlgError`` if
     the solver fails."""
     d, e = _chain_problem(diag)
     if _DSTERF is None:  # a block of window lanes may hold many chains
-        return np.concatenate([eigenvalues(_tridiagonal(d[b:b + 1])) for b in range(len(d))])
+        return np.concatenate([np.linalg.eigvalsh(_tridiagonal(d[b:b + 1])) for b in range(len(d))])
     B, L = d.shape
     n, info = ctypes.c_int64(L), ctypes.c_int64(0)
     for b in range(B):
@@ -314,36 +280,15 @@ def eigenpair_errors(diag, energies, rows):
     return np.abs(residual, out=residual).max(axis=(-2, -1)), np.abs(overlap).max(axis=(-2, -1))
 
 
-def momentum_basis(L: int) -> MomentumBasis:
-    """The plane-wave basis with k_n = 2*pi*n/L for n = 0..L-1."""
-    if L < 2:
-        raise ValueError(f"L must be >= 2, got {L}")
-    k = _momenta(L)
-    return MomentumBasis(k_values=k, o_diagonal=-2.0 * np.cos(k))
-
-
-def _momenta(L: int) -> np.ndarray:
-    return _TWO_PI * np.arange(L) / L
-
-
-def to_momentum(state: np.ndarray, basis: MomentumBasis, axis: int = 0) -> np.ndarray:
-    """Momentum amplitudes <k_n|psi> of real-space states along ``axis``.
+def to_momentum(state: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Momentum amplitudes <k_n|psi> = sum_j exp(-i k_n j) psi_j / sqrt(L),
+    k_n = 2*pi*n/L, of real-space states along ``axis``.
 
     The default axis 0 takes a state or a column stack.  This is the
-    unitary FFT (``norm="ortho"``), equal to ``basis.dft.conj().T @ state``.
+    unitary FFT (``norm="ortho"``), the one change of basis the momentum
+    entropies use.
     """
-    state = np.asarray(state)
-    if state.shape[axis] != basis.L:
-        raise ValueError(f"state has {state.shape[axis]} amplitudes, basis expects {basis.L}")
     return np.fft.fft(state, axis=axis, norm="ortho")
-
-
-def to_real(state: np.ndarray, basis: MomentumBasis, axis: int = 0) -> np.ndarray:
-    """Inverse of :func:`to_momentum` along ``axis`` (default 0)."""
-    state = np.asarray(state)
-    if state.shape[axis] != basis.L:
-        raise ValueError(f"state has {state.shape[axis]} amplitudes, basis expects {basis.L}")
-    return np.fft.ifft(state, axis=axis, norm="ortho")
 
 
 def kinetic_index_order(L: int) -> np.ndarray:
@@ -352,7 +297,7 @@ def kinetic_index_order(L: int) -> np.ndarray:
     Ties between the degenerate +k/-k pairs are broken by the original
     index (stable sort), which keeps the permutation deterministic.
     """
-    return np.argsort(-2.0 * np.cos(_momenta(L)), kind="stable")
+    return np.argsort(-2.0 * np.cos(_TWO_PI * np.arange(L) / L), kind="stable")
 
 
 def site_state(L: int, site: int) -> np.ndarray:
@@ -362,45 +307,3 @@ def site_state(L: int, site: int) -> np.ndarray:
     psi = np.zeros(L)
     psi[site - 1] = 1.0
     return psi
-
-
-def plane_wave_state(L: int, n: int) -> np.ndarray:
-    """Unit-norm plane wave with momentum index n (k = 2*pi*n/L)."""
-    j = np.arange(L)
-    return np.exp(1j * _TWO_PI * n * j / L) / math.sqrt(L)
-
-
-def estimate_localization_length(
-    state: np.ndarray,
-    *,
-    amplitude_floor: float = 1e-12,
-    min_points: int = 8,
-) -> float:
-    """Least-squares estimate of the exponential decay length of a state.
-
-    Fits ``ln|psi(j)|`` against ``|j - j_peak|`` over sites whose
-    probability exceeds ``amplitude_floor`` (avoiding log underflow); the
-    decay length is -1/slope.  Returns :data:`DELOCALIZED` (inf) when the
-    fitted slope is >= -1/L, i.e. no decay is resolvable on this lattice.
-    States supported on a single site give 0.0.  When fewer than
-    ``min_points`` sites survive the floor and the state is not strongly
-    peaked, the envelope is unresolvable and a ``ValueError`` is raised.
-    """
-    state = np.asarray(state)
-    L = state.shape[0]
-    amp2 = np.abs(state) ** 2
-    mask = amp2 > amplitude_floor
-    n_pts = int(mask.sum())
-    if n_pts < 2:
-        return 0.0
-    if n_pts < min_points and amp2.max() <= 0.5:
-        raise ValueError(
-            f"only {n_pts} sites above the amplitude floor; cannot resolve a decay envelope"
-        )
-    peak = int(np.argmax(amp2))
-    r = np.abs(np.arange(L) - peak)[mask].astype(float)
-    y = 0.5 * np.log(amp2[mask])
-    slope = np.polyfit(r, y, 1)[0]
-    if slope >= -1.0 / L:
-        return DELOCALIZED
-    return -1.0 / slope

@@ -261,14 +261,15 @@ def _quench_point(job):
 
 def _map_grid(point, config: ExperimentConfig, fallbacks: Counter) -> dict:
     """``{(L, delta): table}`` over config.L x config.delta.  ``point`` returns
-    the table and its dense-fallback Counter, which is added to ``fallbacks``."""
+    the table and its dense-fallback Counter, which is added to ``fallbacks``.
+    A pool starts at most one worker per grid point and per CPU."""
     jobs = [(config, L, delta) for L in config.L for delta in config.delta]
     if config.jobs <= 1 or len(jobs) <= 1:
         results = [point(job) for job in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor  # costs about 20 ms of import; serial runs skip it
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(jobs), os.cpu_count() or 1)) as pool:
             results = list(pool.map(point, jobs))
     for _, counts in results:
         fallbacks.update(counts)

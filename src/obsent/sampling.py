@@ -7,8 +7,10 @@ parameter grid can never change the realizations of an individual grid
 point, and parallel workers need no shared RNG state.
 
 :func:`phase_weights` is the one loop over phase realizations that every
-eigenstate and quench average runs through, and :class:`Window` with
-:func:`window_indices` the one way to pick eigenstates.
+eigenstate and quench average runs through, and :class:`Window` the one
+selector of eigenstates: call ``Window(count)(eig)`` for the ``count``
+states nearest zero energy, ``Window(count, "ground")(eig)`` for the
+lowest ones.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .model import (
     eigendecompose,
     eigenpair_errors,
     kinetic_index_order,
-    momentum_basis,
     to_momentum,
 )
 
@@ -43,19 +44,16 @@ GAP_MIN = 1e-4
 EIGENPAIR_TOL = 1e-10
 
 
-def phase_stream(seed: int, L: int, delta: float) -> np.random.Generator:
-    """Generator seeded by (seed, L, bit pattern of delta)."""
+def phase_sequence(seed: int, L: int, delta: float, n_phi: int) -> np.ndarray:
+    """First n_phi potential phases, uniform on [0, 2*pi), from a generator
+    seeded by (seed, L, bit pattern of delta)."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    delta_bits = int(np.float64(delta).view(np.uint64))
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(L), delta_bits]))
-
-
-def phase_sequence(seed: int, L: int, delta: float, n_phi: int) -> np.ndarray:
-    """First n_phi potential phases, uniform on [0, 2*pi)."""
     if n_phi < 1:
         raise ValueError(f"n_phi must be >= 1, got {n_phi}")
-    return phase_stream(seed, L, delta).uniform(0.0, 2.0 * math.pi, n_phi)
+    delta_bits = int(np.float64(delta).view(np.uint64))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(L), delta_bits]))
+    return rng.uniform(0.0, 2.0 * math.pi, n_phi)
 
 
 def chunk_size(L: int, n: int | None = None) -> int:
@@ -178,7 +176,6 @@ def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_or
     indices.
     """
     L = params.L
-    basis = momentum_basis(L) if "momentum" in basis_tags else None
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else None
     phis = phase_sequence(seed, L, params.delta, n_phi)
     windowed = isinstance(states, Window) and params.bc == "open"
@@ -199,8 +196,8 @@ def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_or
             part, weights = rows[chunk:chunk + step], {}
             if "real" in basis_tags:
                 weights["real"] = np.abs(part) ** 2
-            if basis is not None:
-                k_rows = to_momentum(part, basis, axis=-1)
+            if "momentum" in basis_tags:
+                k_rows = to_momentum(part, axis=-1)
                 if perm is not None:
                     k_rows = k_rows[..., perm]
                 weights["momentum"] = np.abs(k_rows) ** 2

@@ -4,7 +4,8 @@ the lines for passing criteria too).
 
 Shared heavy computations (the quench tables) are module-scoped fixtures.
 Criteria 5, 7, and 8 are implemented exactly as stated and are expected to
-fail; the blocking analyses live in the project decisions ledger.
+fail; the blocking analyses live in the decisions ledger, DECISIONS.md,
+one entry per criterion.
 """
 
 import math
@@ -145,7 +146,7 @@ def test_criterion_5_log_growth_slopes(quench_tables):
         f"slope(delta=1) = {slopes[1.0]:.3f} (want 1.0+/-0.15, {'ok' if ok1 else 'MISS'}); "
         f"slope(delta=2) = {slopes[2.0]:.3f} (want 0.45+/-0.10, {'ok' if ok2 else 'MISS'}); "
         f"slope(delta=3) = {slopes[3.0]:.3f}, bounded = {bounded} "
-        f"(want |slope| < 0.05, {'ok' if ok3 else 'MISS'}); see decisions ledger on the delta=1 window",
+        f"(want |slope| < 0.05, {'ok' if ok3 else 'MISS'}); see DECISIONS.md, criterion 5, on the delta=1 window",
     )
 
 
@@ -186,7 +187,7 @@ def test_criterion_7_size_scaling_and_duality():
         f"real d3 = {legs[('real', 3.0)]:+.4f} (want |.|<0.05, {'ok' if ok_r3 else 'MISS'}); "
         f"mom d1 = {legs[('momentum', 1.0)]:+.4f} (want |.|<0.05, {'ok' if ok_k1 else 'MISS'}); "
         f"mom d3 = {legs[('momentum', 3.0)]:+.4f} (want ln2+/-0.15, {'ok' if ok_k3 else 'MISS'}); "
-        f"see decisions ledger on the momentum delta=1 transient",
+        f"see DECISIONS.md, criterion 7, on the momentum delta=1 transient",
     )
 
 
@@ -207,7 +208,7 @@ def test_criterion_8_optimal_coarse_graining():
         "criterion 8 (optimal coarse-graining)",
         wins >= 8,
         f"f(.,2) is the minimum for {wins}/10 deltas (want >= 8); "
-        f"see decisions ledger: the minimum-at-m=2 statement traces to the "
+        f"see DECISIONS.md, criterion 8: the minimum-at-m=2 statement traces to the "
         f"non-dyadic m=3 comparison, not m=4",
     )
 

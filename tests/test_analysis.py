@@ -14,11 +14,11 @@ from obsent import (
     eigenstate_entropy_table,
     fit_log_slope,
     fluctuation_table,
-    mid_spectrum_states,
     normalized_fluctuation,
     resolve_mid_count,
     size_scaling_report,
 )
+from obsent.sampling import Window
 
 
 def diag_system(energies):
@@ -28,27 +28,22 @@ def diag_system(energies):
 
 def test_mid_spectrum_picks_nearest_zero():
     eig = diag_system([-2.0, -1.0, 1.0, 2.0])
-    states = mid_spectrum_states(eig, 2)
+    states = Window(2)(eig)
     picked = [int(np.argmax(s)) for s in states]
     assert picked == [1, 2]  # energies -1 and +1
 
 
 def test_mid_spectrum_all_and_overflow():
     eig = diag_system([-1.0, 0.0, 1.0])
-    assert len(mid_spectrum_states(eig, 3)) == 3
+    assert len(Window(3)(eig)) == 3
     with pytest.raises(ValueError):
-        mid_spectrum_states(eig, 4)
+        Window(4)(eig)
 
 
 def test_mid_spectrum_tie_break_deterministic():
     eig = diag_system([-1.0, 1.0, -3.0, 3.0])
-    states = mid_spectrum_states(eig, 1)
+    states = Window(1)(eig)
     assert int(np.argmax(states[0])) == 0  # |E| tie broken toward lower index
-
-
-def test_mid_spectrum_default_count_is_ten():
-    eig = eigendecompose(build_hamiltonian(ModelParams(L=32, delta=1.0)))
-    assert len(mid_spectrum_states(eig)) == 10
 
 
 def test_mid_spectrum_symmetric_selection():
@@ -56,7 +51,7 @@ def test_mid_spectrum_symmetric_selection():
     # energies come in +/- pairs
     h = build_hamiltonian(ModelParams(L=8, delta=0.0))
     eig = eigendecompose(h)
-    picked = sorted(float(s @ h @ s) for s in mid_spectrum_states(eig, 4))
+    picked = sorted(float(s @ h @ s) for s in Window(4)(eig))
     assert_allclose(picked, sorted(-x for x in picked), atol=1e-12)
 
 
@@ -160,12 +155,12 @@ def test_duality_sign_flip():
 
 
 def test_kinetic_momentum_ordering():
-    from obsent import kinetic_index_order, momentum_basis
+    from obsent import kinetic_index_order
 
     L = 32
     perm = kinetic_index_order(L)
     assert sorted(perm.tolist()) == list(range(L))
-    o = momentum_basis(L).o_diagonal
+    o = -2.0 * np.cos(2.0 * math.pi * np.arange(L) / L)
     assert np.all(np.diff(o[perm]) >= -1e-15)
     # pair blocks see the same consecutive-pair sums either way because the
     # momentum distribution of a real Hamiltonian is symmetric under k -> -k,

@@ -1,4 +1,4 @@
-"""Hamiltonian structure, spectra, basis changes, and localization fits."""
+"""Hamiltonian structure, spectra, and the momentum basis change."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from obsent import (
-    DELOCALIZED,
     GOLDEN_RATIO_INVERSE,
     ModelParams,
     build_hamiltonian,
@@ -17,18 +16,13 @@ from obsent import (
     chain_eigenvalues,
     chain_eigenvectors,
     eigendecompose,
-    eigenvalues,
-    estimate_localization_length,
     evolve_many,
-    mid_spectrum_states,
-    momentum_basis,
-    plane_wave_state,
     site_state,
     to_momentum,
-    to_real,
 )
 from obsent import model
 from obsent.model import eigenpair_errors
+from obsent.sampling import Window
 
 
 def test_golden_ratio_default():
@@ -143,6 +137,8 @@ def test_eigensystem_invariants_random_params():
 def test_rejects_asymmetric_matrix():
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(ValueError):
+        eigendecompose(np.ones((2, 3)))
 
 
 def test_rejects_nan_matrix():
@@ -157,22 +153,6 @@ def test_rejects_nan_matrix():
 def test_rejects_infinite_matrix():
     with pytest.raises(ValueError):
         eigendecompose(np.array([[math.inf, -1.0], [-1.0, 0.0]]))
-
-
-@pytest.mark.parametrize("h", [
-    np.array([[0.0, 1.0], [2.0, 0.0]]),
-    np.full((3, 3), math.nan),
-    np.array([[math.inf, -1.0], [-1.0, 0.0]]),
-    np.ones((2, 3)),
-], ids=["asymmetric", "nan", "inf", "not-square"])
-def test_eigenvalues_checks_input_like_eigendecompose(h):
-    with pytest.raises(ValueError):
-        eigenvalues(h)
-
-
-def test_eigenvalues_match_eigendecompose():
-    stack = build_hamiltonian(ModelParams(L=20, delta=2.4), [0.3, 1.7, 4.0])
-    assert np.abs(eigenvalues(stack) - eigendecompose(stack).energies).max() < 1e-13
 
 
 def test_chain_eigenvectors_open_chain_analytic():
@@ -274,7 +254,7 @@ def test_stacked_eigendecompose_is_bit_identical(bc):
         single = eigendecompose(h)
         assert np.array_equal(eig.energies[i], single.energies)
         assert np.array_equal(eig.vectors[i], single.vectors)
-        assert np.array_equal(mid_spectrum_states(eig, 5)[i], mid_spectrum_states(single, 5))
+        assert np.array_equal(Window(5)(eig)[i], Window(5)(single))
         assert np.array_equal(evolve_many(eig, psi0, times)[i], evolve_many(single, psi0, times))
 
 
@@ -299,19 +279,9 @@ def test_free_ring_spectrum_multiset():
         assert np.abs(eig.energies - expected).max() < 1e-10
 
 
-def test_momentum_basis_unitary_and_diagonal():
-    for L in (4, 16, 63):
-        basis = momentum_basis(L)
-        gram = basis.dft.conj().T @ basis.dft
-        assert np.abs(gram - np.eye(L)).max() < 1e-10
-        n = np.arange(L)
-        assert np.array_equal(basis.o_diagonal, -2.0 * np.cos(2.0 * math.pi * n / L))
-
-
 def test_plane_wave_maps_to_single_momentum_index():
     L, n = 16, 5
-    basis = momentum_basis(L)
-    amps = to_momentum(plane_wave_state(L, n), basis)
+    amps = to_momentum(np.exp(2j * math.pi * n * np.arange(L) / L) / math.sqrt(L))
     expected = np.zeros(L)
     expected[n] = 1.0
     assert_allclose(np.abs(amps) ** 2, expected, atol=1e-12)
@@ -319,18 +289,8 @@ def test_plane_wave_maps_to_single_momentum_index():
 
 def test_site_state_is_uniform_in_momentum():
     L = 16
-    amps = to_momentum(site_state(L, 7), momentum_basis(L))
+    amps = to_momentum(site_state(L, 7))
     assert_allclose(np.abs(amps) ** 2, np.full(L, 1.0 / L), atol=1e-12)
-
-
-def test_momentum_round_trip():
-    rng = np.random.default_rng(3)
-    L = 32
-    psi = rng.normal(size=L) + 1j * rng.normal(size=L)
-    psi /= np.linalg.norm(psi)
-    basis = momentum_basis(L)
-    back = to_real(to_momentum(psi, basis), basis)
-    assert np.abs(back - psi).max() < 1e-12
 
 
 @pytest.mark.parametrize("L", [6, 10])
@@ -341,41 +301,6 @@ def test_fft_matches_explicit_dft_sum(L):
     j = np.arange(L)
     explicit = np.array([[np.sum(np.exp(-2j * math.pi * n * j / L) * cols[:, c]) / math.sqrt(L)
                           for c in range(3)] for n in range(L)])
-    basis = momentum_basis(L)
-    assert np.abs(to_momentum(cols, basis) - explicit).max() < 1e-13
-    assert np.abs(to_momentum(cols[:, 1], basis) - explicit[:, 1]).max() < 1e-13
-    assert np.abs(to_momentum(cols.T, basis, axis=-1) - explicit.T).max() < 1e-13
-    assert np.abs(basis.dft.conj().T @ cols - explicit).max() < 1e-13
-    assert np.abs(to_real(explicit, basis) - cols).max() < 1e-13
-    assert np.abs(to_real(explicit.T, basis, axis=-1) - cols.T).max() < 1e-13
-
-
-def test_to_momentum_dimension_mismatch():
-    with pytest.raises(ValueError):
-        to_momentum(np.ones(8), momentum_basis(16))
-
-
-def test_localization_length_single_site():
-    assert estimate_localization_length(site_state(64, 20)) < 0.1
-
-
-def test_localization_length_plane_wave():
-    xi = estimate_localization_length(np.abs(plane_wave_state(64, 0)))
-    assert xi == DELOCALIZED
-
-
-def test_localization_length_unresolvable_support():
-    psi = np.zeros(64)
-    psi[10:14] = 0.5  # four equal sites: too few points, not peaked
-    with pytest.raises(ValueError):
-        estimate_localization_length(psi)
-
-
-def test_localization_length_deep_lattice():
-    # mid-spectrum states at delta=4 decay with xi = 1/ln(delta/2) = 1/ln 2
-    target = 1.0 / math.log(2.0)
-    vals = []
-    for phi in (0.3, 2.1, 4.4):
-        eig = eigendecompose(build_hamiltonian(ModelParams(L=256, delta=4.0, phi=phi)))
-        vals.extend(estimate_localization_length(s) for s in mid_spectrum_states(eig, 10))
-    assert abs(np.mean(vals) - target) < 0.3
+    assert np.abs(to_momentum(cols) - explicit).max() < 1e-13
+    assert np.abs(to_momentum(cols[:, 1]) - explicit[:, 1]).max() < 1e-13
+    assert np.abs(to_momentum(cols.T, axis=-1) - explicit.T).max() < 1e-13

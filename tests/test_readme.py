@@ -1,9 +1,11 @@
-"""The README's code runs against the package as it is."""
+"""The README's code runs against the package as it is, and the acceptance
+messages point at entries that DECISIONS.md holds."""
 
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_python_blocks_run():
@@ -12,3 +14,10 @@ def test_readme_python_blocks_run():
     assert all("from obsent import" in block for block in blocks)
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_acceptance_messages_point_at_ledger_entries():
+    cited = set(re.findall(r"DECISIONS\.md, criterion (\d+)", (ROOT / "tests" / "test_acceptance.py").read_text()))
+    assert cited, "no acceptance message cites a DECISIONS.md entry"
+    headings = set(re.findall(r"^## Criterion (\d+)\b", (ROOT / "DECISIONS.md").read_text(), flags=re.M))
+    assert cited <= headings, f"DECISIONS.md has no entry for criteria {sorted(cited - headings)}"

@@ -226,6 +226,37 @@ def test_parallel_fallback_counts_match_serial(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def test_pool_never_exceeds_grid_points(tmp_path, monkeypatch):
+    # a stub stands in for the pool: a real one with jobs=100000 would fork
+    # a process per worker at the first submit
+    import concurrent.futures
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    kwargs = dict(L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6)
+    csvs = []
+    for jobs in (1, 100000):
+        out = tmp_path / f"jobs{jobs}"
+        run(make_config("fig1", out=str(out), jobs=jobs, **kwargs))
+        csvs.append((out / "fig1.csv").read_bytes())
+    assert len(seen) == 1 and 1 <= seen[0] <= 2
+    assert csvs[0] == csvs[1]
+
+
 # --- CLI ------------------------------------------------------------------
 
 

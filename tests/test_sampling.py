@@ -18,8 +18,6 @@ from obsent import (
     eigenstate_entropy_table,
     evolve_many,
     kinetic_index_order,
-    mid_spectrum_states,
-    momentum_basis,
     phase_sequence,
     quench_entropy_table,
     site_state,
@@ -35,9 +33,8 @@ import reference
 def scalar_entropies(states, L, m_list, basis_tag, momentum_order):
     """{m: entropy per state} from the plain-Python reference over contiguous blocks."""
     if basis_tag == "momentum":
-        basis = momentum_basis(L)
         perm = kinetic_index_order(L) if momentum_order == "kinetic" else np.arange(L)
-        states = [to_momentum(psi, basis)[perm] for psi in states]
+        states = [to_momentum(psi)[perm] for psi in states]
     return {
         m: np.array([reference.observational_entropy(np.abs(psi) ** 2, reference.contiguous_blocks(L, m))
                      for psi in states])
@@ -75,7 +72,7 @@ def full_window(params, phis, window):
 
 
 def block_entropies(rows, m):
-    k_rows = to_momentum(rows, momentum_basis(rows.shape[-1]), axis=-1)
+    k_rows = to_momentum(rows, axis=-1)
     return uniform_block_entropy(np.abs(rows) ** 2, m), uniform_block_entropy(np.abs(k_rows) ** 2, m)
 
 
@@ -91,7 +88,7 @@ def test_window_rows_match_dense_eigh(L, delta, phi, size, selector):
     params, phis = ModelParams(L=L, delta=delta), np.array([phi])
     window = Window(1 + int(size * (L - 1)), selector)
     rows = window_rows(params, phis, window)
-    dense = dense_window(params, phis, window)  # mid_spectrum_states for "mid"
+    dense = dense_window(params, phis, window)  # Window(count)(eig) of dense eigh
     assert np.abs(rows @ rows.swapaxes(-1, -2) - np.eye(window.count)).max() <= 1e-10
     for m in (1, 2, L // 2):
         for new, old in zip(block_entropies(rows, m), block_entropies(dense, m)):
@@ -165,7 +162,7 @@ def test_lane_blocks_hold_at_least_L_lanes(monkeypatch, L, n, n_phi, blocks, chu
     assert seen == blocks and chunk == chunk_size(L, n)
     assert [len(c) for c in chunks] == [min(chunk, b - s) for b in blocks for s in range(0, b, chunk)]
     rows = window_rows(params, phase_sequence(7, L, 1.0, n_phi), window)
-    k_rows = to_momentum(rows, momentum_basis(L), axis=-1)
+    k_rows = to_momentum(rows, axis=-1)
     assert np.array_equal(np.concatenate(chunks), np.abs(k_rows) ** 2)
 
 
@@ -196,7 +193,7 @@ def test_window_edge_tie_takes_dense_path():
     fallbacks = Counter()
     rows = window_rows(params, phis, window, fallbacks)
     assert fallbacks == {"window_tie": 1}
-    assert np.array_equal(rows, mid_spectrum_states(chain_eigensystem(chain_diagonals(params, phis)), 9))
+    assert np.array_equal(rows, Window(9)(chain_eigensystem(chain_diagonals(params, phis))))
 
 
 def test_inaccurate_vectors_take_dense_path(monkeypatch):
@@ -239,7 +236,7 @@ def test_eigenstate_table_matches_scalar_reference(L, n_phi, bases, bc, selector
                                      selector=selector, bc=bc, momentum_order=momentum_order)
     per_phase = {(m, b): [] for m in m_list for b in bases}
     for eig in phase_eigensystems(L, delta, n_phi, seed, bc):
-        states = eig.vectors[:, :1].T if selector == "ground" else mid_spectrum_states(eig, count)
+        states = eig.vectors[:, :1].T if selector == "ground" else Window(count)(eig)
         for b in bases:
             for m, values in scalar_entropies(states, L, m_list, b, momentum_order).items():
                 per_phase[(m, b)].append(values.mean())
