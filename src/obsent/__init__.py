@@ -6,7 +6,7 @@ model     Hamiltonian construction, diagonalization, basis changes.
 entropy   Coarse-graining partitions and the entropy functionals.
 dynamics  Quench evolution, quench entropy tables, free-lattice oracle.
 sampling  Seeded phases and the phase-realization engine every average runs through.
-analysis  Eigenstate-ensemble statistics, fits, finite-size metrics.
+analysis  Eigenstate-ensemble statistics, the fluctuation across sizes, fits.
 runner    Presets, validation, CSV/JSON emission.
 """
 
@@ -50,14 +50,10 @@ from .dynamics import (
 )
 from .analysis import (
     FitResult,
-    FluctuationResult,
-    SizeScalingReport,
     eigenstate_entropy_table,
     fit_log_slope,
-    fluctuation_table,
     normalized_fluctuation,
     resolve_mid_count,
-    size_scaling_report,
 )
 from .sampling import phase_sequence
 from .runner import ConfigError, ExperimentConfig, config_from_mapping, make_config, run, validate

@@ -1,4 +1,4 @@
-"""Eigenstate-ensemble entropy statistics, fits, and finite-size metrics.
+"""Eigenstate-ensemble entropy statistics, the fluctuation across sizes, and fits.
 
 The sweep driver diagonalizes once per phase realization (through
 :func:`obsent.sampling.phase_weights`) and reuses the eigenvectors for
@@ -22,36 +22,10 @@ from .sampling import Window, mean_stderr, phase_weights
 
 
 @dataclass(frozen=True)
-class FluctuationResult:
-    """Relative spread of the entropy across system sizes."""
-
-    delta: float
-    m: int
-    f: float
-    L_set: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FitResult:
     slope: float
     intercept: float
     r_squared: float
-
-    def __iter__(self):
-        return iter((self.slope, self.intercept, self.r_squared))
-
-
-@dataclass(frozen=True)
-class SizeScalingReport:
-    """Per-size mean entropies plus the successive doubling differences."""
-
-    delta: float
-    m: int
-    basis_tag: str
-    L_values: tuple[int, ...]
-    mean_S: np.ndarray
-    stderr_S: np.ndarray
-    diffs: np.ndarray  # mean_S[i+1] - mean_S[i]
 
 
 def resolve_mid_count(mid_count, L: int) -> int:
@@ -137,59 +111,3 @@ def fit_log_slope(times, entropies, window) -> FitResult:
     ss_tot = ((y - y.mean()) ** 2).sum()
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - (resid**2).sum() / ss_tot
     return FitResult(slope=float(slope), intercept=float(intercept), r_squared=float(r_squared))
-
-
-def size_scaling_report(
-    delta: float,
-    m: int,
-    basis_tag: str,
-    L_list,
-    n_phi: int = 100,
-    seed: int = 0,
-    *,
-    mid_count="L/8",
-    bc: str = "open",
-    momentum_order: str = "index",
-) -> SizeScalingReport:
-    """Entropy against system size with successive doubling differences.
-
-    Size comparisons default to a mid-spectrum window proportional to L
-    (``"L/8"``) so the state ensembles stay comparable across sizes; a
-    fixed count samples an ever narrower energy shell as L grows and
-    contaminates the size dependence.
-    """
-    L_values = tuple(int(L) for L in L_list)
-    mean, stderr = np.array([
-        eigenstate_entropy_table(L, delta, [m], (basis_tag,), n_phi=n_phi, seed=seed,
-                                 mid_count=mid_count, bc=bc, momentum_order=momentum_order)[(m, basis_tag)]
-        for L in L_values
-    ]).T
-    return SizeScalingReport(
-        delta=delta, m=m, basis_tag=basis_tag, L_values=L_values,
-        mean_S=mean, stderr_S=stderr, diffs=np.diff(mean),
-    )
-
-
-def fluctuation_table(
-    delta_list,
-    m_list,
-    L_list,
-    *,
-    n_phi: int = 100,
-    seed: int = 0,
-    mid_count="L/8",
-    bc: str = "open",
-) -> list[FluctuationResult]:
-    """Normalized fluctuation across sizes for every (delta, m) pair."""
-    L_values = tuple(int(L) for L in L_list)
-    results = []
-    for delta in map(float, delta_list):
-        tables = [
-            eigenstate_entropy_table(L, delta, m_list, ("real",), n_phi=n_phi, seed=seed,
-                                     mid_count=mid_count, bc=bc)
-            for L in L_values
-        ]
-        for m in m_list:
-            f = normalized_fluctuation([table[(m, "real")][0] for table in tables])
-            results.append(FluctuationResult(delta=delta, m=m, f=f, L_set=L_values))
-    return results

@@ -78,6 +78,8 @@ _PRESET_DEFAULTS = {
     "fig1": dict(L=(256,), delta=(0.5, 1.0, 2.0, 3.0, 4.0), m=None, basis="real", mid_count=10),
     "fig3": dict(L=(256,), delta=(1.0, 2.0, 3.0), m=(1, 4, 16, 256), basis="real",
                  t_min=0.1, t_max=100.0, t_points=60, fit_window=(3.0, 30.0)),
+    # fig4 and fig5 compare sizes, so their window grows with L: a fixed count
+    # samples an ever narrower energy shell as L grows
     "fig4": dict(L=(128, 256), delta=tuple(round(0.25 * k, 10) for k in range(1, 17)),
                  m=(1, 2, 4), basis="both", mid_count="L/8"),
     "fig5": dict(L=(16, 32, 64, 128), delta=tuple(round(0.2 * k, 10) for k in range(1, 21)),
@@ -165,6 +167,8 @@ def validate(config: ExperimentConfig) -> list:
     for key in ("L", "m", "delta"):
         if typed[key] == ():
             diags.append(f"{key} list is empty")
+        elif typed[key] is not None and len(set(typed[key])) < len(typed[key]):
+            diags.append(f"{key}={list(typed[key])} repeats a value")
     for L in typed["L"] or ():
         if L < 2:
             diags.append(f"L={L} is below the minimum lattice size 2")
@@ -191,9 +195,12 @@ def validate(config: ExperimentConfig) -> list:
             diags.append(f"{key} asks for {n_times} times; a time grid holds at most {_MAX_TIMES}")
             bad.add(key)
     tables = _tables(config)
-    for _, name, columns, _ in tables:
+    for _, name, columns, extra in tables:
         if "L" not in columns and len(typed["L"] or ()) > 1:
             diags.append(f"{name} has no L column and takes one L; got L={list(typed['L'])}")
+        if extra is _fig5_fluctuation and len(typed["L"] or ()) == 1:
+            diags.append(f"fig5_fluctuation.csv compares sizes and takes at least two L; "
+                         f"got L={list(typed['L'])}")
         if "basis" not in columns and config.basis == "both":
             diags.append(f"{name} has no basis column and takes basis real or momentum; got both")
     try:

@@ -3,11 +3,13 @@ tolerance and prints a single pass/fail line (run with ``pytest -s`` to see
 the lines for passing criteria too).
 
 Shared heavy computations (the quench tables) are module-scoped fixtures.
+Criteria 7 and 8 run the fig4 and fig5 presets and read the CSVs they write.
 Criteria 5, 7, and 8 are implemented exactly as stated and are expected to
 fail; the blocking analyses live in the decisions ledger, DECISIONS.md,
 one entry per criterion.
 """
 
+import csv
 import math
 
 import mpmath as mp
@@ -20,7 +22,6 @@ from obsent import (
     bessel_reference_entropy,
     eigenstate_entropy_table,
     fit_log_slope,
-    fluctuation_table,
     macrostate_probs,
     make_block_partition,
     make_config,
@@ -28,7 +29,6 @@ from obsent import (
     quench_entropy_table,
     run,
     shannon_entropy,
-    size_scaling_report,
 )
 
 SEED = 42
@@ -40,6 +40,13 @@ LN = math.log
 def report(criterion: str, ok: bool, detail: str):
     print(f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} -- {detail}", flush=True)
     assert ok, f"{criterion} failed: {detail}"
+
+
+def preset_rows(preset: str, name: str, out, **overrides) -> list:
+    """Run ``preset`` into ``out`` and return the rows of its CSV ``name``."""
+    run(make_config(preset, out=out, **overrides))
+    with open(out / name, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -168,14 +175,14 @@ def test_criterion_6_quench_order_relations(quench_tables):
            f"max S(0)-S(t) = {worst_time:.3e}; max fine-minus-rough = {worst_order:.3e}")
 
 
-def test_criterion_7_size_scaling_and_duality():
+def test_criterion_7_size_scaling_and_duality(tmp_path):
     # real basis, m=2: delta=1 grows by ln 2 (+/-0.1), delta=3 is size
     # independent (<0.05); momentum basis swaps the two roles
-    legs = {}
-    for basis in ("real", "momentum"):
-        for delta in (1.0, 3.0):
-            rep = size_scaling_report(delta, 2, basis, [128, 256], n_phi=100, seed=SEED)
-            legs[(basis, delta)] = float(rep.diffs[0])
+    rows = preset_rows("fig4", "fig4.csv", tmp_path, L=[128, 256], delta=[1.0, 3.0], m=[2],
+                       n_phi=100, seed=SEED)
+    mean = {(r["basis"], float(r["delta"]), int(r["L"])): float(r["mean_S"]) for r in rows}
+    legs = {(basis, delta): mean[(basis, delta, 256)] - mean[(basis, delta, 128)]
+            for basis in ("real", "momentum") for delta in (1.0, 3.0)}
     ok_r1 = abs(legs[("real", 1.0)] - LN(2)) < 0.1
     ok_r3 = abs(legs[("real", 3.0)]) < 0.05
     ok_k1 = abs(legs[("momentum", 1.0)]) < 0.05
@@ -191,12 +198,13 @@ def test_criterion_7_size_scaling_and_duality():
     )
 
 
-def test_criterion_8_optimal_coarse_graining():
+def test_criterion_8_optimal_coarse_graining(tmp_path):
     # f(delta, 2) below both f(delta, 1) and f(delta, 4) for >= 80% of
     # delta in [2.2, 4.0] step 0.2; the full f table is printed either way
     deltas = [round(2.2 + 0.2 * k, 10) for k in range(10)]
-    rows = fluctuation_table(deltas, [1, 2, 4], [16, 32, 64, 128], n_phi=100, seed=SEED)
-    f = {(r.delta, r.m): r.f for r in rows}
+    rows = preset_rows("fig5", "fig5_fluctuation.csv", tmp_path, L=[16, 32, 64, 128], delta=deltas,
+                       m=[1, 2, 4], n_phi=100, seed=SEED)
+    f = {(float(r["delta"]), int(r["m"])): float(r["f"]) for r in rows}
     print("[acceptance] criterion 8 f table (delta: f_m1, f_m2, f_m4):", flush=True)
     wins = 0
     for d in deltas:

@@ -1,5 +1,7 @@
-"""Eigenstate-ensemble statistics, fits, fluctuation metric, size scaling."""
+"""Eigenstate-ensemble statistics, fits, fluctuation metric, and size
+scaling read from fig4 runs."""
 
+import csv
 import math
 
 import numpy as np
@@ -13,10 +15,10 @@ from obsent import (
     eigendecompose,
     eigenstate_entropy_table,
     fit_log_slope,
-    fluctuation_table,
+    make_config,
     normalized_fluctuation,
     resolve_mid_count,
-    size_scaling_report,
+    run,
 )
 from obsent.sampling import Window
 
@@ -122,8 +124,6 @@ def test_fit_log_slope_synthetic():
     t = np.geomspace(0.5, 50.0, 30)
     fit = fit_log_slope(t, 2.0 * np.log(t) + 1.0, (1.0, 40.0))
     assert_allclose([fit.slope, fit.intercept, fit.r_squared], [2.0, 1.0, 1.0], atol=1e-12)
-    slope, intercept, r2 = fit  # unpacks like a tuple
-    assert slope == fit.slope and intercept == fit.intercept and r2 == fit.r_squared
 
 
 def test_fit_log_slope_needs_points():
@@ -132,23 +132,29 @@ def test_fit_log_slope_needs_points():
         fit_log_slope(t, np.log(t), (3.0, 30.0))
 
 
-def test_size_scaling_report_structure_and_delocalized_growth():
-    rep = size_scaling_report(1.0, 2, "real", [64, 128], n_phi=20, seed=4)
-    assert rep.L_values == (64, 128)
-    assert rep.diffs.shape == (1,)
-    assert abs(rep.diffs[0] - math.log(2.0)) < 0.15
+def fig4_size_growth(out, **overrides) -> dict:
+    """S(128) - S(64) at m=2 per (basis, delta), from the fig4.csv of one run."""
+    run(make_config("fig4", L=[64, 128], m=[2], out=out, **overrides))
+    with open(out / "fig4.csv", newline="") as fh:
+        mean = {(r["basis"], float(r["delta"]), int(r["L"])): float(r["mean_S"])
+                for r in csv.DictReader(fh)}
+    return {(basis, delta): mean[(basis, delta, 128)] - mean[(basis, delta, 64)]
+            for basis, delta, L in mean if L == 64}
 
 
-def test_duality_sign_flip():
+def test_fig4_delocalized_growth(tmp_path):
+    growth = fig4_size_growth(tmp_path, delta=[1.0], n_phi=20, seed=4)
+    assert abs(growth[("real", 1.0)] - math.log(2.0)) < 0.15
+
+
+def test_duality_sign_flip(tmp_path):
     # the size-growth indicator changes sign between bases on both sides of
     # the transition: growth tracks ln2 in the basis where states spread
     # and stays near zero in the basis where they localize.
     threshold = 0.5 * math.log(2.0)
+    growth = fig4_size_growth(tmp_path, delta=[1.0, 3.0], n_phi=30, seed=7)
     for delta, growing_basis in ((1.0, "real"), (3.0, "momentum")):
-        signs = {}
-        for basis in ("real", "momentum"):
-            rep = size_scaling_report(delta, 2, basis, [64, 128], n_phi=30, seed=7)
-            signs[basis] = rep.diffs[0] - threshold
+        signs = {basis: growth[(basis, delta)] - threshold for basis in ("real", "momentum")}
         assert signs[growing_basis] > 0.0
         other = "momentum" if growing_basis == "real" else "real"
         assert signs[other] < 0.0
@@ -171,11 +177,3 @@ def test_kinetic_momentum_ordering():
     assert abs(index[(2, "momentum")][0] - kinetic[(2, "momentum")][0]) < 1e-12
     for key, (mean, _) in kinetic.items():
         assert 0.0 <= mean <= math.log(L) + 1e-10
-
-
-def test_fluctuation_table_rows():
-    rows = fluctuation_table([2.5, 3.0], [1, 2], [16, 32], n_phi=10, seed=3)
-    assert len(rows) == 4
-    for row in rows:
-        assert row.f >= 0.0
-        assert row.L_set == (16, 32)

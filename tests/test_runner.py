@@ -348,11 +348,17 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     (None, ["--preset", "fig1", "--L", "16,32", "--m", "1,2", "--n-phi", "2"], "no L column"),
     (None, ["--preset", "fig3", "--L", "16", "--m", "1", "--basis", "both"], "no basis column"),
     (None, ["--preset", "fig3", "--L", "16", "--m", "1", "--t-points", "10000000"], "t_points"),
+    (None, ["--preset", "fig5", "--L", "16", "--delta", "1", "--m", "1", "--n-phi", "2"],
+     "fig5_fluctuation.csv compares sizes"),
+    (None, ["--preset", "fig5", "--L", "16,16", "--m", "1,1"], "L=[16, 16] repeats a value"),
+    (None, ["--preset", "fig5", "--L", "16,16", "--m", "1,1"], "m=[1, 1] repeats a value"),
+    (None, ["--preset", "fig4", "--L", "16", "--delta", "1,1.0", "--m", "1"], "delta=[1.0, 1.0] repeats a value"),
 ], ids=["file-list", "L-str", "n_phi-str", "t_points-float", "fit_window-short",
         "fit_window-short-fit-hi", "seed-float", "mid_count-list", "preset", "basis", "bc",
         "selector", "momentum_order", "L-flag", "n_phi-flag", "mid_count-flag", "fig1-L-zero",
         "fig1-L-negative", "fig1-L-empty", "fig3-fit-window-short", "fig3-fit-window-t0",
-        "fig1-two-L", "fig3-both-bases", "fig3-t-points-cap"])
+        "fig1-two-L", "fig3-both-bases", "fig3-t-points-cap", "fig5-one-L", "fig5-repeated-L",
+        "fig5-repeated-m", "fig4-repeated-delta"])
 def test_cli_rejects_malformed_values(tmp_path, monkeypatch, capsys, command, config, flags, field):
     def no_compute(*args):
         raise AssertionError("computation started for an invalid config")
