@@ -28,7 +28,8 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray) -> np.nda
 
     The eigenbasis projection of psi0 is computed once; each time then
     costs a single matrix-vector product.  A stack of systems gives a
-    (..., n_times, L) stack.  Negative times raise ``ValueError``.
+    (..., n_times, L) stack.  Negative times raise ``ValueError``, and an
+    overflowing t * E raises ``FloatingPointError``.
     """
     psi0 = np.asarray(psi0)
     if psi0.shape != (eig.L,):
@@ -36,6 +37,8 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray) -> np.nda
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0):
         raise ValueError(f"times must be >= 0, got {times.min()}")
+    if not math.isfinite(float(times.max(initial=0.0)) * float(np.abs(eig.energies).max(initial=0.0))):
+        raise FloatingPointError(f"t * E overflows for t up to {times.max():g}")
     coeff = eig.vectors.conj().swapaxes(-1, -2) @ psi0
     phases = np.exp(-1j * (times[:, None] * eig.energies[..., None, :]))
     return (eig.vectors @ (phases * coeff[..., None, :]).swapaxes(-1, -2)).swapaxes(-1, -2)

@@ -163,10 +163,20 @@ def observational_entropy(d: MacrostateDistribution) -> float:
 def uniform_block_entropy(amp2: np.ndarray, m: int) -> np.ndarray:
     """Observational entropy under size-m contiguous blocks, vectorized:
     ``amp2`` holds probability weights over the last axis (length L with
-    m | L), and any leading axes are batch dimensions."""
+    m | L), and any leading axes are batch dimensions.  For 1 < m < 8 the
+    block sums are strided adds, ``amp2[..., 0::m] + amp2[..., 1::m]`` and then
+    ``+= amp2[..., j::m]`` for j = 2..m-1: numpy sums a row of fewer than 8
+    terms in that order, so the bits equal those of the reshape-sum that
+    larger m use.  ``amp2`` itself is never written."""
     L = amp2.shape[-1]
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if L % m != 0:
         raise ValueError(f"m must divide L: got L={L}, m={m}")
-    return block_entropy(amp2.reshape(amp2.shape[:-1] + (L // m, m)).sum(axis=-1), math.log(m))
+    if m == 1 or m >= 8:
+        p = amp2 if m == 1 else amp2.reshape(amp2.shape[:-1] + (L // m, m)).sum(axis=-1)
+    else:
+        p = amp2[..., 0::m] + amp2[..., 1::m]
+        for j in range(2, m):
+            p += amp2[..., j::m]
+    return block_entropy(p, math.log(m))

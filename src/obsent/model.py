@@ -240,10 +240,10 @@ def chain_eigenvectors(diag, energies) -> np.ndarray:
     tiny = np.repeat(np.finfo(float).eps * (2.0 + np.abs(diag).max(axis=1, initial=0.0)), n)
     # inv[i] holds d_i - E and becomes 1/u_i, the reciprocal LU pivot
     inv = np.empty((L, B * n))
-    np.subtract(diag.T[:, :, None], energies, out=inv.reshape(L, B, n))
     x = np.ones_like(inv)
     R, X, tmp = list(inv), list(x), np.empty(B * n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.subtract(diag.T[:, :, None], energies, out=inv.reshape(L, B, n))
         for i in range(L):
             if i:
                 np.subtract(R[i], R[i - 1], out=R[i])  # u_i = d_i - E - 1/u_{i-1}
@@ -271,10 +271,11 @@ def eigenpair_errors(diag, energies, rows):
     """Per chain: the largest ``|(T - E) x|`` entry over its rows, and the
     largest entry of ``X X^T - I``; arguments as in :func:`chain_eigenvectors`."""
     diag, energies, rows = (np.asarray(a, dtype=float) for a in (diag, energies, rows))
-    residual = diag[:, None, :] - energies[..., None]
-    residual *= rows
-    residual[..., 1:] -= rows[..., :-1]
-    residual[..., :-1] -= rows[..., 1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a NaN or inf error, not a warning
+        residual = diag[:, None, :] - energies[..., None]
+        residual *= rows
+        residual[..., 1:] -= rows[..., :-1]
+        residual[..., :-1] -= rows[..., 1:]
     overlap = rows @ rows.swapaxes(-1, -2)
     overlap -= np.eye(rows.shape[-2])
     return np.abs(residual, out=residual).max(axis=(-2, -1)), np.abs(overlap).max(axis=(-2, -1))

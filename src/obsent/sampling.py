@@ -131,11 +131,12 @@ def window_rows(params, phis: np.ndarray, window: Window, fallbacks=None) -> np.
     energies = chain_eigenvalues(diag)
     picked = window.indices(energies)
     level = np.take_along_axis(energies, picked, axis=-1)
-    spacing = np.diff(energies, axis=-1, prepend=-np.inf, append=np.inf)
-    gap = np.minimum(np.take_along_axis(spacing, picked, axis=-1),
-                     np.take_along_axis(spacing, picked + 1, axis=-1)).min(axis=-1)
-    reason = np.select([gap < GAP_MIN, window.margin(energies) < EIGENPAIR_TOL],
-                       ["near_degenerate", "window_tie"], "")
+    with np.errstate(over="ignore"):  # a spacing beyond the float range is a wide gap
+        spacing = np.diff(energies, axis=-1, prepend=-np.inf, append=np.inf)
+        gap = np.minimum(np.take_along_axis(spacing, picked, axis=-1),
+                         np.take_along_axis(spacing, picked + 1, axis=-1)).min(axis=-1)
+        reason = np.select([gap < GAP_MIN, window.margin(energies) < EIGENPAIR_TOL],
+                           ["near_degenerate", "window_tie"], "")
     solve = lambda p: window(chain_eigensystem(diag[p:p + 1]))[0]
     redo, rest = np.flatnonzero(reason), np.flatnonzero(reason == "")
     full = [solve(p) for p in redo]

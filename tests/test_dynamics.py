@@ -56,6 +56,13 @@ def test_evolve_rejects_negative_time_and_bad_shape():
         evolve_many(eig, site_state(16, 4), np.array([1.0]))[0]
 
 
+def test_evolve_rejects_overflowing_phases():
+    eig = eigendecompose(build_hamiltonian(ModelParams(L=8, delta=1e307, phi=0.3)))
+    with pytest.raises(FloatingPointError, match="t \\* E overflows"):
+        evolve_many(eig, site_state(8, 4), np.array([0.0, 1.0, 50.0]))
+    assert np.all(np.isfinite(evolve_many(eig, site_state(8, 4), np.array([0.0, 1.0]))))
+
+
 def test_free_ring_amplitudes_are_bessel():
     # |<j|psi(t)>| = |J_{j-j0}(2t)| while the wavefront is far from the edge
     L = 256

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from obsent import (
     MacrostateDistribution,
+    block_entropy,
     is_rougher,
     macrostate_probs,
     make_block_partition,
@@ -208,6 +209,19 @@ def test_vectorized_path_matches_scalar(seed, log2m):
     vectorized = float(uniform_block_entropy(np.abs(psi) ** 2, m))
     assert abs(scalar - expected) < 1e-12
     assert abs(vectorized - expected) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 5040])
+def test_block_sums_have_the_reshape_sums_bits(m):
+    # fails if numpy stops summing rows of fewer than 8 terms one after another
+    L = 5040  # every m above divides it
+    rng = np.random.default_rng(m)
+    stacked, wide = rng.random((3, 4, L)) / L, rng.random((2, 2 * L)) / L
+    for p in (stacked, stacked[1, 2], wide[:, ::2]):  # a stack, a vector, a non-contiguous view
+        before = p.copy()
+        expected = block_entropy(p.reshape(p.shape[:-1] + (L // m, m)).sum(axis=-1), math.log(m))
+        assert np.array_equal(uniform_block_entropy(p, m), expected)
+        assert np.array_equal(p, before)
 
 
 def shuffled_blocks(draw, indices):

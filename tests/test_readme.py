@@ -1,6 +1,8 @@
-"""The README's code runs against the package as it is, and the acceptance
-messages point at entries that DECISIONS.md holds."""
+"""The README's code runs against the package as it is, the acceptance
+messages point at entries that DECISIONS.md holds, and every benchmark
+record at the repository root states what ROADMAP.md asks of it."""
 
+import json
 import re
 from pathlib import Path
 
@@ -21,3 +23,17 @@ def test_acceptance_messages_point_at_ledger_entries():
     assert cited, "no acceptance message cites a DECISIONS.md entry"
     headings = set(re.findall(r"^## Criterion (\d+)\b", (ROOT / "DECISIONS.md").read_text(), flags=re.M))
     assert cited <= headings, f"DECISIONS.md has no entry for criteria {sorted(cited - headings)}"
+
+
+def test_bench_records_state_environment_and_both_medians():
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records, "no BENCH_*.json at the repository root"
+    for path in records:
+        record = json.loads(path.read_text())
+        assert record.get("parent_commit"), path.name
+        assert {"threads", "numpy", "blas"} <= set(record["environment"]), path.name
+        assert record["workloads"], path.name
+        for name, workload in record["workloads"].items():
+            for side in ("parent", "change"):
+                median = workload[side]["end_to_end"]["run_s"]["median"]
+                assert isinstance(median, float) and median > 0, f"{path.name}: {name} {side}"

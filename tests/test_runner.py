@@ -424,6 +424,16 @@ def test_cli_lapack_info_names_grid_point(tmp_path, monkeypatch, capsys):
     assert err["message"] == "L=16, delta=1.5, phase index 0-1: dsterf failed on chain 0 of the stack (info=2)"
 
 
+def test_cli_quench_phase_overflow_names_grid_point(tmp_path, capsys):
+    code = run_cli("fig3", tmp_path, "--delta", "1e307", "--m", "1,16", "--fit-lo", "1", "--fit-hi", "8",
+                   "--times", "0,1,2,3,4,5,6,7,8,50")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert err["message"].startswith("L=16, delta=1e+307, phase index 0-1: t * E overflows")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("preset, flags", [("fig1", ()), ("fig3", ("--m", "1,4,16"))], ids=["fig1", "fig3"])
 def test_cli_csvs_do_not_depend_on_solver_route(tmp_path, monkeypatch, preset, flags):
     assert run_cli(preset, tmp_path / "lapack", *flags) == 0

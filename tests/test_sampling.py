@@ -211,6 +211,18 @@ def test_inaccurate_vectors_take_dense_path(monkeypatch):
     assert np.array_equal(rows, full_window(params, phis, window))
 
 
+@pytest.mark.parametrize("selector", ["mid", "ground"])
+@pytest.mark.parametrize("L", [2, 16])
+def test_huge_delta_falls_back_without_warnings(L, selector):
+    # the suite turns RuntimeWarnings into errors, so an overflow warning fails here
+    fallbacks = Counter()
+    table = eigenstate_entropy_table(L, 1.7e308, [1, L], n_phi=3, mid_count=2, selector=selector,
+                                     fallbacks=fallbacks)
+    assert table[(1, "real")][0] == pytest.approx(0.0, abs=1e-12)
+    assert table[(L, "real")][0] == pytest.approx(math.log(L), abs=1e-12)
+    assert fallbacks == {"inaccurate": 3}
+
+
 def test_chunks_cover_every_phase_in_order():
     params = ModelParams(L=64, delta=1.0)
     chunks = list(phase_weights(params, 37, 5, lambda eig: eig.vectors[..., :2].swapaxes(-1, -2), ("real",)))
