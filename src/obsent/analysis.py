@@ -1,7 +1,7 @@
 """Eigenstate-ensemble entropy statistics, the fluctuation across sizes, and fits.
 
-The sweep driver diagonalizes once per phase realization (through
-:func:`obsent.sampling.phase_weights`) and reuses the eigenvectors for
+An eigenstate table is one :func:`obsent.sampling.phase_table` call, which
+diagonalizes once per phase realization and reuses the eigenvectors for
 every requested block size and basis.  Entropies are averaged over the
 selected eigenstates within each realization first, then over
 realizations; the reported spread is the standard error across
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import uniform_block_entropy
 from .model import ModelParams
-from .sampling import Window, mean_stderr, phase_weights
+from .sampling import Window, phase_table
 
 
 @dataclass(frozen=True)
@@ -67,16 +66,10 @@ def eigenstate_entropy_table(
     ``fallbacks`` Counter gains the phases that left the windowed solver,
     by reason (see :func:`obsent.sampling.window_rows`).
     """
-    if selector not in ("mid", "ground"):
-        raise ValueError(f"selector must be 'mid' or 'ground', got {selector!r}")
-    params = ModelParams(L=L, delta=delta, bc=bc)
-    states = Window(1, "ground") if selector == "ground" else Window(resolve_mid_count(mid_count, L))
-    samples = {(m, b): [] for m in m_list for b in basis_tags}
-    for weights in phase_weights(params, n_phi, seed, states, basis_tags, momentum_order, fallbacks):
-        for (m, b), vals in samples.items():
-            vals.append(uniform_block_entropy(weights[b], m).mean(axis=-1))
-    return {key: tuple(float(x) for x in mean_stderr(np.concatenate(vals)))
-            for key, vals in samples.items()}
+    states = Window(1 if selector == "ground" else resolve_mid_count(mid_count, L), selector)
+    table = phase_table(ModelParams(L=L, delta=delta, bc=bc), n_phi, seed, states, m_list, basis_tags,
+                        momentum_order, fallbacks)
+    return {key: (float(mean), float(stderr)) for key, (mean, stderr) in table.items()}
 
 
 def normalized_fluctuation(values_by_L) -> float:

@@ -4,7 +4,9 @@ A quench starts from a particle localized on one site and evolves it with
 the full chain Hamiltonian.  For delta = 0 on a ring the site amplitudes
 are Bessel functions of the first kind, ``<j|psi(t)> = i^n J_n(2t)`` with
 n the signed distance from the initial site, which gives an independent
-closed-form reference for the finest-grained entropy.
+closed-form reference for the finest-grained entropy.  A quench table is
+one :func:`obsent.sampling.phase_table` call that keeps each phase's
+entropies per time.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import math
 
 import numpy as np
 
-from .entropy import block_entropy, uniform_block_entropy
+from .entropy import block_entropy
 from .model import EigenSystem, ModelParams, site_state
-from .sampling import mean_stderr, phase_weights
+from .sampling import phase_table
 
 #: Largest Bessel order the downward recurrence is tuned (and tested) for.
 BESSEL_MAX_ORDER = 300
@@ -62,15 +64,11 @@ def quench_entropy_table(
     the middle of the lattice).  Returns ``{m: (mean, stderr)}`` with arrays
     over the time grid.
     """
-    L = params.L
-    psi0 = site_state(L, L // 2 if initial_site is None else initial_site)
+    psi0 = site_state(params.L, params.L // 2 if initial_site is None else initial_site)
     times = np.asarray(times, dtype=float)
-    samples = {m: [] for m in m_list}
     states = lambda eig: evolve_many(eig, psi0, times)
-    for weights in phase_weights(params, n_phi, seed, states, (basis_tag,), momentum_order):
-        for m, vals in samples.items():
-            vals.append(uniform_block_entropy(weights[basis_tag], m))
-    return {m: mean_stderr(np.concatenate(vals)) for m, vals in samples.items()}
+    table = phase_table(params, n_phi, seed, states, m_list, (basis_tag,), momentum_order)
+    return {m: stats for (m, _), stats in table.items()}
 
 
 def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:

@@ -43,17 +43,6 @@ class CoarseGraining:
         return np.bincount(self.owner)
 
     @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """The ascending basis indices of each block, in block order."""
-        return tuple(np.split(np.argsort(self.owner, kind="stable"), np.cumsum(self.volumes)[:-1]))
-
-    @property
-    def m(self) -> int | None:
-        """The common block size, or None when the blocks differ in size."""
-        sizes = np.unique(self.volumes)
-        return int(sizes[0]) if sizes.size == 1 else None
-
-    @property
     def L(self) -> int:
         return self.owner.size
 

@@ -235,18 +235,18 @@ def validate(config: ExperimentConfig) -> list:
 # grid jobs (module level so a process pool can pickle them)
 
 @contextmanager
-def _grid_point(L, delta):
-    """Prefix numerical errors raised inside with the grid point (L, delta)."""
+def _grid_point(**point):
+    """Prefix numerical errors raised inside with the grid point: ``L=16, delta=1.5, <message>``."""
     try:
         yield
     except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
-        raise type(exc)(f"L={L}, delta={delta}, {exc}") from exc
+        raise type(exc)("".join(f"{k}={v}, " for k, v in point.items()) + str(exc)) from exc
 
 
 def _eig_point(job):
     config, L, delta = job
     fallbacks = Counter()
-    with _grid_point(L, delta):
+    with _grid_point(L=L, delta=delta):
         table = eigenstate_entropy_table(
             L, delta, config.m, config.basis_tags(), n_phi=config.n_phi, seed=config.seed,
             mid_count=config.mid_count, selector=config.selector, bc=config.bc,
@@ -257,7 +257,7 @@ def _eig_point(job):
 
 def _quench_point(job):
     config, L, delta = job
-    with _grid_point(L, delta):
+    with _grid_point(L=L, delta=delta):
         table = quench_entropy_table(
             ModelParams(L=L, delta=delta, bc=config.bc), config.time_grid(), config.m,
             n_phi=config.n_phi, seed=config.seed, basis_tag=config.basis,
@@ -314,11 +314,12 @@ def _fig3_slopes(config: ExperimentConfig, tables: dict):
 
 
 def _fig5_fluctuation(config: ExperimentConfig, tables: dict):
-    rows = [
-        (delta, m, normalized_fluctuation([tables[(L, delta)][(m, config.basis)][0] for L in config.L]))
-        for delta in config.delta
-        for m in config.m
-    ]
+    rows = []
+    for delta in config.delta:
+        for m in config.m:
+            means = [tables[(L, delta)][(m, config.basis)][0] for L in config.L]
+            with _grid_point(delta=delta, m=m):
+                rows.append((delta, m, normalized_fluctuation(means)))
     return "fig5_fluctuation.csv", ("delta", "m", "f"), rows
 
 

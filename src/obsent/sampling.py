@@ -6,11 +6,11 @@ delta, not its position in any sweep grid), so rearranging or splitting a
 parameter grid can never change the realizations of an individual grid
 point, and parallel workers need no shared RNG state.
 
-:func:`phase_weights` is the one loop over phase realizations that every
-eigenstate and quench average runs through, and :class:`Window` the one
-selector of eigenstates: call ``Window(count)(eig)`` for the ``count``
-states nearest zero energy, ``Window(count, "ground")(eig)`` for the
-lowest ones.
+:func:`phase_table` is the one loop over phase realizations and the one
+reduction of their weights into averaged entropies that every eigenstate
+and quench table runs through, and :class:`Window` the one selector of
+eigenstates: call ``Window(count)(eig)`` for the ``count`` states nearest
+zero energy, ``Window(count, "ground")(eig)`` for the lowest ones.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import BASIS_TAGS, uniform_block_entropy
 from .model import (
     build_hamiltonian,
     chain_diagonals,
@@ -33,7 +34,7 @@ from .model import (
 )
 
 #: Memory budget of one chunk of eigenvector matrices, or of one chunk of
-#: window rows, in :func:`phase_weights`.
+#: window rows, in :func:`phase_table`.
 CHUNK_BYTES = 256 * 1024
 #: Smallest spacing (in units of the hopping) between a selected level and
 #: its neighbours for which inverse iteration is trusted.  Closer levels
@@ -65,35 +66,33 @@ def chunk_size(L: int, n: int | None = None) -> int:
     return max(1, CHUNK_BYTES // (8 * L * (L if n is None else n)))
 
 
-def window_indices(energies: np.ndarray, count: int, selector: str = "mid") -> np.ndarray:
-    """Spectrum positions of the selected eigenstates, shape (..., count).
-
-    ``energies`` are ascending along the last axis.  "mid" takes the
-    ``count`` levels nearest zero, ties in |E| broken toward the lower index
-    (stable sort), in spectrum order; "ground" takes the ``count`` lowest.
-    """
-    L = energies.shape[-1]
-    if count > L:
-        raise ValueError(f"count={count} exceeds the {L} available states")
-    if selector == "ground":
-        return np.broadcast_to(np.arange(count), energies.shape[:-1] + (count,))
-    if selector != "mid":
-        raise ValueError(f"selector must be 'mid' or 'ground', got {selector!r}")
-    order = np.argsort(np.abs(energies), axis=-1, kind="stable")
-    return np.sort(order[..., :count], axis=-1)
-
-
 @dataclass(frozen=True)
 class Window:
     """Eigenstates an eigenstate table measures: ``count`` levels picked by
-    :func:`window_indices`.  Calling it on an :class:`~obsent.model.EigenSystem`
-    (or a stack) returns the (..., count, L) rows of those eigenvectors."""
+    ``selector``.  Calling it on an :class:`~obsent.model.EigenSystem` (or a
+    stack) returns the (..., count, L) rows of those eigenvectors."""
 
     count: int
     selector: str = "mid"
 
+    def __post_init__(self):
+        if self.selector not in ("mid", "ground"):
+            raise ValueError(f"selector must be 'mid' or 'ground', got {self.selector!r}")
+
     def indices(self, energies: np.ndarray) -> np.ndarray:
-        return window_indices(energies, self.count, self.selector)
+        """Spectrum positions of the selected eigenstates, shape (..., count).
+
+        ``energies`` are ascending along the last axis.  "mid" takes the
+        ``count`` levels nearest zero, ties in |E| broken toward the lower
+        index (stable sort), in spectrum order; "ground" takes the ``count``
+        lowest.
+        """
+        if self.count > energies.shape[-1]:
+            raise ValueError(f"count={self.count} exceeds the {energies.shape[-1]} available states")
+        if self.selector == "ground":
+            return np.broadcast_to(np.arange(self.count), energies.shape[:-1] + (self.count,))
+        order = np.argsort(np.abs(energies), axis=-1, kind="stable")
+        return np.sort(order[..., :self.count], axis=-1)
 
     def margin(self, energies: np.ndarray) -> np.ndarray:
         """How far the first level left out lies beyond the last one picked,
@@ -155,33 +154,42 @@ def window_rows(params, phis: np.ndarray, window: Window, fallbacks=None) -> np.
     return rows
 
 
-def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_order: str = "index",
-                  fallbacks=None):
-    """Yield ``{basis_tag: |amplitude|^2}`` for one chunk of phase realizations at a time.
+def phase_table(params, n_phi: int, seed: int, states, m_list, basis_tags, momentum_order: str = "index",
+                fallbacks=None):
+    """Phase-averaged entropies ``{(m, basis_tag): (mean, stderr)}`` under
+    size-m contiguous blocks: the one loop over phase realizations, and the
+    one reduction of their weights, that every eigenstate and quench table
+    runs through.
 
     ``states`` picks the (B, n, L) stack of states (one row each) to measure
-    in a chunk of B phases.  It is either a :class:`Window` of eigenstates
-    or a function of the chunk's stacked :class:`~obsent.model.EigenSystem`.
-    A window of open chains runs on eigenvalues plus inverse iteration (see
-    :func:`window_rows`, which counts its fallbacks in ``fallbacks``) in
-    blocks of ``max(chunk_size(L, n), L // n)`` phases, so that at least L
-    lanes share each sweep; its pivots and vectors then take up to 2*8*L**2
-    bytes, as much as one full eigensystem of a fallback.  Everything else
+    in a chunk of B phases.  It is either a :class:`Window` of eigenstates,
+    whose n entropies are averaged within each phase, or a function of the
+    chunk's stacked :class:`~obsent.model.EigenSystem`, whose n entropies
+    per phase are kept (a quench's times), so that the means and standard
+    errors over phases have shape (n,).  A window of open chains runs on
+    eigenvalues plus inverse iteration (see :func:`window_rows`, which
+    counts its fallbacks in ``fallbacks``) in blocks of
+    ``max(chunk_size(L, n), L // n)`` phases, so that at least L lanes share
+    each sweep; its pivots and vectors then take up to 2*8*L**2 bytes, as
+    much as one full eigensystem of a fallback.  Everything else
     diagonalizes :func:`chunk_size` (L) phases at a time, open chains
     through :func:`~obsent.model.chain_eigensystem` and periodic ones as
-    dense Hamiltonians.  Either way the weights come in chunks of
-    :func:`chunk_size` phases, and a block is released before the next one
-    is built.  Momentum tags see the states in the plane-wave basis, sorted
-    by kinetic energy when ``momentum_order`` is "kinetic".  Chunks run
-    through the phases in order.  Numerical errors name the failing phase
-    indices.
+    dense Hamiltonians.  Either way the weights of one basis at a time are
+    formed and reduced in chunks of :func:`chunk_size` phases, and a block
+    is released before the next one is built.  Momentum tags see the states
+    in the plane-wave basis, sorted by kinetic energy when
+    ``momentum_order`` is "kinetic".  Numerical errors name the failing
+    phase indices.
     """
-    L = params.L
-    perm = kinetic_index_order(L) if momentum_order == "kinetic" else None
+    if not set(basis_tags) <= set(BASIS_TAGS):
+        raise ValueError(f"basis tags must be among {BASIS_TAGS}, got {tuple(basis_tags)}")
+    L, window = params.L, isinstance(states, Window)
+    perm = kinetic_index_order(L) if momentum_order == "kinetic" else slice(None)
     phis = phase_sequence(seed, L, params.delta, n_phi)
-    windowed = isinstance(states, Window) and params.bc == "open"
+    windowed = window and params.bc == "open"
     step = chunk_size(L, states.count) if windowed else chunk_size(L)
     block = max(step, L // states.count) if windowed else step
+    samples = {(m, b): [] for m in m_list for b in basis_tags}
     for start in range(0, n_phi, block):
         phases = phis[start:start + block]
         try:
@@ -194,18 +202,14 @@ def phase_weights(params, n_phi: int, seed: int, states, basis_tags, momentum_or
         except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
             raise type(exc)(f"phase index {start}-{start + len(phases) - 1}: {exc}") from exc
         for chunk in range(0, len(rows), step):
-            part, weights = rows[chunk:chunk + step], {}
-            if "real" in basis_tags:
-                weights["real"] = np.abs(part) ** 2
-            if "momentum" in basis_tags:
-                k_rows = to_momentum(part, axis=-1)
-                if perm is not None:
-                    k_rows = k_rows[..., perm]
-                weights["momentum"] = np.abs(k_rows) ** 2
-                del k_rows
-            del part  # a view of the block, which it would keep alive past `del rows`
-            yield weights  # only these weights and the block's rows stay alive while the consumer reduces
-        del rows
+            part = rows[chunk:chunk + step]
+            for b in basis_tags:
+                weights = np.abs(part if b == "real" else to_momentum(part, axis=-1)[..., perm]) ** 2
+                for m in m_list:
+                    entropy = uniform_block_entropy(weights, m)
+                    samples[(m, b)].append(entropy.mean(axis=-1) if window else entropy)
+        rows = part = weights = None  # the last chunk's view and weights would keep the block alive
+    return {key: mean_stderr(np.concatenate(vals)) for key, vals in samples.items()}
 
 
 def mean_stderr(samples: np.ndarray):

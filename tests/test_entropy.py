@@ -32,9 +32,8 @@ def random_state(L, seed):
 
 def test_block_partition_l4_m2():
     cg = make_block_partition(4, 2)
-    assert [b.tolist() for b in cg.blocks] == [[0, 1], [2, 3]]
+    assert cg.owner.tolist() == [0, 0, 1, 1]
     assert cg.volumes.tolist() == [2, 2]
-    assert cg.m == 2
 
 
 def test_finest_and_roughest():
@@ -58,7 +57,7 @@ def test_partition_rejects_non_divisor():
 
 def test_partition_from_blocks_validates():
     cg = partition_from_blocks([[0, 2], [1, 3]])
-    assert cg.m == 2
+    assert cg.owner.tolist() == [0, 1, 0, 1]
     with pytest.raises(ValueError):
         partition_from_blocks([[0, 1], [1, 2]])
     with pytest.raises(ValueError):
@@ -242,7 +241,7 @@ def test_shuffled_partitions_match_reference(data, L, seed, refine):
     blocks2 = ([part for b in blocks1 for part in shuffled_blocks(data.draw, b)] if refine
                else shuffled_blocks(data.draw, list(range(L))))
     c1, c2 = partition_from_blocks(blocks1), partition_from_blocks(blocks2)
-    assert [b.tolist() for b in c1.blocks] == [sorted(b) for b in blocks1]
+    assert all((c1.owner[b] == i).all() for i, b in enumerate(blocks1))
     assert c1.volumes.tolist() == [len(b) for b in blocks1]
     psi = random_state(L, seed)
     expected = reference.observational_entropy(np.abs(psi) ** 2, blocks1)

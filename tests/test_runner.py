@@ -434,6 +434,15 @@ def test_cli_quench_phase_overflow_names_grid_point(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_cli_fluctuation_failure_names_delta_and_m(tmp_path, capsys):
+    # a potential this strong pins every state to one site, so S(m=1) is 0 at every L
+    code = obsent.cli.main(["run", "--preset", "fig5", "--L", "16,32", "--delta", "1e300", "--m", "1,2",
+                            "--n-phi", "2", "--out", str(tmp_path)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "numerical", "message": "delta=1e+300, m=1, mean must be positive, got 0.0"}
+
+
 @pytest.mark.parametrize("preset, flags", [("fig1", ()), ("fig3", ("--m", "1,4,16"))], ids=["fig1", "fig3"])
 def test_cli_csvs_do_not_depend_on_solver_route(tmp_path, monkeypatch, preset, flags):
     assert run_cli(preset, tmp_path / "lapack", *flags) == 0

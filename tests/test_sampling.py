@@ -1,8 +1,10 @@
 """Chunked phase-realization engine against a per-phase scalar reference."""
 
+import ast
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from obsent import (
     uniform_block_entropy,
 )
 from obsent import model, sampling
-from obsent.sampling import Window, chunk_size, phase_weights, window_rows
+from obsent.sampling import Window, chunk_size, phase_table, window_rows
 
 import reference
 
@@ -50,6 +52,18 @@ def mean_and_stderr(samples):
 def phase_eigensystems(L, delta, n_phi, seed, bc):
     for phi in phase_sequence(seed, L, delta, n_phi):
         yield eigendecompose(build_hamiltonian(ModelParams(L=L, delta=delta, phi=phi, bc=bc)))
+
+
+def recorded_weights(monkeypatch):
+    """The list that gains the weights of every call that reaches sampling.uniform_block_entropy."""
+    seen = []
+
+    def recording(amp2, m):
+        seen.append(amp2)
+        return uniform_block_entropy(amp2, m)
+
+    monkeypatch.setattr(sampling, "uniform_block_entropy", recording)
+    return seen
 
 
 def test_chunk_size_depends_on_L_only():
@@ -158,7 +172,9 @@ def test_lane_blocks_hold_at_least_L_lanes(monkeypatch, L, n, n_phi, blocks, chu
         return window_rows(params, phis, window, fallbacks)
 
     monkeypatch.setattr(sampling, "window_rows", recording)
-    chunks = [w["momentum"] for w in phase_weights(params, n_phi, 7, window, ("real", "momentum"))]
+    weights = recorded_weights(monkeypatch)
+    phase_table(params, n_phi, 7, window, [1], ("real", "momentum"))
+    chunks = weights[1::2]  # each chunk reduces its real weights, then its momentum weights
     assert seen == blocks and chunk == chunk_size(L, n)
     assert [len(c) for c in chunks] == [min(chunk, b - s) for b in blocks for s in range(0, b, chunk)]
     rows = window_rows(params, phase_sequence(7, L, 1.0, n_phi), window)
@@ -223,14 +239,54 @@ def test_huge_delta_falls_back_without_warnings(L, selector):
     assert fallbacks == {"inaccurate": 3}
 
 
-def test_chunks_cover_every_phase_in_order():
-    params = ModelParams(L=64, delta=1.0)
-    chunks = list(phase_weights(params, 37, 5, lambda eig: eig.vectors[..., :2].swapaxes(-1, -2), ("real",)))
-    assert [c["real"].shape for c in chunks] == [(8, 2, 64)] * 4 + [(5, 2, 64)]
+def test_chunks_cover_every_phase_in_order(monkeypatch):
+    params, chunks = ModelParams(L=64, delta=1.0), recorded_weights(monkeypatch)
+    phase_table(params, 37, 5, lambda eig: eig.vectors[..., :2].swapaxes(-1, -2), [1], ("real",))
+    assert [c.shape for c in chunks] == [(8, 2, 64)] * 4 + [(5, 2, 64)]
     single = list(phase_eigensystems(64, 1.0, 37, 5, "open"))
-    batched = np.concatenate([c["real"] for c in chunks])
+    batched = np.concatenate(chunks)
     for r in (0, 7, 8, 36):
         assert np.array_equal(batched[r], np.abs(single[r].vectors[:, :2].T) ** 2)
+
+
+def test_window_rejects_unknown_selector():
+    with pytest.raises(ValueError, match="selector must be 'mid' or 'ground', got 'bogus'"):
+        Window(3, "bogus")
+
+
+def test_eigenstate_table_rejects_selector_before_solving(monkeypatch):
+    def unreachable(diag):
+        raise AssertionError("a phase was solved")
+
+    monkeypatch.setattr(sampling, "chain_eigenvalues", unreachable)
+    with pytest.raises(ValueError, match="selector must be 'mid' or 'ground', got 'bogus'"):
+        eigenstate_entropy_table(16, 1.0, [1], selector="bogus")
+
+
+def test_phase_table_rejects_unknown_basis(monkeypatch):
+    monkeypatch.setattr(sampling, "chain_eigenvalues", None)  # fails if a phase is solved
+    with pytest.raises(ValueError, match="basis tags must be among"):
+        phase_table(ModelParams(L=16), 2, 0, Window(2), [1], ("real", "position"))
+
+
+def test_one_loop_over_phases_and_one_reduction():
+    # every phase average draws its phases and reduces its weights in phase_table alone
+    callers = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("phase_sequence", "uniform_block_entropy"):
+                callers.add((name, module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(sampling.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert callers == {("phase_sequence", "sampling", "phase_table"),
+                       ("uniform_block_entropy", "sampling", "phase_table")}
 
 
 @pytest.mark.parametrize(
