@@ -191,8 +191,10 @@ def chain_eigenvalues(diag) -> np.ndarray:
         return np.concatenate([np.linalg.eigvalsh(_tridiagonal(d[b:b + 1])) for b in range(len(d))])
     B, L = d.shape
     n, info = ctypes.c_int64(L), ctypes.c_int64(0)
+    # every ``.ctypes`` access builds a new object, so addresses are read once
+    (d_ptr, d_step), (e_ptr, e_step) = ((a.ctypes.data, a.strides[0]) for a in (d, e))
     for b in range(B):
-        _DSTERF(n, d.ctypes.data + b * d.strides[0], e.ctypes.data + b * e.strides[0], info)
+        _DSTERF(n, d_ptr + b * d_step, e_ptr + b * e_step, info)
         if info.value:
             raise np.linalg.LinAlgError(f"dsterf failed on chain {b} of the stack (info={info.value})")
     return d
@@ -209,10 +211,11 @@ def chain_eigensystem(diag) -> EigenSystem:
     z = np.empty((B, L, L))  # chain b's column-major Z is z[b].T
     work, iwork = np.empty(1 + 4 * L + L * L), np.empty(3 + 5 * L, dtype=np.int64)
     n, lwork, liwork, info = (ctypes.c_int64(v) for v in (L, work.size, iwork.size, 0))
+    (d_ptr, d_step), (e_ptr, e_step), (z_ptr, z_step) = ((a.ctypes.data, a.strides[0]) for a in (d, e, z))
+    work_ptr, iwork_ptr = work.ctypes.data, iwork.ctypes.data
     for b in range(B):
-        _DSTEVD(b"V", n, d.ctypes.data + b * d.strides[0], e.ctypes.data + b * e.strides[0],
-                z.ctypes.data + b * z.strides[0], n, work.ctypes.data, lwork,
-                iwork.ctypes.data, liwork, info, 1)
+        _DSTEVD(b"V", n, d_ptr + b * d_step, e_ptr + b * e_step, z_ptr + b * z_step, n,
+                work_ptr, lwork, iwork_ptr, liwork, info, 1)
         if info.value:
             raise np.linalg.LinAlgError(f"dstevd failed on chain {b} of the stack (info={info.value})")
     return EigenSystem(energies=d, vectors=z.swapaxes(-1, -2))

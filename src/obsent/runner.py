@@ -344,8 +344,8 @@ def _tables(config: ExperimentConfig) -> list:
     return [table for table in _PRESET_TABLES.get(config.preset, ()) if table[0] is _eig_point or quench]
 
 
-def _write_table(config: ExperimentConfig, point, path: Path, columns, fallbacks: Counter) -> dict:
-    """Run ``point`` over the grid, write its rows, and return the results."""
+def _table_rows(config: ExperimentConfig, point, columns, fallbacks: Counter):
+    """Run ``point`` over the grid; return its results and the table's rows."""
     times = config.time_grid() if point is _quench_point else [None]
     tables = _map_grid(point, config, fallbacks)
     rows = []
@@ -358,15 +358,15 @@ def _write_table(config: ExperimentConfig, point, path: Path, columns, fallbacks
                         row = dict(basis=basis, L=L, delta=delta, m=m, t=t, mean_S=mean_t,
                                    stderr_S=stderr_t, n_phi=config.n_phi)
                         rows.append([row[c] for c in columns])
-    _write_csv(path, columns, rows)
-    return tables
+    return tables, rows
 
 
 def run(config: ExperimentConfig) -> list:
     """Validate, execute the preset, and write CSV outputs plus a manifest.
 
     Returns the list of written file paths.  Raises :class:`ConfigError`
-    for invalid configurations; numerical failures propagate.
+    for invalid configurations; numerical failures propagate before any
+    file is written.
     """
     diagnostics = validate(config)
     if diagnostics:
@@ -375,14 +375,15 @@ def run(config: ExperimentConfig) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
-    outputs, fallbacks = [], Counter()
+    files, fallbacks = [], Counter()  # every table is computed before any file is written
     for point, name, columns, extra in _tables(config):
-        tables = _write_table(config, point, out_dir / name, columns, fallbacks)
-        outputs.append(name)
+        tables, rows = _table_rows(config, point, columns, fallbacks)
+        files.append((name, columns, rows))
         if extra is not None:
-            extra_name, extra_columns, extra_rows = extra(config, tables)
-            _write_csv(out_dir / extra_name, extra_columns, extra_rows)
-            outputs.append(extra_name)
+            files.append(extra(config, tables))
+    for name, columns, rows in files:
+        _write_csv(out_dir / name, columns, rows)
+    outputs = [name for name, _, _ in files]
     manifest = {
         "preset": config.preset,
         "config": asdict(config),

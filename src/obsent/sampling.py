@@ -1,10 +1,12 @@
 """Deterministic phase sampling and the phase-realization engine.
 
 The random phases for a given (seed, L, delta) come from a dedicated
-``numpy`` substream keyed on the values themselves (the bit pattern of
-delta, not its position in any sweep grid), so rearranging or splitting a
-parameter grid can never change the realizations of an individual grid
-point, and parallel workers need no shared RNG state.
+substream keyed on the values themselves (the bit pattern of delta, not
+its position in any sweep grid), so rearranging or splitting a parameter
+grid can never change the realizations of an individual grid point, and
+parallel workers need no shared RNG state.  The package computes this
+stream itself (see :func:`phase_sequence`); it does not import
+``numpy.random``.
 
 :func:`phase_table` is the one loop over phase realizations and the one
 reduction of their weights into averaged entropies that every eigenstate
@@ -45,16 +47,69 @@ GAP_MIN = 1e-4
 EIGENPAIR_TOL = 1e-10
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of one 32-bit word, whose constant advances by
+    ``mult`` at each call."""
+    def hashed(value):
+        nonlocal const
+        value = (value ^ const) * (const := const * mult & _MASK32) & _MASK32
+        return value ^ value >> 16
+    return hashed
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_words(entropy) -> list:
+    """numpy's ``SeedSequence(entropy).generate_state(4, uint64)``: the
+    non-negative ints split into little-endian 32-bit words, hashed into a
+    pool of four words, and the pool hashed out into four 64-bit words."""
+    words = [n >> s & _MASK32 for n in entropy for s in range(0, max(n.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = [out(pool[i % 4]) for i in range(8)]
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
 def phase_sequence(seed: int, L: int, delta: float, n_phi: int) -> np.ndarray:
-    """First n_phi potential phases, uniform on [0, 2*pi), from a generator
-    seeded by (seed, L, bit pattern of delta)."""
+    """First n_phi potential phases, uniform on [0, 2*pi), keyed by
+    (seed, L, bit pattern of delta).
+
+    The stream is numpy's ``default_rng(SeedSequence([seed, L, bits])).uniform(0, 2*pi, n_phi)``,
+    computed here in plain integers so that it depends on this package
+    alone: the SeedSequence state seeds PCG64 (XSL-RR output, O'Neill 2014),
+    and each phase is 2*pi times the top 53 bits of one 64-bit output.
+    """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if n_phi < 1:
         raise ValueError(f"n_phi must be >= 1, got {n_phi}")
     delta_bits = int(np.float64(delta).view(np.uint64))
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(L), delta_bits]))
-    return rng.uniform(0.0, 2.0 * math.pi, n_phi)
+    s0, s1, i0, i1 = _seed_words([int(seed), int(L), delta_bits])
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128  # pcg_setseq_128_srandom_r
+    phases = []
+    for _ in range(n_phi):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        value, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        value = (value >> rot | value << (64 - rot)) & _MASK64
+        phases.append(2.0 * math.pi * ((value >> 11) * 2.0**-53))
+    return np.array(phases)
 
 
 def chunk_size(L: int, n: int | None = None) -> int:

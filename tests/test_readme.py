@@ -35,5 +35,6 @@ def test_bench_records_state_environment_and_both_medians():
         assert record["workloads"], path.name
         for name, workload in record["workloads"].items():
             for side in ("parent", "change"):
-                median = workload[side]["end_to_end"]["run_s"]["median"]
-                assert isinstance(median, float) and median > 0, f"{path.name}: {name} {side}"
+                for metric in ("run_s", "cpu_s", "peak_rss_mb", "setup_s"):
+                    median = workload[side]["end_to_end"][metric]["median"]
+                    assert isinstance(median, float) and median > 0, f"{path.name}: {name} {side} {metric}"

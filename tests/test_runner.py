@@ -443,6 +443,18 @@ def test_cli_fluctuation_failure_names_delta_and_m(tmp_path, capsys):
         "error": "numerical", "message": "delta=1e+300, m=1, mean must be positive, got 0.0"}
 
 
+@pytest.mark.parametrize("flags", [
+    ("--preset", "fig5", "--L", "16,32", "--delta", "1e300", "--m", "1,2"),
+    ("--preset", "custom", "--L", "16", "--delta", "1e307", "--m", "1", "--times", "0,1,50"),
+], ids=["fig5-fluctuation", "custom-quench"])
+def test_cli_failed_run_writes_no_csv(tmp_path, capsys, flags):
+    """A table that fails after another one was computed leaves no CSV behind."""
+    code = obsent.cli.main(["run", *flags, "--n-phi", "2", "--out", str(tmp_path)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("preset, flags", [("fig1", ()), ("fig3", ("--m", "1,4,16"))], ids=["fig1", "fig3"])
 def test_cli_csvs_do_not_depend_on_solver_route(tmp_path, monkeypatch, preset, flags):
     assert run_cli(preset, tmp_path / "lapack", *flags) == 0

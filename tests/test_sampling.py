@@ -2,6 +2,8 @@
 
 import ast
 import math
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -64,6 +66,63 @@ def recorded_weights(monkeypatch):
 
     monkeypatch.setattr(sampling, "uniform_block_entropy", recording)
     return seen
+
+
+#: The package's phase stream: the first phases of a few keys (seed, L, delta).
+PINNED_PHASES = {
+    (0, 2, 0.0): (0.5078324153998789, 2.528591221707902, 3.778011505998807),
+    (0, 512, 1.0): (4.871554947551244, 0.9938397098707038, 1.432598223235378),
+    (42, 2, 5e-324): (2.998689073708555, 3.4441661148848315, 4.596179511117724),
+    (42, 512, 1.7e308): (3.009741199791436, 1.9985153454497695, 3.0795591423248596),
+    (42, 512, 1.0): (5.156111802229748, 2.1823546983565825, 5.793552755202288),
+    (2**70 + 3, 2, 1.0): (0.5677707069996313, 1.7500629384326287, 5.830472004349655),
+    (2**70 + 3, 512, 0.0): (0.08348627320122108, 5.780591636108762, 3.083745680780797),
+    (2**70 + 3, 512, 5e-324): (4.1227282508911225, 3.475462040217813, 3.7603619257277665),
+}
+
+
+@pytest.mark.parametrize("key", PINNED_PHASES, ids=str)
+def test_phase_sequence_pinned_values(key):
+    phases = phase_sequence(*key, n_phi=3)
+    assert phases.dtype == np.float64 and phases.shape == (3,)
+    assert phases.tolist() == list(PINNED_PHASES[key])
+    assert phase_sequence(*key, n_phi=1).tolist() == list(PINNED_PHASES[key][:1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**70 + 3, 2**130 + 11])
+def test_phase_sequence_equals_numpy_generator(seed):
+    """The stream is numpy's default_rng(SeedSequence([seed, L, bits(delta)])).uniform(0, 2 pi)."""
+    for L in (2, 3, 16, 512, 2**40):
+        for delta in (0.0, -0.0, 0.2, 1.0, 2.5, 5e-324, 1e300, 1.7e308):
+            bits = int(np.float64(delta).view(np.uint64))
+            rng = np.random.default_rng(np.random.SeedSequence([seed, L, bits]))
+            expected = rng.uniform(0.0, 2 * math.pi, 40)
+            assert phase_sequence(seed, L, delta, 40).tobytes() == expected.tobytes(), (seed, L, delta)
+
+
+def test_phase_sequence_checks_its_arguments():
+    with pytest.raises(ValueError, match="seed"):
+        phase_sequence(-1, 16, 1.0, 4)
+    with pytest.raises(ValueError, match="n_phi"):
+        phase_sequence(0, 16, 1.0, 0)
+
+
+def test_runs_never_import_numpy_random(tmp_path):
+    script = """
+import contextlib, io, sys
+from obsent.cli import main
+runs = [("fig1", "--L", "16", "--m", "1,2"), ("fig3", "--L", "16", "--m", "1,4"),
+        ("fig4", "--L", "16,32", "--delta", "1,2", "--m", "1,2"),
+        ("fig5", "--L", "16,32", "--delta", "1,2", "--m", "1,2")]
+with contextlib.redirect_stdout(io.StringIO()):
+    for preset, *flags in runs:
+        assert main(["run", "--preset", preset, *flags, "--n-phi", "3", "--out", sys.argv[1] + "/" + preset]) == 0
+print(sorted(name for name in sys.modules if name.startswith("numpy.random")))
+"""
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+    assert len(list(tmp_path.glob("*/*.csv"))) == 6
 
 
 def test_chunk_size_depends_on_L_only():
