@@ -1,11 +1,11 @@
 """Eigenstate-ensemble entropy statistics, the fluctuation across sizes, and fits.
 
-An eigenstate table is one :func:`obsent.sampling.phase_table` call, which
-diagonalizes once per phase realization and reuses the eigenvectors for
-every requested block size and basis.  Entropies are averaged over the
-selected eigenstates within each realization first, then over
-realizations; the reported spread is the standard error across
-realizations.
+The eigenstate tables of the deltas of one size are one
+:func:`obsent.sampling.phase_table` call, which diagonalizes once per
+phase realization and reuses the eigenvectors for every requested block
+size and basis.  Entropies are averaged over the selected eigenstates
+within each realization first, then over realizations; the reported
+spread is the standard error across realizations.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ def resolve_mid_count(mid_count, L: int) -> int:
     raise ValueError(f"mid_count must be an integer >= 1, 'all' or 'L/<k>'; got {mid_count!r}")
 
 
-def eigenstate_entropy_table(
+def eigenstate_entropy_tables(
     L: int,
-    delta: float,
+    deltas,
     m_list,
     basis_tags=("real",),
     *,
@@ -57,19 +57,25 @@ def eigenstate_entropy_table(
     bc: str = "open",
     momentum_order: str = "index",
     fallbacks=None,
-):
-    """Phase-averaged eigenstate entropies for several (m, basis) at once.
+) -> list:
+    """Phase-averaged eigenstate entropies for several (m, basis) at once:
+    ``{(m, basis_tag): (mean, stderr)}`` for each of ``deltas``, all from
+    one phase pass.
 
-    Returns ``{(m, basis_tag): (mean, stderr)}``.  ``selector`` picks the
-    states per realization: "mid" for the mid-spectrum window of
-    ``mid_count`` states, "ground" for the lowest-energy state.  A
-    ``fallbacks`` Counter gains the phases that left the windowed solver,
-    by reason (see :func:`obsent.sampling.window_rows`).
+    ``selector`` picks the states per realization: "mid" for the
+    mid-spectrum window of ``mid_count`` states, "ground" for the
+    lowest-energy state.  A ``fallbacks`` Counter gains the phases that left
+    the windowed solver, by reason (see :func:`obsent.sampling.window_rows`).
     """
     states = Window(1 if selector == "ground" else resolve_mid_count(mid_count, L), selector)
-    table = phase_table(ModelParams(L=L, delta=delta, bc=bc), n_phi, seed, states, m_list, basis_tags,
-                        momentum_order, fallbacks)
-    return {key: (float(mean), float(stderr)) for key, (mean, stderr) in table.items()}
+    grid = [ModelParams(L=L, delta=delta, bc=bc) for delta in deltas]
+    tables = phase_table(grid, n_phi, seed, states, m_list, basis_tags, momentum_order, fallbacks)
+    return [{key: (float(mean), float(stderr)) for key, (mean, stderr) in table.items()} for table in tables]
+
+
+def eigenstate_entropy_table(L: int, delta: float, m_list, basis_tags=("real",), **options):
+    """:func:`eigenstate_entropy_tables` at one delta."""
+    return eigenstate_entropy_tables(L, (delta,), m_list, basis_tags, **options)[0]
 
 
 def normalized_fluctuation(values_by_L) -> float:

@@ -4,9 +4,9 @@ A quench starts from a particle localized on one site and evolves it with
 the full chain Hamiltonian.  For delta = 0 on a ring the site amplitudes
 are Bessel functions of the first kind, ``<j|psi(t)> = i^n J_n(2t)`` with
 n the signed distance from the initial site, which gives an independent
-closed-form reference for the finest-grained entropy.  A quench table is
-one :func:`obsent.sampling.phase_table` call that keeps each phase's
-entropies per time.
+closed-form reference for the finest-grained entropy.  The quench tables
+of the deltas of one size are one :func:`obsent.sampling.phase_table` call
+that keeps each phase's entropies per time.
 """
 
 from __future__ import annotations
@@ -42,12 +42,14 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray) -> np.nda
     if not math.isfinite(float(times.max(initial=0.0)) * float(np.abs(eig.energies).max(initial=0.0))):
         raise FloatingPointError(f"t * E overflows for t up to {times.max():g}")
     coeff = eig.vectors.conj().swapaxes(-1, -2) @ psi0
-    phases = np.exp(-1j * (times[:, None] * eig.energies[..., None, :]))
-    return (eig.vectors @ (phases * coeff[..., None, :]).swapaxes(-1, -2)).swapaxes(-1, -2)
+    phases = -1j * (times[:, None] * eig.energies[..., None, :])
+    np.exp(phases, out=phases)  # in place, like the product: these are a chunk's largest arrays
+    phases *= coeff[..., None, :]
+    return (eig.vectors @ phases.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def quench_entropy_table(
-    params: ModelParams,
+def quench_entropy_tables(
+    grid,
     times: np.ndarray,
     m_list,
     *,
@@ -56,19 +58,26 @@ def quench_entropy_table(
     basis_tag: str = "real",
     initial_site: int | None = None,
     momentum_order: str = "index",
-):
-    """Phase-averaged quench entropies for several block sizes at once.
+) -> list:
+    """Phase-averaged quench entropies for several block sizes at once:
+    ``{m: (mean, stderr)}``, arrays over the time grid, for each chain of
+    ``grid`` (one L), all from one phase pass.
 
     One diagonalization per phase realization serves every time and block
     size.  The particle starts on the 1-based site ``initial_site`` (default
-    the middle of the lattice).  Returns ``{m: (mean, stderr)}`` with arrays
-    over the time grid.
+    the middle of the lattice).
     """
-    psi0 = site_state(params.L, params.L // 2 if initial_site is None else initial_site)
+    L = grid[0].L
+    psi0 = site_state(L, L // 2 if initial_site is None else initial_site)
     times = np.asarray(times, dtype=float)
     states = lambda eig: evolve_many(eig, psi0, times)
-    table = phase_table(params, n_phi, seed, states, m_list, (basis_tag,), momentum_order)
-    return {m: stats for (m, _), stats in table.items()}
+    tables = phase_table(grid, n_phi, seed, states, m_list, (basis_tag,), momentum_order)
+    return [{m: stats for (m, _), stats in table.items()} for table in tables]
+
+
+def quench_entropy_table(params: ModelParams, times: np.ndarray, m_list, **options):
+    """:func:`quench_entropy_tables` of one chain."""
+    return quench_entropy_tables([params], times, m_list, **options)[0]
 
 
 def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:

@@ -88,9 +88,9 @@ def chain_diagonals(params: ModelParams, phis) -> np.ndarray:
     return params.delta * np.cos(_TWO_PI * params.alpha * sites + (phis % _TWO_PI)[:, None])
 
 
-def _tridiagonal(diag: np.ndarray, periodic: bool = False) -> np.ndarray:
+def chain_matrices(diag: np.ndarray, periodic: bool = False) -> np.ndarray:
     """Dense (n, L, L) chains with diagonals ``diag`` (n, L) and hopping -1,
-    closed into rings when ``periodic``."""
+    closed into rings when ``periodic``; every dense chain matrix is made here."""
     B, L = diag.shape
     h = np.zeros((B, L, L))
     idx = np.arange(L)
@@ -104,10 +104,11 @@ def _tridiagonal(diag: np.ndarray, periodic: bool = False) -> np.ndarray:
 def build_hamiltonian(params: ModelParams, phis=None) -> np.ndarray:
     """The dense L x L chain Hamiltonian at ``params.phi``: the potential of
     :func:`chain_diagonals` on the diagonal, -1 on the first off-diagonals,
-    and -1 in the corners only for periodic boundaries.  Given ``phis``, the
-    (n, L, L) stack of these matrices at each of those phases instead."""
-    stack = _tridiagonal(chain_diagonals(params, [params.phi] if phis is None else phis),
-                         params.bc == "periodic")
+    and -1 in the corners only for periodic boundaries (see
+    :func:`chain_matrices`).  Given ``phis``, the (n, L, L) stack of these
+    matrices at each of those phases instead."""
+    stack = chain_matrices(chain_diagonals(params, [params.phi] if phis is None else phis),
+                           params.bc == "periodic")
     return stack[0] if phis is None else stack
 
 
@@ -188,7 +189,7 @@ def chain_eigenvalues(diag) -> np.ndarray:
     the solver fails."""
     d, e = _chain_problem(diag)
     if _DSTERF is None:  # a block of window lanes may hold many chains
-        return np.concatenate([np.linalg.eigvalsh(_tridiagonal(d[b:b + 1])) for b in range(len(d))])
+        return np.concatenate([np.linalg.eigvalsh(chain_matrices(d[b:b + 1])) for b in range(len(d))])
     B, L = d.shape
     n, info = ctypes.c_int64(L), ctypes.c_int64(0)
     # every ``.ctypes`` access builds a new object, so addresses are read once
@@ -206,7 +207,7 @@ def chain_eigensystem(diag) -> EigenSystem:
     where ``dstevd`` is not bound; both agree up to eigenvector signs."""
     d, e = _chain_problem(diag)
     if _DSTEVD is None:
-        return eigendecompose(_tridiagonal(d))
+        return eigendecompose(chain_matrices(d))
     B, L = d.shape
     z = np.empty((B, L, L))  # chain b's column-major Z is z[b].T
     work, iwork = np.empty(1 + 4 * L + L * L), np.empty(3 + 5 * L, dtype=np.int64)

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import eigenstate_entropy_table, fit_log_slope, normalized_fluctuation, resolve_mid_count
-from .dynamics import quench_entropy_table
+from .analysis import eigenstate_entropy_tables, fit_log_slope, normalized_fluctuation, resolve_mid_count
+from .dynamics import quench_entropy_tables
 from .model import ModelParams, chain_solvers
 
 class ConfigError(ValueError):
@@ -236,7 +236,7 @@ def validate(config: ExperimentConfig) -> list:
 
 @contextmanager
 def _grid_point(**point):
-    """Prefix numerical errors raised inside with the grid point: ``L=16, delta=1.5, <message>``."""
+    """Prefix numerical errors raised inside with the grid point: ``L=16, <message>``."""
     try:
         yield
     except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
@@ -244,43 +244,51 @@ def _grid_point(**point):
 
 
 def _eig_point(job):
-    config, L, delta = job
+    config, L, deltas = job
     fallbacks = Counter()
-    with _grid_point(L=L, delta=delta):
-        table = eigenstate_entropy_table(
-            L, delta, config.m, config.basis_tags(), n_phi=config.n_phi, seed=config.seed,
+    with _grid_point(L=L):
+        tables = eigenstate_entropy_tables(
+            L, deltas, config.m, config.basis_tags(), n_phi=config.n_phi, seed=config.seed,
             mid_count=config.mid_count, selector=config.selector, bc=config.bc,
             momentum_order=config.momentum_order, fallbacks=fallbacks,
         )
-    return table, fallbacks
+    return tables, fallbacks
 
 
 def _quench_point(job):
-    config, L, delta = job
-    with _grid_point(L=L, delta=delta):
-        table = quench_entropy_table(
-            ModelParams(L=L, delta=delta, bc=config.bc), config.time_grid(), config.m,
+    config, L, deltas = job
+    with _grid_point(L=L):
+        tables = quench_entropy_tables(
+            [ModelParams(L=L, delta=delta, bc=config.bc) for delta in deltas], config.time_grid(), config.m,
             n_phi=config.n_phi, seed=config.seed, basis_tag=config.basis,
             initial_site=config.initial_site, momentum_order=config.momentum_order,
         )
-    return {(m, config.basis): stats for m, stats in table.items()}, Counter()
+    return [{(m, config.basis): stats for m, stats in table.items()} for table in tables], Counter()
 
 
-def _map_grid(point, config: ExperimentConfig, fallbacks: Counter) -> dict:
-    """``{(L, delta): table}`` over config.L x config.delta.  ``point`` returns
-    the table and its dense-fallback Counter, which is added to ``fallbacks``.
-    A pool starts at most one worker per grid point and per CPU."""
-    jobs = [(config, L, delta) for L in config.L for delta in config.delta]
+def _map_grid(point, config: ExperimentConfig, fallbacks: Counter):
+    """``{(L, delta): table}`` over config.L x config.delta, and the number of
+    worker processes (1 when serial).  A job is one L with a contiguous group
+    of its deltas, which share their phase blocks: one group per L at jobs 1,
+    at most ``jobs`` otherwise.  ``point`` returns the group's tables and
+    dense-fallback Counter, which is added to ``fallbacks``.  A pool starts
+    at most one worker per job and per CPU."""
+    groups = min(config.jobs, len(config.delta))
+    cuts = [len(config.delta) * i // groups for i in range(groups + 1)]
+    jobs = [(config, L, config.delta[a:b]) for L in config.L for a, b in zip(cuts, cuts[1:])]
     if config.jobs <= 1 or len(jobs) <= 1:
-        results = [point(job) for job in jobs]
+        workers, results = 1, [point(job) for job in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor  # costs about 20 ms of import; serial runs skip it
 
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(jobs), os.cpu_count() or 1)) as pool:
+        workers = min(config.jobs, len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(point, jobs))
-    for _, counts in results:
+    tables = {}
+    for (_, L, deltas), (group, counts) in zip(jobs, results):
         fallbacks.update(counts)
-    return {(L, delta): table for (_, L, delta), (table, _) in zip(jobs, results)}
+        tables.update(zip([(L, delta) for delta in deltas], group))
+    return tables, workers
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +353,10 @@ def _tables(config: ExperimentConfig) -> list:
 
 
 def _table_rows(config: ExperimentConfig, point, columns, fallbacks: Counter):
-    """Run ``point`` over the grid; return its results and the table's rows."""
+    """Run ``point`` over the grid; return its results, the table's rows and
+    the worker count."""
     times = config.time_grid() if point is _quench_point else [None]
-    tables = _map_grid(point, config, fallbacks)
+    tables, workers = _map_grid(point, config, fallbacks)
     rows = []
     for basis in config.basis_tags():
         for L in config.L:
@@ -358,15 +367,16 @@ def _table_rows(config: ExperimentConfig, point, columns, fallbacks: Counter):
                         row = dict(basis=basis, L=L, delta=delta, m=m, t=t, mean_S=mean_t,
                                    stderr_S=stderr_t, n_phi=config.n_phi)
                         rows.append([row[c] for c in columns])
-    return tables, rows
+    return tables, rows, workers
 
 
 def run(config: ExperimentConfig) -> list:
     """Validate, execute the preset, and write CSV outputs plus a manifest.
 
     Returns the list of written file paths.  Raises :class:`ConfigError`
-    for invalid configurations; numerical failures propagate before any
-    file is written.
+    for invalid configurations.  A numerical failure propagates before any
+    CSV is written, and leaves a manifest with ``"status": "failed"`` and
+    the error message.
     """
     diagnostics = validate(config)
     if diagnostics:
@@ -375,32 +385,44 @@ def run(config: ExperimentConfig) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
-    files, fallbacks = [], Counter()  # every table is computed before any file is written
-    for point, name, columns, extra in _tables(config):
-        tables, rows = _table_rows(config, point, columns, fallbacks)
-        files.append((name, columns, rows))
-        if extra is not None:
-            files.append(extra(config, tables))
+    files, fallbacks, workers = [], Counter(), 1  # every table is computed before any file is written
+
+    def write_manifest(status: str, outputs: list, **error):
+        manifest = {
+            "status": status,
+            **error,
+            "preset": config.preset,
+            "config": asdict(config),
+            "versions": {
+                "obsent": __version__,
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+            },
+            "eigensolver": chain_solvers(),
+            "threads": {name: os.environ.get(name)
+                        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+            "workers": workers,
+            "dense_fallbacks": dict(sorted(fallbacks.items())),
+            "started_utc": started.isoformat(),
+            "wall_time_s": time.perf_counter() - t0,
+            "outputs": outputs,
+        }
+        with open(out_dir / "run_manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, default=list)
+            fh.write("\n")
+
+    try:
+        for point, name, columns, extra in _tables(config):
+            tables, rows, used = _table_rows(config, point, columns, fallbacks)
+            workers = max(workers, used)
+            files.append((name, columns, rows))
+            if extra is not None:
+                files.append(extra(config, tables))
+    except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+        write_manifest("failed", [], error=str(exc))
+        raise
     for name, columns, rows in files:
         _write_csv(out_dir / name, columns, rows)
     outputs = [name for name, _, _ in files]
-    manifest = {
-        "preset": config.preset,
-        "config": asdict(config),
-        "versions": {
-            "obsent": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-        "eigensolver": chain_solvers(),
-        "threads": {name: os.environ.get(name)
-                    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
-        "dense_fallbacks": dict(sorted(fallbacks.items())),
-        "started_utc": started.isoformat(),
-        "wall_time_s": time.perf_counter() - t0,
-        "outputs": outputs,
-    }
-    with open(out_dir / "run_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, default=list)
-        fh.write("\n")
+    write_manifest("complete", outputs)
     return [out_dir / name for name in outputs] + [out_dir / "run_manifest.json"]

@@ -8,11 +8,12 @@ parallel workers need no shared RNG state.  The package computes this
 stream itself (see :func:`phase_sequence`); it does not import
 ``numpy.random``.
 
-:func:`phase_table` is the one loop over phase realizations and the one
-reduction of their weights into averaged entropies that every eigenstate
-and quench table runs through, and :class:`Window` the one selector of
-eigenstates: call ``Window(count)(eig)`` for the ``count`` states nearest
-zero energy, ``Window(count, "ground")(eig)`` for the lowest ones.
+:func:`phase_table` is the one loop over the (delta, phase) realizations
+of one size and the one reduction of their weights into averaged
+entropies that every eigenstate and quench table runs through, and
+:class:`Window` the one selector of eigenstates: call ``Window(count)(eig)``
+for the ``count`` states nearest zero energy, ``Window(count, "ground")(eig)``
+for the lowest ones.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import numpy as np
 
 from .entropy import BASIS_TAGS, uniform_block_entropy
 from .model import (
-    build_hamiltonian,
     chain_diagonals,
     chain_eigensystem,
     chain_eigenvalues,
     chain_eigenvectors,
+    chain_matrices,
     eigendecompose,
     eigenpair_errors,
     kinetic_index_order,
@@ -163,25 +164,25 @@ class Window:
         return np.take_along_axis(eig.vectors, picked[..., None, :], axis=-1).swapaxes(-1, -2)
 
 
-def window_rows(params, phis: np.ndarray, window: Window, fallbacks=None) -> np.ndarray:
-    """(B, n, L) rows of ``window`` for open chains at the phases ``phis``.
+def window_rows(diag: np.ndarray, window: Window, fallbacks=None) -> np.ndarray:
+    """(B, n, L) rows of ``window`` for the B open chains whose on-site
+    energies are the rows of ``diag`` (B, L).
 
-    Eigenvalues come from :func:`~obsent.model.chain_eigenvalues` of the
-    chains' diagonals, and :func:`~obsent.model.chain_eigenvectors` finds
-    the eigenvectors of all selected levels at once; unless a phase fell
-    back, the result is its C-ordered working array.  A phase is redone on
-    the full eigensystem, and counted by reason in the ``fallbacks``
+    Eigenvalues come from :func:`~obsent.model.chain_eigenvalues`, and
+    :func:`~obsent.model.chain_eigenvectors` finds the eigenvectors of all
+    selected levels at once; unless a chain fell back, the result is its
+    C-ordered working array.  A chain is redone on the full eigensystem,
+    and counted by reason in the ``fallbacks``
     Counter if one is given, when a selected level lies within
     :data:`GAP_MIN` of a neighbour ("near_degenerate"), when the window
     edge is a tie within :data:`EIGENPAIR_TOL` so that rounding decides
     which level is picked ("window_tie"), or when its vectors miss
     :data:`EIGENPAIR_TOL` ("inaccurate").  The first two are decided from
     the eigenvalues and solved before the inverse iteration allocates its
-    arrays, which then leaves those phases out, so that a full eigensystem
+    arrays, which then leaves those chains out, so that a full eigensystem
     and a block of lanes are never held at once.  Each row depends only on
-    its own phase, not on the others in ``phis``.
+    its own chain, not on the others in ``diag``.
     """
-    diag = chain_diagonals(params, phis)
     energies = chain_eigenvalues(diag)
     picked = window.indices(energies)
     level = np.take_along_axis(energies, picked, axis=-1)
@@ -191,15 +192,17 @@ def window_rows(params, phis: np.ndarray, window: Window, fallbacks=None) -> np.
                          np.take_along_axis(spacing, picked + 1, axis=-1)).min(axis=-1)
         reason = np.select([gap < GAP_MIN, window.margin(energies) < EIGENPAIR_TOL],
                            ["near_degenerate", "window_tie"], "")
+    del energies, spacing  # not needed beside the lanes, a block's largest arrays
     solve = lambda p: window(chain_eigensystem(diag[p:p + 1]))[0]
     redo, rest = np.flatnonzero(reason), np.flatnonzero(reason == "")
     full = [solve(p) for p in redo]
-    rows = chain_eigenvectors(diag[rest], level[rest])
-    error = np.maximum(*eigenpair_errors(diag[rest], level[rest], rows))
+    kept, level = (diag[rest], level[rest]) if redo.size else (diag, level)
+    rows = chain_eigenvectors(kept, level)
+    error = np.maximum(*eigenpair_errors(kept, level, rows))
     for i in np.flatnonzero(~(error <= EIGENPAIR_TOL)):
         reason[rest[i]] = "inaccurate"
         rows[i] = solve(rest[i])
-    if redo.size:  # the phases solved in full go back to their places
+    if redo.size:  # the chains solved in full go back to their places
         rows, found = np.empty((len(diag),) + rows.shape[1:]), rows
         rows[rest] = found
         for p, full_rows in zip(redo, full):
@@ -209,62 +212,82 @@ def window_rows(params, phis: np.ndarray, window: Window, fallbacks=None) -> np.
     return rows
 
 
-def phase_table(params, n_phi: int, seed: int, states, m_list, basis_tags, momentum_order: str = "index",
-                fallbacks=None):
+def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentum_order: str = "index",
+                fallbacks=None) -> list:
     """Phase-averaged entropies ``{(m, basis_tag): (mean, stderr)}`` under
-    size-m contiguous blocks: the one loop over phase realizations, and the
-    one reduction of their weights, that every eigenstate and quench table
-    runs through.
+    size-m contiguous blocks, one table per chain in ``grid``: the one loop
+    over phase realizations, and the one reduction of their weights, that
+    every eigenstate and quench table runs through.
 
+    ``grid`` holds chains of one L and boundary condition, typically the
+    deltas of one size.  Their ``n_phi`` phases each, in grid order, are
+    solved in shared blocks; since each chain, lane and row is computed on
+    its own, a table does not depend on which chains share ``grid``.
     ``states`` picks the (B, n, L) stack of states (one row each) to measure
-    in a chunk of B phases.  It is either a :class:`Window` of eigenstates,
-    whose n entropies are averaged within each phase, or a function of the
-    chunk's stacked :class:`~obsent.model.EigenSystem`, whose n entropies
-    per phase are kept (a quench's times), so that the means and standard
-    errors over phases have shape (n,).  A window of open chains runs on
-    eigenvalues plus inverse iteration (see :func:`window_rows`, which
-    counts its fallbacks in ``fallbacks``) in blocks of
-    ``max(chunk_size(L, n), L // n)`` phases, so that at least L lanes share
-    each sweep; its pivots and vectors then take up to 2*8*L**2 bytes, as
-    much as one full eigensystem of a fallback.  Everything else
-    diagonalizes :func:`chunk_size` (L) phases at a time, open chains
-    through :func:`~obsent.model.chain_eigensystem` and periodic ones as
-    dense Hamiltonians.  Either way the weights of one basis at a time are
-    formed and reduced in chunks of :func:`chunk_size` phases, and a block
-    is released before the next one is built.  Momentum tags see the states
-    in the plane-wave basis, sorted by kinetic energy when
-    ``momentum_order`` is "kinetic".  Numerical errors name the failing
-    phase indices.
+    in a chunk of B realizations.  It is either a :class:`Window` of
+    eigenstates, whose n entropies are averaged within each realization, or
+    a function of the chunk's stacked :class:`~obsent.model.EigenSystem`,
+    whose n entropies per realization are kept (a quench's times), so that
+    the means and standard errors over phases have shape (n,).  A window of
+    open chains runs on eigenvalues plus inverse iteration (see
+    :func:`window_rows`, which counts its fallbacks in ``fallbacks``) in
+    blocks of ``max(chunk_size(L, n), L // n)`` realizations, so that at
+    least L lanes share each sweep; its pivots and vectors then take up to
+    2*8*L**2 bytes, as much as one full eigensystem of a fallback.
+    Everything else diagonalizes :func:`chunk_size` (L) realizations at a
+    time, open chains through :func:`~obsent.model.chain_eigensystem` and
+    periodic ones as dense matrices.  Either way the weights of one basis
+    at a time are formed and reduced in chunks of :func:`chunk_size`
+    realizations, and a block is released before the next one is built.
+    Momentum tags see the states in the plane-wave basis, sorted by kinetic
+    energy when ``momentum_order`` is "kinetic".  Numerical errors name
+    each delta of the failing block and its phase indices.
     """
     if not set(basis_tags) <= set(BASIS_TAGS):
         raise ValueError(f"basis tags must be among {BASIS_TAGS}, got {tuple(basis_tags)}")
-    L, window = params.L, isinstance(states, Window)
+    if len({(params.L, params.bc) for params in grid}) != 1:
+        raise ValueError("a grid holds chains of one L and one boundary condition")
+    L, bc, window = grid[0].L, grid[0].bc, isinstance(states, Window)
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else slice(None)
-    phis = phase_sequence(seed, L, params.delta, n_phi)
-    windowed = window and params.bc == "open"
+    phis = [phase_sequence(seed, L, params.delta, n_phi) for params in grid]
+    windowed = window and bc == "open"
     step = chunk_size(L, states.count) if windowed else chunk_size(L)
     block = max(step, L // states.count) if windowed else step
-    samples = {(m, b): [] for m in m_list for b in basis_tags}
-    for start in range(0, n_phi, block):
-        phases = phis[start:start + block]
+    if windowed:
+        solve = lambda diag: window_rows(diag, states, fallbacks)
+    elif bc == "open":
+        solve = lambda diag: states(chain_eigensystem(diag))
+    else:
+        solve = lambda diag: states(eigendecompose(chain_matrices(diag, periodic=True)))
+    tables, samples = [], {(m, b): [] for m in m_list for b in basis_tags}
+    total = len(grid) * n_phi
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        # (grid index, first phase, end phase) of each chain the block holds
+        parts = [(g, max(start - g * n_phi, 0), min(stop - g * n_phi, n_phi))
+                 for g in range(start // n_phi, (stop - 1) // n_phi + 1)]
         try:
-            if windowed:
-                rows = window_rows(params, phases, states, fallbacks)
-            elif params.bc == "open":
-                rows = states(chain_eigensystem(chain_diagonals(params, phases)))
-            else:
-                rows = states(eigendecompose(build_hamiltonian(params, phases)))
+            rows = solve(np.concatenate([chain_diagonals(grid[g], phis[g][lo:hi]) for g, lo, hi in parts]))
+            for chunk in range(0, len(rows), step):
+                part = rows[chunk:chunk + step]
+                for b in basis_tags:
+                    weights = np.abs(part if b == "real" else to_momentum(part, axis=-1)[..., perm])
+                    np.square(weights, out=weights)
+                    for m in m_list:
+                        entropy = uniform_block_entropy(weights, m)
+                        samples[(m, b)].append(entropy.mean(axis=-1) if window else entropy)
         except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
-            raise type(exc)(f"phase index {start}-{start + len(phases) - 1}: {exc}") from exc
-        for chunk in range(0, len(rows), step):
-            part = rows[chunk:chunk + step]
-            for b in basis_tags:
-                weights = np.abs(part if b == "real" else to_momentum(part, axis=-1)[..., perm]) ** 2
-                for m in m_list:
-                    entropy = uniform_block_entropy(weights, m)
-                    samples[(m, b)].append(entropy.mean(axis=-1) if window else entropy)
+            where = "; ".join(f"delta={grid[g].delta}, phase index {lo}-{hi - 1}" for g, lo, hi in parts)
+            raise type(exc)(f"{where}: {exc}") from exc
         rows = part = weights = None  # the last chunk's view and weights would keep the block alive
-    return {key: mean_stderr(np.concatenate(vals)) for key, vals in samples.items()}
+        for _ in range(len(tables), stop // n_phi):  # the chains whose realizations are all in
+            tables.append({})
+            for key, vals in samples.items():  # one key at a time, each list released as it is joined
+                vals = np.concatenate(vals)
+                tables[-1][key] = mean_stderr(vals[:n_phi])
+                samples[key] = [vals[n_phi:].copy()]  # a view would keep the joined array
+            vals = None  # and so would the name
+    return tables
 
 
 def mean_stderr(samples: np.ndarray):

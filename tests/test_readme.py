@@ -28,11 +28,15 @@ def test_acceptance_messages_point_at_ledger_entries():
 def test_bench_records_state_environment_and_both_medians():
     records = sorted(ROOT.glob("BENCH_*.json"))
     assert records, "no BENCH_*.json at the repository root"
+    metrics = {metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     for path in records:
         record = json.loads(path.read_text())
         assert record.get("parent_commit"), path.name
         assert {"threads", "numpy", "blas"} <= set(record["environment"]), path.name
         assert record["workloads"], path.name
+        if "claim" in record:  # a claimed gain names a measured workload and an end-to-end metric
+            assert record["claim"]["workload"] in record["workloads"], path.name
+            assert record["claim"]["metric"] in metrics, path.name
         for name, workload in record["workloads"].items():
             for side in ("parent", "change"):
                 for metric in ("run_s", "cpu_s", "peak_rss_mb", "setup_s"):

@@ -187,6 +187,7 @@ def test_manifest_contents(tmp_path):
     assert manifest["eigensolver"] == obsent.model.chain_solvers()
     assert set(manifest["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
     assert manifest["dense_fallbacks"] == {}
+    assert manifest["status"] == "complete" and manifest["workers"] == 1
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -248,12 +249,14 @@ def test_pool_never_exceeds_grid_points(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     kwargs = dict(L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6)
-    csvs = []
+    csvs, workers = [], []
     for jobs in (1, 100000):
         out = tmp_path / f"jobs{jobs}"
         run(make_config("fig1", out=str(out), jobs=jobs, **kwargs))
         csvs.append((out / "fig1.csv").read_bytes())
+        workers.append(json.loads((out / "run_manifest.json").read_text())["workers"])
     assert len(seen) == 1 and 1 <= seen[0] <= 2
+    assert workers == [1, seen[0]]
     assert csvs[0] == csvs[1]
 
 
@@ -424,6 +427,25 @@ def test_cli_lapack_info_names_grid_point(tmp_path, monkeypatch, capsys):
     assert err["message"] == "L=16, delta=1.5, phase index 0-1: dsterf failed on chain 0 of the stack (info=2)"
 
 
+def test_cli_failure_in_a_shared_block_names_each_delta(tmp_path, monkeypatch, capsys):
+    # both deltas of L=16 share one block of 2 + 2 chains; the third chain,
+    # the first phase of delta=2.5, does not converge
+    calls = []
+
+    def unconverged_third(n, d, e, info):
+        calls.append(d)
+        info.value = 2 if len(calls) == 3 else 0
+
+    monkeypatch.setattr(obsent.model, "_DSTERF", unconverged_third)
+    code = run_cli("fig4", tmp_path, "--delta", "1.5,2.5", "--m", "1")
+    assert code == 3
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message == ("L=16, delta=1.5, phase index 0-1; delta=2.5, phase index 0-1: "
+                       "dsterf failed on chain 2 of the stack (info=2)")
+    assert len(calls) == 3
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["error"] == message
+
+
 def test_cli_quench_phase_overflow_names_grid_point(tmp_path, capsys):
     code = run_cli("fig3", tmp_path, "--delta", "1e307", "--m", "1,16", "--fit-lo", "1", "--fit-hi", "8",
                    "--times", "0,1,2,3,4,5,6,7,8,50")
@@ -448,11 +470,22 @@ def test_cli_fluctuation_failure_names_delta_and_m(tmp_path, capsys):
     ("--preset", "custom", "--L", "16", "--delta", "1e307", "--m", "1", "--times", "0,1,50"),
 ], ids=["fig5-fluctuation", "custom-quench"])
 def test_cli_failed_run_writes_no_csv(tmp_path, capsys, flags):
-    """A table that fails after another one was computed leaves no CSV behind."""
-    code = obsent.cli.main(["run", *flags, "--n-phi", "2", "--out", str(tmp_path)])
+    """A table that fails after another one was computed leaves no CSV
+    behind, and a manifest that says the run failed and why; the same run
+    at a harmless delta says it is complete."""
+    code = obsent.cli.main(["run", *flags, "--n-phi", "2", "--out", str(tmp_path / "failed")])
     assert code == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "numerical"
-    assert not list(tmp_path.glob("*.csv"))
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert not list((tmp_path / "failed").glob("*.csv"))
+    manifest = json.loads((tmp_path / "failed" / "run_manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["error"] == err["message"]
+    assert manifest["outputs"] == []
+    harmless = [("1.5" if flag.startswith("1e") else flag) for flag in flags]
+    assert obsent.cli.main(["run", *harmless, "--n-phi", "2", "--out", str(tmp_path / "complete")]) == 0
+    manifest = json.loads((tmp_path / "complete" / "run_manifest.json").read_text())
+    assert manifest["status"] == "complete" and "error" not in manifest
+    assert sorted(manifest["outputs"]) == sorted(p.name for p in (tmp_path / "complete").glob("*.csv"))
 
 
 @pytest.mark.parametrize("preset, flags", [("fig1", ()), ("fig3", ("--m", "1,4,16"))], ids=["fig1", "fig3"])

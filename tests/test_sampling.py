@@ -20,10 +20,12 @@ from obsent import (
     chain_eigensystem,
     eigendecompose,
     eigenstate_entropy_table,
+    eigenstate_entropy_tables,
     evolve_many,
     kinetic_index_order,
     phase_sequence,
     quench_entropy_table,
+    quench_entropy_tables,
     site_state,
     to_momentum,
     uniform_block_entropy,
@@ -139,9 +141,9 @@ def dense_window(params, phis, window):
     return window(eigendecompose(build_hamiltonian(params, phis)))
 
 
-def full_window(params, phis, window):
-    """The window's rows from the full eigensystem of the chains ``sampling`` builds."""
-    return window(chain_eigensystem(sampling.chain_diagonals(params, phis)))
+def full_window(diag, window):
+    """The window's rows from the full eigensystem of the chains with diagonals ``diag``."""
+    return window(chain_eigensystem(diag))
 
 
 def block_entropies(rows, m):
@@ -160,17 +162,12 @@ def block_entropies(rows, m):
 def test_window_rows_match_dense_eigh(L, delta, phi, size, selector):
     params, phis = ModelParams(L=L, delta=delta), np.array([phi])
     window = Window(1 + int(size * (L - 1)), selector)
-    rows = window_rows(params, phis, window)
+    rows = window_rows(chain_diagonals(params, phis), window)
     dense = dense_window(params, phis, window)  # Window(count)(eig) of dense eigh
     assert np.abs(rows @ rows.swapaxes(-1, -2) - np.eye(window.count)).max() <= 1e-10
     for m in (1, 2, L // 2):
         for new, old in zip(block_entropies(rows, m), block_entropies(dense, m)):
             assert np.abs(new - old).max() <= 1e-10
-
-
-def fixed_diagonals(diag):
-    """Stand-in for chain_diagonals: every phase gets the on-site energies ``diag``."""
-    return lambda params, phis: np.tile(diag, (len(phis), 1))
 
 
 def wells(twin):
@@ -185,13 +182,11 @@ def wells(twin):
 
 
 @pytest.mark.parametrize("twin", [True, False], ids=["near-degenerate", "control"])
-def test_near_degenerate_window_takes_dense_path(monkeypatch, twin):
-    diag = wells(twin)
-    monkeypatch.setattr(sampling, "chain_diagonals", fixed_diagonals(diag))
-    params, phis, window = ModelParams(L=32), np.zeros(1), Window(1, "ground")
+def test_near_degenerate_window_takes_dense_path(twin):
+    diag, window = wells(twin)[None], Window(1, "ground")
     fallbacks = Counter()
-    rows = window_rows(params, phis, window, fallbacks)
-    dense = full_window(params, phis, window)
+    rows = window_rows(diag, window, fallbacks)
+    dense = full_window(diag, window)
     assert fallbacks["near_degenerate"] == twin
     if twin:
         assert np.array_equal(rows, dense)
@@ -199,44 +194,94 @@ def test_near_degenerate_window_takes_dense_path(monkeypatch, twin):
         assert np.abs(rows**2 - dense**2).max() < 1e-12
 
 
-def test_window_rows_of_a_block_equal_per_phase_blocks(monkeypatch):
+def test_window_rows_of_a_block_equal_per_phase_blocks():
     # phase 0.0 gets the twin wells, whose ground pair is near-degenerate
+    params, phis, window = ModelParams(L=32, delta=1.5), np.array([0.4, 0.0, 2.2, 5.0, 0.0]), Window(2, "ground")
+    diag = chain_diagonals(params, phis)
+    diag[phis == 0.0] = wells(True)
+    block, per_phase = Counter(), Counter()
+    rows = window_rows(diag, window, block)
+    single = np.concatenate([window_rows(diag[p:p + 1], window, per_phase) for p in range(len(phis))])
+    assert block == per_phase == {"near_degenerate": 2}
+    assert np.array_equal(rows, single)
+    assert np.array_equal(rows[1], full_window(diag[1:2], window)[0])
+
+
+def with_wells(monkeypatch, marked):
+    """Patch sampling.chain_diagonals so that the phases ``marked[delta]`` get the twin wells."""
     chain_diagonals_of = sampling.chain_diagonals
 
     def diagonals(params, phis):
         diag = chain_diagonals_of(params, phis)
-        diag[phis == 0.0] = wells(True)
+        diag[np.isin(phis, marked.get(params.delta, []))] = wells(True)
         return diag
 
     monkeypatch.setattr(sampling, "chain_diagonals", diagonals)
-    params, phis, window = ModelParams(L=32, delta=1.5), np.array([0.4, 0.0, 2.2, 5.0, 0.0]), Window(2, "ground")
-    block, per_phase = Counter(), Counter()
-    rows = window_rows(params, phis, window, block)
-    single = np.concatenate([window_rows(params, phis[p:p + 1], window, per_phase) for p in range(len(phis))])
-    assert block == per_phase == {"near_degenerate": 2}
-    assert np.array_equal(rows, single)
-    assert np.array_equal(rows[1], full_window(params, phis[1:2], window)[0])
 
 
-@pytest.mark.parametrize("L, n, n_phi, blocks, chunk", [
-    (512, 64, 25, [8, 8, 8, 1], 1),  # chunk_size(512, 64) = 1 phase, a block is L // n = 8
-    (256, 32, 10, [8, 2], 4),
-    (128, 16, 20, [16, 4], 16),  # chunk_size already holds at least L lanes
-])
-def test_lane_blocks_hold_at_least_L_lanes(monkeypatch, L, n, n_phi, blocks, chunk):
-    params, window, seen = ModelParams(L=L, delta=1.0), Window(n), []
+def test_shared_blocks_across_deltas_equal_per_delta_tables(monkeypatch):
+    # L=32 with a 2-state window takes 512 phases per block, so the block of
+    # 2 x 5 realizations straddles the deltas, with a near-degenerate chain on
+    # each side of the boundary: the last phase of one delta, the first of the next
+    deltas, n_phi, window = (1.5, 2.5), 5, Window(2, "ground")
+    grid = [ModelParams(L=32, delta=delta) for delta in deltas]
+    phis = [phase_sequence(9, 32, delta, n_phi) for delta in deltas]
+    with_wells(monkeypatch, {1.5: phis[0][-1:], 2.5: phis[1][:1]})
+    blocks = []
 
-    def recording(params, phis, window, fallbacks=None):
-        seen.append(len(phis))
-        return window_rows(params, phis, window, fallbacks)
+    def recording(diag, window, fallbacks=None):
+        blocks.append(window_rows(diag, window, fallbacks))
+        return blocks[-1]
+
+    monkeypatch.setattr(sampling, "window_rows", recording)
+    shared_counts = Counter()
+    shared = phase_table(grid, n_phi, 9, window, [1, 2], ("real", "momentum"), fallbacks=shared_counts)
+    assert [len(b) for b in blocks] == [10]
+    single_counts = Counter()
+    single = [phase_table([params], n_phi, 9, window, [1, 2], ("real", "momentum"), fallbacks=single_counts)[0]
+              for params in grid]
+    assert [len(b) for b in blocks] == [10, 5, 5]
+    assert shared_counts == single_counts == {"near_degenerate": 2}
+    assert np.array_equal(blocks[0], np.concatenate(blocks[1:]))
+    for table, alone in zip(shared, single):
+        assert table.keys() == alone.keys()
+        for key in table:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(table[key], alone[key]))
+
+
+def test_grouped_tables_equal_single_delta_tables():
+    kwargs = dict(n_phi=7, seed=3)
+    eigen = eigenstate_entropy_tables(16, (0.5, 2.0, 3.0), [1, 4], ("real", "momentum"), mid_count=3, **kwargs)
+    assert eigen == [eigenstate_entropy_table(16, delta, [1, 4], ("real", "momentum"), mid_count=3, **kwargs)
+                     for delta in (0.5, 2.0, 3.0)]
+    grid, times = [ModelParams(L=16, delta=delta, bc="periodic") for delta in (0.5, 2.0)], [0.0, 1.0, 8.0]
+    for table, params in zip(quench_entropy_tables(grid, times, [1, 4], **kwargs), grid):
+        alone = quench_entropy_table(params, times, [1, 4], **kwargs)
+        assert table.keys() == alone.keys()
+        assert all(a.tobytes() == b.tobytes() for m in table for a, b in zip(table[m], alone[m]))
+
+
+@pytest.mark.parametrize("L, n, n_phi, deltas, blocks, chunk", [
+    (512, 64, 25, (1.0,), [8, 8, 8, 1], 1),  # chunk_size(512, 64) = 1 phase, a block is L // n = 8
+    (256, 32, 10, (1.0,), [8, 2], 4),
+    (128, 16, 20, (1.0,), [16, 4], 16),  # chunk_size already holds at least L lanes
+    (512, 64, 25, (0.5, 1.0, 2.5, 3.5), [8] * 12 + [4], 1),  # the deltas of one L share their blocks
+], ids=["512-64-25-blocks0-1", "256-32-10-blocks1-4", "128-16-20-blocks2-16", "512-64-4x25-shared"])
+def test_lane_blocks_hold_at_least_L_lanes(monkeypatch, L, n, n_phi, deltas, blocks, chunk):
+    grid, window, seen = [ModelParams(L=L, delta=delta) for delta in deltas], Window(n), []
+
+    def recording(diag, window, fallbacks=None):
+        seen.append(len(diag))
+        return window_rows(diag, window, fallbacks)
 
     monkeypatch.setattr(sampling, "window_rows", recording)
     weights = recorded_weights(monkeypatch)
-    phase_table(params, n_phi, 7, window, [1], ("real", "momentum"))
+    phase_table(grid, n_phi, 7, window, [1], ("real", "momentum"))
     chunks = weights[1::2]  # each chunk reduces its real weights, then its momentum weights
     assert seen == blocks and chunk == chunk_size(L, n)
     assert [len(c) for c in chunks] == [min(chunk, b - s) for b in blocks for s in range(0, b, chunk)]
-    rows = window_rows(params, phase_sequence(7, L, 1.0, n_phi), window)
+    diag = np.concatenate([chain_diagonals(p, phase_sequence(7, L, p.delta, n_phi)) for p in grid])
+    rows = window_rows(diag, window)
     k_rows = to_momentum(rows, axis=-1)
     assert np.array_equal(np.concatenate(chunks), np.abs(k_rows) ** 2)
 
@@ -264,11 +309,11 @@ def test_lane_block_peak_memory_stays_within_a_dense_fallback(monkeypatch, route
 def test_window_edge_tie_takes_dense_path():
     # At delta = 0 the open chain's spectrum is symmetric about zero, so an
     # odd mid window ends on a |E| tie that rounding alone would decide.
-    params, phis, window = ModelParams(L=16), np.zeros(1), Window(9)
+    diag, window = chain_diagonals(ModelParams(L=16), np.zeros(1)), Window(9)
     fallbacks = Counter()
-    rows = window_rows(params, phis, window, fallbacks)
+    rows = window_rows(diag, window, fallbacks)
     assert fallbacks == {"window_tie": 1}
-    assert np.array_equal(rows, Window(9)(chain_eigensystem(chain_diagonals(params, phis))))
+    assert np.array_equal(rows, full_window(diag, window))
 
 
 def test_inaccurate_vectors_take_dense_path(monkeypatch):
@@ -280,10 +325,10 @@ def test_inaccurate_vectors_take_dense_path(monkeypatch):
         return rows
 
     monkeypatch.setattr(sampling, "chain_eigenvectors", garbled)
-    fallbacks = Counter()
-    rows = window_rows(params, phis, window, fallbacks)
+    diag, fallbacks = chain_diagonals(params, phis), Counter()
+    rows = window_rows(diag, window, fallbacks)
     assert fallbacks == {"inaccurate": 3}
-    assert np.array_equal(rows, full_window(params, phis, window))
+    assert np.array_equal(rows, full_window(diag, window))
 
 
 @pytest.mark.parametrize("selector", ["mid", "ground"])
@@ -300,7 +345,7 @@ def test_huge_delta_falls_back_without_warnings(L, selector):
 
 def test_chunks_cover_every_phase_in_order(monkeypatch):
     params, chunks = ModelParams(L=64, delta=1.0), recorded_weights(monkeypatch)
-    phase_table(params, 37, 5, lambda eig: eig.vectors[..., :2].swapaxes(-1, -2), [1], ("real",))
+    phase_table([params], 37, 5, lambda eig: eig.vectors[..., :2].swapaxes(-1, -2), [1], ("real",))
     assert [c.shape for c in chunks] == [(8, 2, 64)] * 4 + [(5, 2, 64)]
     single = list(phase_eigensystems(64, 1.0, 37, 5, "open"))
     batched = np.concatenate(chunks)
@@ -325,7 +370,7 @@ def test_eigenstate_table_rejects_selector_before_solving(monkeypatch):
 def test_phase_table_rejects_unknown_basis(monkeypatch):
     monkeypatch.setattr(sampling, "chain_eigenvalues", None)  # fails if a phase is solved
     with pytest.raises(ValueError, match="basis tags must be among"):
-        phase_table(ModelParams(L=16), 2, 0, Window(2), [1], ("real", "position"))
+        phase_table([ModelParams(L=16)], 2, 0, Window(2), [1], ("real", "position"))
 
 
 def test_one_loop_over_phases_and_one_reduction():
