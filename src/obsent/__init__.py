@@ -47,12 +47,10 @@ from .dynamics import (
     bessel_reference_entropy,
     evolve_many,
     quench_entropy_table,
-    quench_entropy_tables,
 )
 from .analysis import (
     FitResult,
     eigenstate_entropy_table,
-    eigenstate_entropy_tables,
     fit_log_slope,
     normalized_fluctuation,
     resolve_mid_count,

@@ -1,11 +1,11 @@
 """Eigenstate-ensemble entropy statistics, the fluctuation across sizes, and fits.
 
-The eigenstate tables of the deltas of one size are one
-:func:`obsent.sampling.phase_table` call, which diagonalizes once per
-phase realization and reuses the eigenvectors for every requested block
-size and basis.  Entropies are averaged over the selected eigenstates
-within each realization first, then over realizations; the reported
-spread is the standard error across realizations.
+An eigenstate table is one :func:`obsent.sampling.phase_table` call,
+which diagonalizes once per phase realization and reuses the eigenvectors
+for every requested block size and basis.  Entropies are averaged over
+the selected eigenstates within each realization first, then over
+realizations; the reported spread is the standard error across
+realizations.
 """
 
 from __future__ import annotations
@@ -39,14 +39,21 @@ def resolve_mid_count(mid_count, L: int) -> int:
         match = re.fullmatch(r"L/([1-9]\d*)", mid_count)
         if match:
             return max(2, L // int(match.group(1)))
-    elif isinstance(mid_count, numbers.Integral) and mid_count >= 1:
+    elif isinstance(mid_count, numbers.Integral) and not isinstance(mid_count, bool) and mid_count >= 1:
         return min(int(mid_count), L)
     raise ValueError(f"mid_count must be an integer >= 1, 'all' or 'L/<k>'; got {mid_count!r}")
 
 
-def eigenstate_entropy_tables(
+def eigenstate_window(L: int, mid_count, selector: str) -> Window:
+    """The states an eigenstate table of size L measures per realization:
+    the lowest-energy state for selector "ground", else the mid-spectrum
+    window of ``mid_count`` states."""
+    return Window(1 if selector == "ground" else resolve_mid_count(mid_count, L), selector)
+
+
+def eigenstate_entropy_table(
     L: int,
-    deltas,
+    delta: float,
     m_list,
     basis_tags=("real",),
     *,
@@ -56,26 +63,17 @@ def eigenstate_entropy_tables(
     selector: str = "mid",
     bc: str = "open",
     momentum_order: str = "index",
-    fallbacks=None,
-) -> list:
+) -> dict:
     """Phase-averaged eigenstate entropies for several (m, basis) at once:
-    ``{(m, basis_tag): (mean, stderr)}`` for each of ``deltas``, all from
-    one phase pass.
+    ``{(m, basis_tag): (mean, stderr)}``.
 
     ``selector`` picks the states per realization: "mid" for the
     mid-spectrum window of ``mid_count`` states, "ground" for the
-    lowest-energy state.  A ``fallbacks`` Counter gains the phases that left
-    the windowed solver, by reason (see :func:`obsent.sampling.window_rows`).
+    lowest-energy state.
     """
-    states = Window(1 if selector == "ground" else resolve_mid_count(mid_count, L), selector)
-    grid = [ModelParams(L=L, delta=delta, bc=bc) for delta in deltas]
-    tables = phase_table(grid, n_phi, seed, states, m_list, basis_tags, momentum_order, fallbacks)
-    return [{key: (float(mean), float(stderr)) for key, (mean, stderr) in table.items()} for table in tables]
-
-
-def eigenstate_entropy_table(L: int, delta: float, m_list, basis_tags=("real",), **options):
-    """:func:`eigenstate_entropy_tables` at one delta."""
-    return eigenstate_entropy_tables(L, (delta,), m_list, basis_tags, **options)[0]
+    tables, _ = phase_table([ModelParams(L=L, delta=delta, bc=bc)], n_phi, seed,
+                            eigenstate_window(L, mid_count, selector), m_list, basis_tags, momentum_order)
+    return {key: (float(mean), float(stderr)) for key, (mean, stderr) in tables[0].items()}
 
 
 def normalized_fluctuation(values_by_L) -> float:

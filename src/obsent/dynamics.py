@@ -4,9 +4,9 @@ A quench starts from a particle localized on one site and evolves it with
 the full chain Hamiltonian.  For delta = 0 on a ring the site amplitudes
 are Bessel functions of the first kind, ``<j|psi(t)> = i^n J_n(2t)`` with
 n the signed distance from the initial site, which gives an independent
-closed-form reference for the finest-grained entropy.  The quench tables
-of the deltas of one size are one :func:`obsent.sampling.phase_table` call
-that keeps each phase's entropies per time.
+closed-form reference for the finest-grained entropy.  A quench table is
+one :func:`obsent.sampling.phase_table` call that keeps each phase's
+entropies per time.
 """
 
 from __future__ import annotations
@@ -48,8 +48,17 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray) -> np.nda
     return (eig.vectors @ phases.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def quench_entropy_tables(
-    grid,
+def quench_states(L: int, times, initial_site: int | None = None):
+    """The states a quench table of size L measures: a function of a stack
+    of eigensystems that evolves the particle on the 1-based site
+    ``initial_site`` (default the middle of the lattice) to each of ``times``."""
+    psi0 = site_state(L, L // 2 if initial_site is None else initial_site)
+    times = np.asarray(times, dtype=float)
+    return lambda eig: evolve_many(eig, psi0, times)
+
+
+def quench_entropy_table(
+    params: ModelParams,
     times: np.ndarray,
     m_list,
     *,
@@ -58,26 +67,17 @@ def quench_entropy_tables(
     basis_tag: str = "real",
     initial_site: int | None = None,
     momentum_order: str = "index",
-) -> list:
+) -> dict:
     """Phase-averaged quench entropies for several block sizes at once:
-    ``{m: (mean, stderr)}``, arrays over the time grid, for each chain of
-    ``grid`` (one L), all from one phase pass.
+    ``{m: (mean, stderr)}``, arrays over the time grid.
 
     One diagonalization per phase realization serves every time and block
     size.  The particle starts on the 1-based site ``initial_site`` (default
     the middle of the lattice).
     """
-    L = grid[0].L
-    psi0 = site_state(L, L // 2 if initial_site is None else initial_site)
-    times = np.asarray(times, dtype=float)
-    states = lambda eig: evolve_many(eig, psi0, times)
-    tables = phase_table(grid, n_phi, seed, states, m_list, (basis_tag,), momentum_order)
-    return [{m: stats for (m, _), stats in table.items()} for table in tables]
-
-
-def quench_entropy_table(params: ModelParams, times: np.ndarray, m_list, **options):
-    """:func:`quench_entropy_tables` of one chain."""
-    return quench_entropy_tables([params], times, m_list, **options)[0]
+    tables, _ = phase_table([params], n_phi, seed, quench_states(params.L, times, initial_site), m_list,
+                            (basis_tag,), momentum_order)
+    return {m: stats for (m, _), stats in tables[0].items()}
 
 
 def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:

@@ -24,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import eigenstate_entropy_tables, fit_log_slope, normalized_fluctuation, resolve_mid_count
-from .dynamics import quench_entropy_tables
+from .analysis import eigenstate_window, fit_log_slope, normalized_fluctuation, resolve_mid_count
+from .dynamics import quench_states
 from .model import ModelParams, chain_solvers
+from .sampling import phase_table
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries the full diagnostics list."""
@@ -210,7 +211,7 @@ def validate(config: ExperimentConfig) -> list:
     if typed["initial_site"] is not None:
         diags += [f"initial_site={typed['initial_site']} outside 1..{L}"
                   for L in typed["L"] or () if not 1 <= typed["initial_site"] <= L]
-    runs_quench = any(point is _quench_point for point, *_ in tables)
+    runs_quench = any(kind == "quench" for kind, *_ in tables)
     if runs_quench and not bad & {"t_min", "t_max", "t_points", "times", "fit_window"}:
         lo, hi = config.fit_window
         if not lo < hi:
@@ -232,7 +233,7 @@ def validate(config: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# grid jobs (module level so a process pool can pickle them)
+# grid job (module level so a process pool can pickle it)
 
 @contextmanager
 def _grid_point(**point):
@@ -243,52 +244,40 @@ def _grid_point(**point):
         raise type(exc)("".join(f"{k}={v}, " for k, v in point.items()) + str(exc)) from exc
 
 
-def _eig_point(job):
-    config, L, deltas = job
-    fallbacks = Counter()
+def _grid_job(job):
+    """One job's tables and dense-fallback counts: :func:`~obsent.sampling.phase_table`
+    of its deltas of one L, on the eigenstate window or the quench states."""
+    config, kind, L, deltas = job
     with _grid_point(L=L):
-        tables = eigenstate_entropy_tables(
-            L, deltas, config.m, config.basis_tags(), n_phi=config.n_phi, seed=config.seed,
-            mid_count=config.mid_count, selector=config.selector, bc=config.bc,
-            momentum_order=config.momentum_order, fallbacks=fallbacks,
-        )
-    return tables, fallbacks
+        states = (quench_states(L, config.time_grid(), config.initial_site) if kind == "quench"
+                  else eigenstate_window(L, config.mid_count, config.selector))
+        grid = [ModelParams(L=L, delta=delta, bc=config.bc) for delta in deltas]
+        return phase_table(grid, config.n_phi, config.seed, states, config.m, config.basis_tags(),
+                           config.momentum_order)
 
 
-def _quench_point(job):
-    config, L, deltas = job
-    with _grid_point(L=L):
-        tables = quench_entropy_tables(
-            [ModelParams(L=L, delta=delta, bc=config.bc) for delta in deltas], config.time_grid(), config.m,
-            n_phi=config.n_phi, seed=config.seed, basis_tag=config.basis,
-            initial_site=config.initial_site, momentum_order=config.momentum_order,
-        )
-    return [{(m, config.basis): stats for m, stats in table.items()} for table in tables], Counter()
-
-
-def _map_grid(point, config: ExperimentConfig, fallbacks: Counter):
-    """``{(L, delta): table}`` over config.L x config.delta, and the number of
-    worker processes (1 when serial).  A job is one L with a contiguous group
-    of its deltas, which share their phase blocks: one group per L at jobs 1,
-    at most ``jobs`` otherwise.  ``point`` returns the group's tables and
-    dense-fallback Counter, which is added to ``fallbacks``.  A pool starts
-    at most one worker per job and per CPU."""
+def _map_grid(kind: str, config: ExperimentConfig):
+    """``{(L, delta): table}`` of ``kind`` over config.L x config.delta, the
+    dense-fallback counts by reason, and the worker count (1 when serial).
+    A job is one L with a contiguous group of its deltas, which share their
+    phase blocks: one group per L at jobs 1, at most ``jobs`` otherwise.  A
+    pool starts at most one worker per job and per CPU."""
     groups = min(config.jobs, len(config.delta))
     cuts = [len(config.delta) * i // groups for i in range(groups + 1)]
-    jobs = [(config, L, config.delta[a:b]) for L in config.L for a, b in zip(cuts, cuts[1:])]
+    jobs = [(config, kind, L, config.delta[a:b]) for L in config.L for a, b in zip(cuts, cuts[1:])]
     if config.jobs <= 1 or len(jobs) <= 1:
-        workers, results = 1, [point(job) for job in jobs]
+        workers, results = 1, [_grid_job(job) for job in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor  # costs about 20 ms of import; serial runs skip it
 
         workers = min(config.jobs, len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, jobs))
-    tables = {}
-    for (_, L, deltas), (group, counts) in zip(jobs, results):
+            results = list(pool.map(_grid_job, jobs))
+    tables, fallbacks = {}, Counter()
+    for (_, _, L, deltas), (group, counts) in zip(jobs, results):
         fallbacks.update(counts)
         tables.update(zip([(L, delta) for delta in deltas], group))
-    return tables, workers
+    return tables, fallbacks, workers
 
 
 # ---------------------------------------------------------------------------
@@ -333,30 +322,28 @@ def _fig5_fluctuation(config: ExperimentConfig, tables: dict):
 
 _SWEEP_COLUMNS = ("basis", "L", "delta", "m", "mean_S", "stderr_S", "n_phi")
 
-#: preset -> CSV tables, each (grid point, file name, columns, extra CSV or None).
+#: preset -> CSV tables, each (kind of table, file name, columns, extra CSV or None).
 #: Rows run basis > L > delta > m (> t).
 _PRESET_TABLES = {
-    "fig1": [(_eig_point, "fig1.csv", ("delta", "m", "mean_S", "stderr_S", "n_phi"), None)],
-    "fig3": [(_quench_point, "fig3.csv", ("delta", "m", "t", "mean_S", "stderr_S"), _fig3_slopes)],
-    "fig4": [(_eig_point, "fig4.csv", _SWEEP_COLUMNS, None)],
-    "fig5": [(_eig_point, "fig5_curves.csv", ("L", "delta", "m", "mean_S", "stderr_S"),
+    "fig1": [("eigen", "fig1.csv", ("delta", "m", "mean_S", "stderr_S", "n_phi"), None)],
+    "fig3": [("quench", "fig3.csv", ("delta", "m", "t", "mean_S", "stderr_S"), _fig3_slopes)],
+    "fig4": [("eigen", "fig4.csv", _SWEEP_COLUMNS, None)],
+    "fig5": [("eigen", "fig5_curves.csv", ("L", "delta", "m", "mean_S", "stderr_S"),
               _fig5_fluctuation)],
-    "custom": [(_eig_point, "sweep.csv", _SWEEP_COLUMNS, None),
-               (_quench_point, "quench.csv", ("L", "delta", "m", "t", "mean_S", "stderr_S"), None)],
+    "custom": [("eigen", "sweep.csv", _SWEEP_COLUMNS, None),
+               ("quench", "quench.csv", ("L", "delta", "m", "t", "mean_S", "stderr_S"), None)],
 }
 
 
 def _tables(config: ExperimentConfig) -> list:
     """The preset's tables that ``config`` writes; custom writes quench.csv only with a time grid."""
     quench = config.preset != "custom" or config.times is not None
-    return [table for table in _PRESET_TABLES.get(config.preset, ()) if table[0] is _eig_point or quench]
+    return [table for table in _PRESET_TABLES.get(config.preset, ()) if table[0] == "eigen" or quench]
 
 
-def _table_rows(config: ExperimentConfig, point, columns, fallbacks: Counter):
-    """Run ``point`` over the grid; return its results, the table's rows and
-    the worker count."""
-    times = config.time_grid() if point is _quench_point else [None]
-    tables, workers = _map_grid(point, config, fallbacks)
+def _table_rows(config: ExperimentConfig, kind: str, columns, tables: dict) -> list:
+    """The rows of a table of ``kind`` from its ``(L, delta)`` results."""
+    times = config.time_grid() if kind == "quench" else [None]
     rows = []
     for basis in config.basis_tags():
         for L in config.L:
@@ -367,7 +354,7 @@ def _table_rows(config: ExperimentConfig, point, columns, fallbacks: Counter):
                         row = dict(basis=basis, L=L, delta=delta, m=m, t=t, mean_S=mean_t,
                                    stderr_S=stderr_t, n_phi=config.n_phi)
                         rows.append([row[c] for c in columns])
-    return tables, rows, workers
+    return rows
 
 
 def run(config: ExperimentConfig) -> list:
@@ -412,10 +399,11 @@ def run(config: ExperimentConfig) -> list:
             fh.write("\n")
 
     try:
-        for point, name, columns, extra in _tables(config):
-            tables, rows, used = _table_rows(config, point, columns, fallbacks)
+        for kind, name, columns, extra in _tables(config):
+            tables, counts, used = _map_grid(kind, config)
+            fallbacks.update(counts)
             workers = max(workers, used)
-            files.append((name, columns, rows))
+            files.append((name, columns, _table_rows(config, kind, columns, tables)))
             if extra is not None:
                 files.append(extra(config, tables))
     except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:

@@ -19,6 +19,7 @@ for the lowest ones.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,20 +165,20 @@ class Window:
         return np.take_along_axis(eig.vectors, picked[..., None, :], axis=-1).swapaxes(-1, -2)
 
 
-def window_rows(diag: np.ndarray, window: Window, fallbacks=None) -> np.ndarray:
+def window_rows(diag: np.ndarray, window: Window) -> tuple:
     """(B, n, L) rows of ``window`` for the B open chains whose on-site
-    energies are the rows of ``diag`` (B, L).
+    energies are the rows of ``diag`` (B, L), and the B reasons they fell
+    back, "" where a chain did not.
 
     Eigenvalues come from :func:`~obsent.model.chain_eigenvalues`, and
     :func:`~obsent.model.chain_eigenvectors` finds the eigenvectors of all
-    selected levels at once; unless a chain fell back, the result is its
-    C-ordered working array.  A chain is redone on the full eigensystem,
-    and counted by reason in the ``fallbacks``
-    Counter if one is given, when a selected level lies within
-    :data:`GAP_MIN` of a neighbour ("near_degenerate"), when the window
-    edge is a tie within :data:`EIGENPAIR_TOL` so that rounding decides
-    which level is picked ("window_tie"), or when its vectors miss
-    :data:`EIGENPAIR_TOL` ("inaccurate").  The first two are decided from
+    selected levels at once; unless a chain fell back, the rows are its
+    C-ordered working array.  A chain is redone on the full eigensystem
+    when a selected level lies within :data:`GAP_MIN` of a neighbour
+    (reason "near_degenerate"), when the window edge is a tie within
+    :data:`EIGENPAIR_TOL` so that rounding decides which level is picked
+    ("window_tie"), or when its vectors miss :data:`EIGENPAIR_TOL`
+    ("inaccurate").  The first two are decided from
     the eigenvalues and solved before the inverse iteration allocates its
     arrays, which then leaves those chains out, so that a full eigensystem
     and a block of lanes are never held at once.  Each row depends only on
@@ -207,17 +208,15 @@ def window_rows(diag: np.ndarray, window: Window, fallbacks=None) -> np.ndarray:
         rows[rest] = found
         for p, full_rows in zip(redo, full):
             rows[p] = full_rows
-    if fallbacks is not None:
-        fallbacks.update(reason[reason != ""].tolist())
-    return rows
+    return rows, reason.tolist()
 
 
-def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentum_order: str = "index",
-                fallbacks=None) -> list:
+def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentum_order: str = "index"):
     """Phase-averaged entropies ``{(m, basis_tag): (mean, stderr)}`` under
-    size-m contiguous blocks, one table per chain in ``grid``: the one loop
-    over phase realizations, and the one reduction of their weights, that
-    every eigenstate and quench table runs through.
+    size-m contiguous blocks, one table per chain in ``grid``, and the count
+    of dense fallbacks by reason: the one loop over phase realizations, and
+    the one reduction of their weights, that every eigenstate and quench
+    table runs through.
 
     ``grid`` holds chains of one L and boundary condition, typically the
     deltas of one size.  Their ``n_phi`` phases each, in grid order, are
@@ -230,10 +229,10 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     whose n entropies per realization are kept (a quench's times), so that
     the means and standard errors over phases have shape (n,).  A window of
     open chains runs on eigenvalues plus inverse iteration (see
-    :func:`window_rows`, which counts its fallbacks in ``fallbacks``) in
-    blocks of ``max(chunk_size(L, n), L // n)`` realizations, so that at
-    least L lanes share each sweep; its pivots and vectors then take up to
-    2*8*L**2 bytes, as much as one full eigensystem of a fallback.
+    :func:`window_rows`) in blocks of ``max(chunk_size(L, n), L // n)``
+    realizations, so that at least L lanes share each sweep; its pivots and
+    vectors then take up to 2*8*L**2 bytes, as much as one full eigensystem
+    of a fallback.
     Everything else diagonalizes :func:`chunk_size` (L) realizations at a
     time, open chains through :func:`~obsent.model.chain_eigensystem` and
     periodic ones as dense matrices.  Either way the weights of one basis
@@ -254,12 +253,12 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     step = chunk_size(L, states.count) if windowed else chunk_size(L)
     block = max(step, L // states.count) if windowed else step
     if windowed:
-        solve = lambda diag: window_rows(diag, states, fallbacks)
+        solve = lambda diag: window_rows(diag, states)
     elif bc == "open":
-        solve = lambda diag: states(chain_eigensystem(diag))
+        solve = lambda diag: (states(chain_eigensystem(diag)), ())
     else:
-        solve = lambda diag: states(eigendecompose(chain_matrices(diag, periodic=True)))
-    tables, samples = [], {(m, b): [] for m in m_list for b in basis_tags}
+        solve = lambda diag: (states(eigendecompose(chain_matrices(diag, periodic=True))), ())
+    tables, samples, fallbacks = [], {(m, b): [] for m in m_list for b in basis_tags}, Counter()
     total = len(grid) * n_phi
     for start in range(0, total, block):
         stop = min(start + block, total)
@@ -267,7 +266,9 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
         parts = [(g, max(start - g * n_phi, 0), min(stop - g * n_phi, n_phi))
                  for g in range(start // n_phi, (stop - 1) // n_phi + 1)]
         try:
-            rows = solve(np.concatenate([chain_diagonals(grid[g], phis[g][lo:hi]) for g, lo, hi in parts]))
+            rows, reason = solve(np.concatenate([chain_diagonals(grid[g], phis[g][lo:hi])
+                                                 for g, lo, hi in parts]))
+            fallbacks.update(filter(None, reason))
             for chunk in range(0, len(rows), step):
                 part = rows[chunk:chunk + step]
                 for b in basis_tags:
@@ -287,7 +288,7 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
                 tables[-1][key] = mean_stderr(vals[:n_phi])
                 samples[key] = [vals[n_phi:].copy()]  # a view would keep the joined array
             vals = None  # and so would the name
-    return tables
+    return tables, fallbacks
 
 
 def mean_stderr(samples: np.ndarray):

@@ -15,7 +15,8 @@ import pytest
 import obsent.cli
 import obsent.model
 import obsent.runner
-from obsent import ConfigError, config_from_mapping, make_config, run, validate
+from obsent import (ConfigError, ModelParams, config_from_mapping, eigenstate_entropy_table, make_config,
+                    quench_entropy_table, run, validate)
 
 
 def read_csv(path):
@@ -227,6 +228,40 @@ def test_parallel_fallback_counts_match_serial(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+LIBRARY_RUNS = {
+    "open-sweep": ["--L", "16,32", "--delta", "0.5,2.0,3.0", "--m", "1,4", "--basis", "both",
+                   "--mid-count", "3", "--n-phi", "5"],
+    "periodic-quench": ["--bc", "periodic", "--L", "16,32", "--delta", "0.5,2.0,3.0", "--m", "1,4",
+                        "--basis", "momentum", "--mid-count", "3", "--n-phi", "5", "--times", "0,1,8",
+                        "--initial-site", "3"],
+}
+
+
+@pytest.mark.parametrize("flags", LIBRARY_RUNS.values(), ids=LIBRARY_RUNS)
+def test_presets_equal_library_tables(tmp_path, flags):
+    # the runner's grid job and the two table functions each call phase_table
+    # on their own, through the same window and quench-state rules
+    assert obsent.cli.main(["run", "--preset", "custom", *flags, "--out", str(tmp_path)]) == 0
+    cfg = config_from_mapping(json.loads((tmp_path / "run_manifest.json").read_text())["config"])
+    digits = lambda stats: [format(x, ".17g") for x in stats]
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == len(cfg.basis_tags()) * len(cfg.L) * len(cfg.delta) * len(cfg.m)
+    for basis, L, delta, m, mean, stderr, _ in rows:
+        table = eigenstate_entropy_table(int(L), float(delta), cfg.m, cfg.basis_tags(), n_phi=cfg.n_phi,
+                                         seed=cfg.seed, mid_count=cfg.mid_count, bc=cfg.bc)
+        assert [mean, stderr] == digits(table[(int(m), basis)])
+    if cfg.times is None:
+        return
+    _, rows = read_csv(tmp_path / "quench.csv")
+    times = list(cfg.time_grid())
+    assert len(rows) == len(cfg.L) * len(cfg.delta) * len(cfg.m) * len(times)
+    for L, delta, m, t, mean, stderr in rows:
+        table = quench_entropy_table(ModelParams(L=int(L), delta=float(delta), bc=cfg.bc), times, cfg.m,
+                                     n_phi=cfg.n_phi, seed=cfg.seed, basis_tag=cfg.basis,
+                                     initial_site=cfg.initial_site)
+        assert [mean, stderr] == digits(stats[times.index(float(t))] for stats in table[int(m)])
+
+
 def test_pool_never_exceeds_grid_points(tmp_path, monkeypatch):
     # a stub stands in for the pool: a real one with jobs=100000 would fork
     # a process per worker at the first submit
@@ -333,6 +368,7 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     ({"preset": "fig3", "fit_window": [3]}, ["--fit-hi", "40"], "fit_window"),
     ({"seed": 1.5}, [], "seed"),
     ({"mid_count": [1]}, [], "mid_count"),
+    ({"mid_count": True}, [], "mid_count must be"),
     (None, ["--preset", "bogus"], "preset"),
     (None, ["--basis", "bogus"], "basis"),
     (None, ["--bc", "bogus"], "bc"),
@@ -357,7 +393,7 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     (None, ["--preset", "fig5", "--L", "16,16", "--m", "1,1"], "m=[1, 1] repeats a value"),
     (None, ["--preset", "fig4", "--L", "16", "--delta", "1,1.0", "--m", "1"], "delta=[1.0, 1.0] repeats a value"),
 ], ids=["file-list", "L-str", "n_phi-str", "t_points-float", "fit_window-short",
-        "fit_window-short-fit-hi", "seed-float", "mid_count-list", "preset", "basis", "bc",
+        "fit_window-short-fit-hi", "seed-float", "mid_count-list", "mid_count-bool", "preset", "basis", "bc",
         "selector", "momentum_order", "L-flag", "n_phi-flag", "mid_count-flag", "fig1-L-zero",
         "fig1-L-negative", "fig1-L-empty", "fig3-fit-window-short", "fig3-fit-window-t0",
         "fig1-two-L", "fig3-both-bases", "fig3-t-points-cap", "fig5-one-L", "fig5-repeated-L",

@@ -20,17 +20,16 @@ from obsent import (
     chain_eigensystem,
     eigendecompose,
     eigenstate_entropy_table,
-    eigenstate_entropy_tables,
     evolve_many,
     kinetic_index_order,
     phase_sequence,
     quench_entropy_table,
-    quench_entropy_tables,
     site_state,
     to_momentum,
     uniform_block_entropy,
 )
 from obsent import model, sampling
+from obsent.analysis import eigenstate_window
 from obsent.sampling import Window, chunk_size, phase_table, window_rows
 
 import reference
@@ -162,7 +161,7 @@ def block_entropies(rows, m):
 def test_window_rows_match_dense_eigh(L, delta, phi, size, selector):
     params, phis = ModelParams(L=L, delta=delta), np.array([phi])
     window = Window(1 + int(size * (L - 1)), selector)
-    rows = window_rows(chain_diagonals(params, phis), window)
+    rows, _ = window_rows(chain_diagonals(params, phis), window)
     dense = dense_window(params, phis, window)  # Window(count)(eig) of dense eigh
     assert np.abs(rows @ rows.swapaxes(-1, -2) - np.eye(window.count)).max() <= 1e-10
     for m in (1, 2, L // 2):
@@ -184,10 +183,10 @@ def wells(twin):
 @pytest.mark.parametrize("twin", [True, False], ids=["near-degenerate", "control"])
 def test_near_degenerate_window_takes_dense_path(twin):
     diag, window = wells(twin)[None], Window(1, "ground")
-    fallbacks = Counter()
-    rows = window_rows(diag, window, fallbacks)
+    rows, reason = window_rows(diag, window)
     dense = full_window(diag, window)
-    assert fallbacks["near_degenerate"] == twin
+    assert reason == ["near_degenerate" if twin else ""]
+    assert Counter(filter(None, reason))["near_degenerate"] == twin
     if twin:
         assert np.array_equal(rows, dense)
     else:
@@ -199,10 +198,11 @@ def test_window_rows_of_a_block_equal_per_phase_blocks():
     params, phis, window = ModelParams(L=32, delta=1.5), np.array([0.4, 0.0, 2.2, 5.0, 0.0]), Window(2, "ground")
     diag = chain_diagonals(params, phis)
     diag[phis == 0.0] = wells(True)
-    block, per_phase = Counter(), Counter()
-    rows = window_rows(diag, window, block)
-    single = np.concatenate([window_rows(diag[p:p + 1], window, per_phase) for p in range(len(phis))])
-    assert block == per_phase == {"near_degenerate": 2}
+    rows, reason = window_rows(diag, window)
+    per_phase = [window_rows(diag[p:p + 1], window) for p in range(len(phis))]
+    single = np.concatenate([rows for rows, _ in per_phase])
+    assert reason == [r for _, (r,) in per_phase] == ["", "near_degenerate", "", "", "near_degenerate"]
+    assert Counter(filter(None, reason)) == {"near_degenerate": 2}
     assert np.array_equal(rows, single)
     assert np.array_equal(rows[1], full_window(diag[1:2], window)[0])
 
@@ -229,17 +229,19 @@ def test_shared_blocks_across_deltas_equal_per_delta_tables(monkeypatch):
     with_wells(monkeypatch, {1.5: phis[0][-1:], 2.5: phis[1][:1]})
     blocks = []
 
-    def recording(diag, window, fallbacks=None):
-        blocks.append(window_rows(diag, window, fallbacks))
-        return blocks[-1]
+    def recording(diag, window):
+        rows, reason = window_rows(diag, window)
+        blocks.append(rows)
+        return rows, reason
 
     monkeypatch.setattr(sampling, "window_rows", recording)
-    shared_counts = Counter()
-    shared = phase_table(grid, n_phi, 9, window, [1, 2], ("real", "momentum"), fallbacks=shared_counts)
+    shared, shared_counts = phase_table(grid, n_phi, 9, window, [1, 2], ("real", "momentum"))
     assert [len(b) for b in blocks] == [10]
-    single_counts = Counter()
-    single = [phase_table([params], n_phi, 9, window, [1, 2], ("real", "momentum"), fallbacks=single_counts)[0]
-              for params in grid]
+    single, single_counts = [], Counter()
+    for params in grid:
+        tables, counts = phase_table([params], n_phi, 9, window, [1, 2], ("real", "momentum"))
+        single += tables
+        single_counts.update(counts)
     assert [len(b) for b in blocks] == [10, 5, 5]
     assert shared_counts == single_counts == {"near_degenerate": 2}
     assert np.array_equal(blocks[0], np.concatenate(blocks[1:]))
@@ -247,18 +249,6 @@ def test_shared_blocks_across_deltas_equal_per_delta_tables(monkeypatch):
         assert table.keys() == alone.keys()
         for key in table:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(table[key], alone[key]))
-
-
-def test_grouped_tables_equal_single_delta_tables():
-    kwargs = dict(n_phi=7, seed=3)
-    eigen = eigenstate_entropy_tables(16, (0.5, 2.0, 3.0), [1, 4], ("real", "momentum"), mid_count=3, **kwargs)
-    assert eigen == [eigenstate_entropy_table(16, delta, [1, 4], ("real", "momentum"), mid_count=3, **kwargs)
-                     for delta in (0.5, 2.0, 3.0)]
-    grid, times = [ModelParams(L=16, delta=delta, bc="periodic") for delta in (0.5, 2.0)], [0.0, 1.0, 8.0]
-    for table, params in zip(quench_entropy_tables(grid, times, [1, 4], **kwargs), grid):
-        alone = quench_entropy_table(params, times, [1, 4], **kwargs)
-        assert table.keys() == alone.keys()
-        assert all(a.tobytes() == b.tobytes() for m in table for a, b in zip(table[m], alone[m]))
 
 
 @pytest.mark.parametrize("L, n, n_phi, deltas, blocks, chunk", [
@@ -270,9 +260,9 @@ def test_grouped_tables_equal_single_delta_tables():
 def test_lane_blocks_hold_at_least_L_lanes(monkeypatch, L, n, n_phi, deltas, blocks, chunk):
     grid, window, seen = [ModelParams(L=L, delta=delta) for delta in deltas], Window(n), []
 
-    def recording(diag, window, fallbacks=None):
+    def recording(diag, window):
         seen.append(len(diag))
-        return window_rows(diag, window, fallbacks)
+        return window_rows(diag, window)
 
     monkeypatch.setattr(sampling, "window_rows", recording)
     weights = recorded_weights(monkeypatch)
@@ -281,7 +271,7 @@ def test_lane_blocks_hold_at_least_L_lanes(monkeypatch, L, n, n_phi, deltas, blo
     assert seen == blocks and chunk == chunk_size(L, n)
     assert [len(c) for c in chunks] == [min(chunk, b - s) for b in blocks for s in range(0, b, chunk)]
     diag = np.concatenate([chain_diagonals(p, phase_sequence(7, L, p.delta, n_phi)) for p in grid])
-    rows = window_rows(diag, window)
+    rows, _ = window_rows(diag, window)
     k_rows = to_momentum(rows, axis=-1)
     assert np.array_equal(np.concatenate(chunks), np.abs(k_rows) ** 2)
 
@@ -294,11 +284,11 @@ def test_lane_block_peak_memory_stays_within_a_dense_fallback(monkeypatch, route
     if route == "numpy-dense":
         monkeypatch.setattr(model, "_DSTERF", None)
         monkeypatch.setattr(model, "_DSTEVD", None)
-    L, fallbacks = 512, Counter()
+    L = 512
     tracemalloc.start()
     try:
-        eigenstate_entropy_table(L, 2.5, (1, 2, 4, 8), ("real", "momentum"), n_phi=25, seed=42,
-                                 mid_count="L/8", fallbacks=fallbacks)
+        _, fallbacks = phase_table([ModelParams(L=L, delta=2.5)], 25, 42, eigenstate_window(L, "L/8", "mid"),
+                                   (1, 2, 4, 8), ("real", "momentum"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -310,9 +300,8 @@ def test_window_edge_tie_takes_dense_path():
     # At delta = 0 the open chain's spectrum is symmetric about zero, so an
     # odd mid window ends on a |E| tie that rounding alone would decide.
     diag, window = chain_diagonals(ModelParams(L=16), np.zeros(1)), Window(9)
-    fallbacks = Counter()
-    rows = window_rows(diag, window, fallbacks)
-    assert fallbacks == {"window_tie": 1}
+    rows, reason = window_rows(diag, window)
+    assert Counter(filter(None, reason)) == {"window_tie": 1}
     assert np.array_equal(rows, full_window(diag, window))
 
 
@@ -325,9 +314,9 @@ def test_inaccurate_vectors_take_dense_path(monkeypatch):
         return rows
 
     monkeypatch.setattr(sampling, "chain_eigenvectors", garbled)
-    diag, fallbacks = chain_diagonals(params, phis), Counter()
-    rows = window_rows(diag, window, fallbacks)
-    assert fallbacks == {"inaccurate": 3}
+    diag = chain_diagonals(params, phis)
+    rows, reason = window_rows(diag, window)
+    assert Counter(filter(None, reason)) == {"inaccurate": 3}
     assert np.array_equal(rows, full_window(diag, window))
 
 
@@ -335,9 +324,9 @@ def test_inaccurate_vectors_take_dense_path(monkeypatch):
 @pytest.mark.parametrize("L", [2, 16])
 def test_huge_delta_falls_back_without_warnings(L, selector):
     # the suite turns RuntimeWarnings into errors, so an overflow warning fails here
-    fallbacks = Counter()
-    table = eigenstate_entropy_table(L, 1.7e308, [1, L], n_phi=3, mid_count=2, selector=selector,
-                                     fallbacks=fallbacks)
+    window = eigenstate_window(L, 2, selector)
+    tables, fallbacks = phase_table([ModelParams(L=L, delta=1.7e308)], 3, 0, window, [1, L], ("real",))
+    table = tables[0]
     assert table[(1, "real")][0] == pytest.approx(0.0, abs=1e-12)
     assert table[(L, "real")][0] == pytest.approx(math.log(L), abs=1e-12)
     assert fallbacks == {"inaccurate": 3}
@@ -374,15 +363,19 @@ def test_phase_table_rejects_unknown_basis(monkeypatch):
 
 
 def test_one_loop_over_phases_and_one_reduction():
-    # every phase average draws its phases and reduces its weights in phase_table alone
-    callers = set()
+    # every phase average draws its phases and reduces its weights in phase_table
+    # alone, which the two table functions and the runner's grid job call directly,
+    # and fallback counts are returned, never passed in
+    callers, fallback_params = set(), set()
 
     def visit(node, module, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
+        if isinstance(node, ast.arg) and node.arg == "fallbacks":  # a parameter of any function or lambda
+            fallback_params.add((module, owner))
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in ("phase_sequence", "uniform_block_entropy"):
+            if name in ("phase_sequence", "uniform_block_entropy", "phase_table"):
                 callers.add((name, module, owner))
         for child in ast.iter_child_nodes(node):
             visit(child, module, owner)
@@ -390,7 +383,11 @@ def test_one_loop_over_phases_and_one_reduction():
     for path in sorted(Path(sampling.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
     assert callers == {("phase_sequence", "sampling", "phase_table"),
-                       ("uniform_block_entropy", "sampling", "phase_table")}
+                       ("uniform_block_entropy", "sampling", "phase_table"),
+                       ("phase_table", "analysis", "eigenstate_entropy_table"),
+                       ("phase_table", "dynamics", "quench_entropy_table"),
+                       ("phase_table", "runner", "_grid_job")}
+    assert not fallback_params
 
 
 @pytest.mark.parametrize(
