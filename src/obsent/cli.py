@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error or unusable ``--out``, 3 numerical failure.
 ``validate`` prints its JSON report on stdout; ``run`` reports errors as a
 JSON object on stderr, so callers can parse them.
 """
@@ -13,9 +13,8 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .runner import _LIST_FIELDS, ConfigError, ExperimentConfig, config_from_mapping, run, validate
+from .sampling import NUMERICAL_ERRORS
 
 
 def _number(text):
@@ -104,7 +103,9 @@ def main(argv=None) -> int:
         return _fail("config", {"diagnostics": diagnostics}, 2)
     try:
         outputs = run(config)
-    except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+    except ConfigError as exc:  # an unusable --out
+        return _fail("config", {"diagnostics": exc.diagnostics}, 2)
+    except NUMERICAL_ERRORS as exc:
         return _fail("numerical", {"message": str(exc)}, 3)
     for path in outputs:
         print(path)

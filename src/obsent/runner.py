@@ -3,20 +3,19 @@
 Every preset writes plain CSV data files plus a JSON run manifest.  The
 CSV bodies are deterministic for a fixed configuration and seed (floats
 are written with 17 significant digits, row order is fixed by the grid);
-wall-clock information lives only in the manifest.
+wall-clock information lives only in the manifest.  A run maps one list
+of jobs for all its tables once, serially or through one process pool.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import numbers
 import os
 import platform
 import time
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,7 +26,7 @@ from . import __version__
 from .analysis import eigenstate_window, fit_log_slope, normalized_fluctuation, resolve_mid_count
 from .dynamics import quench_states
 from .model import ModelParams, chain_solvers
-from .sampling import phase_table
+from .sampling import NUMERICAL_ERRORS, phase_table
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries the full diagnostics list."""
@@ -134,9 +133,9 @@ def make_config(preset: str = "custom", **overrides) -> ExperimentConfig:
     merged.update({key: value for key, value in typed.items() if value is not None})
     if "out" in merged:
         merged["out"] = str(merged["out"])
-    L = typed["L"]  # fig1's default m: every dyadic block size of L[0], where it has one
+    L = typed["L"]  # fig1's default m: the powers of two that divide L[0], where it has one
     if merged.get("m", ExperimentConfig.m) is None and L and L[0] >= 1:
-        merged["m"] = tuple(2**k for k in range(int(math.log2(L[0])) + 1))
+        merged["m"] = tuple(2**k for k in range((L[0] & -L[0]).bit_length()))
     return ExperimentConfig(**merged)
 
 
@@ -233,51 +232,39 @@ def validate(config: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# grid job (module level so a process pool can pickle it)
-
-@contextmanager
-def _grid_point(**point):
-    """Prefix numerical errors raised inside with the grid point: ``L=16, <message>``."""
-    try:
-        yield
-    except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
-        raise type(exc)("".join(f"{k}={v}, " for k, v in point.items()) + str(exc)) from exc
-
+# grid jobs (module level so a process pool can pickle them)
 
 def _grid_job(job):
     """One job's tables and dense-fallback counts: :func:`~obsent.sampling.phase_table`
     of its deltas of one L, on the eigenstate window or the quench states."""
     config, kind, L, deltas = job
-    with _grid_point(L=L):
-        states = (quench_states(L, config.time_grid(), config.initial_site) if kind == "quench"
-                  else eigenstate_window(L, config.mid_count, config.selector))
-        grid = [ModelParams(L=L, delta=delta, bc=config.bc) for delta in deltas]
-        return phase_table(grid, config.n_phi, config.seed, states, config.m, config.basis_tags(),
-                           config.momentum_order)
+    states = (quench_states(L, config.time_grid(), config.initial_site) if kind == "quench"
+              else eigenstate_window(L, config.mid_count, config.selector))
+    grid = [ModelParams(L=L, delta=delta, bc=config.bc) for delta in deltas]
+    return phase_table(grid, config.n_phi, config.seed, states, config.m, config.basis_tags(),
+                       config.momentum_order)
 
 
-def _map_grid(kind: str, config: ExperimentConfig):
-    """``{(L, delta): table}`` of ``kind`` over config.L x config.delta, the
-    dense-fallback counts by reason, and the worker count (1 when serial).
-    A job is one L with a contiguous group of its deltas, which share their
-    phase blocks: one group per L at jobs 1, at most ``jobs`` otherwise.  A
-    pool starts at most one worker per job and per CPU."""
+def _grid_jobs(config: ExperimentConfig) -> list:
+    """Every job of a run, in table > L > delta order.  A job is one kind of
+    table, one L and a contiguous group of its deltas, which share their
+    phase blocks: one group per L at jobs 1, at most ``jobs`` otherwise."""
     groups = min(config.jobs, len(config.delta))
     cuts = [len(config.delta) * i // groups for i in range(groups + 1)]
-    jobs = [(config, kind, L, config.delta[a:b]) for L in config.L for a, b in zip(cuts, cuts[1:])]
-    if config.jobs <= 1 or len(jobs) <= 1:
-        workers, results = 1, [_grid_job(job) for job in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # costs about 20 ms of import; serial runs skip it
+    return [(config, kind, L, config.delta[a:b]) for kind, *_ in _tables(config)
+            for L in config.L for a, b in zip(cuts, cuts[1:])]
 
-        workers = min(config.jobs, len(jobs), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_job, jobs))
-    tables, fallbacks = {}, Counter()
-    for (_, _, L, deltas), (group, counts) in zip(jobs, results):
-        fallbacks.update(counts)
-        tables.update(zip([(L, delta) for delta in deltas], group))
-    return tables, fallbacks, workers
+
+def _map_grid(jobs: list, pool: int | None):
+    """Each job's result in job order, as it comes in: in this process when ``pool``
+    is None, else from one pool of ``pool`` processes, shut down once read to the end."""
+    if pool is None:
+        yield from map(_grid_job, jobs)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # costs about 20 ms of import; serial runs skip it
+
+    with ProcessPoolExecutor(max_workers=pool) as executor:
+        yield from executor.map(_grid_job, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +302,10 @@ def _fig5_fluctuation(config: ExperimentConfig, tables: dict):
     for delta in config.delta:
         for m in config.m:
             means = [tables[(L, delta)][(m, config.basis)][0] for L in config.L]
-            with _grid_point(delta=delta, m=m):
+            try:
                 rows.append((delta, m, normalized_fluctuation(means)))
+            except ValueError as exc:
+                raise ValueError(f"delta={delta}, m={m}, {exc}") from exc
     return "fig5_fluctuation.csv", ("delta", "m", "f"), rows
 
 
@@ -361,18 +350,24 @@ def run(config: ExperimentConfig) -> list:
     """Validate, execute the preset, and write CSV outputs plus a manifest.
 
     Returns the list of written file paths.  Raises :class:`ConfigError`
-    for invalid configurations.  A numerical failure propagates before any
-    CSV is written, and leaves a manifest with ``"status": "failed"`` and
-    the error message.
+    for invalid configurations and an unusable ``out``, before any compute.
+    The jobs of every table are mapped once, through at most one pool.  A
+    numerical failure propagates before any CSV is written, and leaves a
+    manifest with ``"status": "failed"``, the error message and the pool size.
     """
     diagnostics = validate(config)
     if diagnostics:
         raise ConfigError(diagnostics)
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"out={config.out!r} is not a usable directory: {exc}"]) from exc
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
-    files, fallbacks, workers = [], Counter(), 1  # every table is computed before any file is written
+    jobs = _grid_jobs(config)
+    pool = min(config.jobs, len(jobs), os.cpu_count() or 1) if config.jobs > 1 and len(jobs) > 1 else None
+    tables, fallbacks, files = {}, Counter(), []
 
     def write_manifest(status: str, outputs: list, **error):
         manifest = {
@@ -388,7 +383,7 @@ def run(config: ExperimentConfig) -> list:
             "eigensolver": chain_solvers(),
             "threads": {name: os.environ.get(name)
                         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
-            "workers": workers,
+            "workers": pool or 1,
             "dense_fallbacks": dict(sorted(fallbacks.items())),
             "started_utc": started.isoformat(),
             "wall_time_s": time.perf_counter() - t0,
@@ -398,15 +393,15 @@ def run(config: ExperimentConfig) -> list:
             json.dump(manifest, fh, indent=2, default=list)
             fh.write("\n")
 
-    try:
-        for kind, name, columns, extra in _tables(config):
-            tables, counts, used = _map_grid(kind, config)
+    try:  # every table is computed before any file is written
+        for (group, counts), (_, kind, L, deltas) in zip(_map_grid(jobs, pool), jobs):
             fallbacks.update(counts)
-            workers = max(workers, used)
-            files.append((name, columns, _table_rows(config, kind, columns, tables)))
+            tables.setdefault(kind, {}).update(zip([(L, delta) for delta in deltas], group))
+        for kind, name, columns, extra in _tables(config):
+            files.append((name, columns, _table_rows(config, kind, columns, tables[kind])))
             if extra is not None:
-                files.append(extra(config, tables))
-    except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+                files.append(extra(config, tables[kind]))
+    except NUMERICAL_ERRORS as exc:
         write_manifest("failed", [], error=str(exc))
         raise
     for name, columns, rows in files:

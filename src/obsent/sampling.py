@@ -10,10 +10,11 @@ stream itself (see :func:`phase_sequence`); it does not import
 
 :func:`phase_table` is the one loop over the (delta, phase) realizations
 of one size and the one reduction of their weights into averaged
-entropies that every eigenstate and quench table runs through, and
-:class:`Window` the one selector of eigenstates: call ``Window(count)(eig)``
-for the ``count`` states nearest zero energy, ``Window(count, "ground")(eig)``
-for the lowest ones.
+entropies that every eigenstate and quench table runs through; an error
+of :data:`NUMERICAL_ERRORS` raised in it names the size, deltas and phase
+indices of the failing block.  :class:`Window` is the one selector of
+eigenstates: call ``Window(count)(eig)`` for the ``count`` states nearest
+zero energy, ``Window(count, "ground")(eig)`` for the lowest ones.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ GAP_MIN = 1e-4
 #: Largest entry of ``(T - E) x`` and of ``X X^T - I`` accepted from inverse
 #: iteration.
 EIGENPAIR_TOL = 1e-10
+#: The errors a numerical failure raises; a run ends with exit 3 on them.
+NUMERICAL_ERRORS = (np.linalg.LinAlgError, ValueError, FloatingPointError)
 
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -239,7 +242,7 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     at a time are formed and reduced in chunks of :func:`chunk_size`
     realizations, and a block is released before the next one is built.
     Momentum tags see the states in the plane-wave basis, sorted by kinetic
-    energy when ``momentum_order`` is "kinetic".  Numerical errors name
+    energy when ``momentum_order`` is "kinetic".  Numerical errors name L,
     each delta of the failing block and its phase indices.
     """
     if not set(basis_tags) <= set(BASIS_TAGS):
@@ -277,9 +280,9 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
                     for m in m_list:
                         entropy = uniform_block_entropy(weights, m)
                         samples[(m, b)].append(entropy.mean(axis=-1) if window else entropy)
-        except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+        except NUMERICAL_ERRORS as exc:
             where = "; ".join(f"delta={grid[g].delta}, phase index {lo}-{hi - 1}" for g, lo, hi in parts)
-            raise type(exc)(f"{where}: {exc}") from exc
+            raise type(exc)(f"L={L}, {where}: {exc}") from exc
         rows = part = weights = None  # the last chunk's view and weights would keep the block alive
         for _ in range(len(tables), stop // n_phi):  # the chains whose realizations are all in
             tables.append({})

@@ -34,6 +34,14 @@ def test_preset_defaults_fill_in():
     assert cfg.m == tuple(2**k for k in range(9))  # every dyadic size of L=256
 
 
+@pytest.mark.parametrize("L, m", [(24, (1, 2, 4, 8)), (96, (1, 2, 4, 8, 16, 32)), (7, (1,))],
+                         ids=["L24", "L96", "L7"])
+def test_fig1_default_m_divides_L(L, m):
+    # the default block sizes are the powers of two that divide L, never one the user must correct
+    cfg = make_config("fig1", L=[L])
+    assert cfg.m == m and validate(cfg) == []
+
+
 def test_overrides_beat_preset():
     cfg = make_config("fig3", delta=[2.0], n_phi=7, out="somewhere")
     assert cfg.delta == (2.0,) and cfg.n_phi == 7 and cfg.out == "somewhere"
@@ -262,9 +270,11 @@ def test_presets_equal_library_tables(tmp_path, flags):
         assert [mean, stderr] == digits(stats[times.index(float(t))] for stats in table[int(m)])
 
 
-def test_pool_never_exceeds_grid_points(tmp_path, monkeypatch):
-    # a stub stands in for the pool: a real one with jobs=100000 would fork
-    # a process per worker at the first submit
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every process pool a run starts; a stub runs
+    the pool's jobs in this process, since a real pool with jobs=100000
+    would fork a process per worker at the first submit."""
     import concurrent.futures
 
     seen = []
@@ -283,6 +293,10 @@ def test_pool_never_exceeds_grid_points(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return seen
+
+
+def test_pool_never_exceeds_grid_points(tmp_path, pool_sizes):
     kwargs = dict(L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6)
     csvs, workers = [], []
     for jobs in (1, 100000):
@@ -290,9 +304,30 @@ def test_pool_never_exceeds_grid_points(tmp_path, monkeypatch):
         run(make_config("fig1", out=str(out), jobs=jobs, **kwargs))
         csvs.append((out / "fig1.csv").read_bytes())
         workers.append(json.loads((out / "run_manifest.json").read_text())["workers"])
-    assert len(seen) == 1 and 1 <= seen[0] <= 2
-    assert workers == [1, seen[0]]
+    assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= 2
+    assert workers == [1, pool_sizes[0]]
     assert csvs[0] == csvs[1]
+
+
+def test_run_starts_one_pool_for_all_its_tables(tmp_path, pool_sizes):
+    # the sweep and the quench jobs of a custom run share one pool, whose size
+    # the manifest records; a failing run records the pool it started
+    kwargs = dict(L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6, times=[0.0, 1.0, 2.0])
+    manifests = []
+    for jobs in (1, 2):
+        run(make_config("custom", out=str(tmp_path / f"jobs{jobs}"), jobs=jobs, **kwargs))
+        manifests.append(json.loads((tmp_path / f"jobs{jobs}" / "run_manifest.json").read_text()))
+    assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= 2
+    assert [m["workers"] for m in manifests] == [1, pool_sizes[0]]
+    assert manifests[0]["outputs"] == manifests[1]["outputs"] == ["sweep.csv", "quench.csv"]
+    for name in manifests[0]["outputs"]:
+        assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
+    failing = make_config("fig3", out=str(tmp_path / "failed"), jobs=2, L=[16], delta=[1e307, 2.0], m=[1, 16],
+                          n_phi=2, times=[0, 1, 2, 3, 4, 5, 6, 7, 8, 50], fit_window=[1, 8])
+    with pytest.raises(FloatingPointError, match="^L=16, delta=1e\\+307, phase index 0-1: t \\* E overflows"):
+        run(failing)
+    manifest = json.loads((tmp_path / "failed" / "run_manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["workers"] == pool_sizes[1]
 
 
 # --- CLI ------------------------------------------------------------------
@@ -419,6 +454,22 @@ def test_cli_rejects_malformed_values(tmp_path, monkeypatch, capsys, command, co
     assert any(field in d for d in report["diagnostics"])
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+def test_unusable_out_is_a_config_error(tmp_path, monkeypatch, capsys, under):
+    def no_compute(*args):
+        raise AssertionError("computation started for an unusable out")
+
+    monkeypatch.setattr(obsent.runner, "_map_grid", no_compute)
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / under)
+    with pytest.raises(ConfigError, match=f"^out={re.escape(repr(out))} is not a usable directory: "):
+        run(make_config("fig1", L=[16], m=[1], n_phi=2, out=out))
+    assert obsent.cli.main(["run", "--preset", "fig1", "--L", "16", "--m", "1", "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["diagnostics"][0].startswith(f"out={out!r} is not a usable directory")
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(config):
         raise np.linalg.LinAlgError("eigensolver did not converge")
@@ -437,17 +488,32 @@ def run_cli(preset, out, *flags):
                             "--out", str(out)])
 
 
-@pytest.mark.parametrize("preset, solver", [("fig1", "chain_eigenvalues"), ("fig3", "chain_eigensystem")])
+LIBRARY_CALLS = {
+    "eigenstate_entropy_table": lambda: eigenstate_entropy_table(16, 1.5, [1], n_phi=2),
+    "quench_entropy_table": lambda: quench_entropy_table(ModelParams(L=16, delta=1.5), [0.0, 1.0], [1], n_phi=2),
+}
+
+
+@pytest.mark.parametrize("preset, solver", [("fig1", "chain_eigenvalues"), ("fig3", "chain_eigensystem"),
+                                            ("eigenstate_entropy_table", "chain_eigenvalues"),
+                                            ("quench_entropy_table", "chain_eigensystem")])
 def test_cli_numerical_failure_names_grid_point(tmp_path, monkeypatch, capsys, preset, solver):
+    # the presets and the library's table functions name the same grid point
     def boom(diag):
         raise np.linalg.LinAlgError("eigensolver did not converge")
 
     monkeypatch.setattr(obsent.sampling, solver, boom)
+    message = "L=16, delta=1.5, phase index 0-1: eigensolver did not converge"
+    if preset in LIBRARY_CALLS:
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            LIBRARY_CALLS[preset]()
+        assert str(info.value) == message
+        return
     code = run_cli(preset, tmp_path, "--delta", "1.5", "--m", "1")
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "numerical"
-    assert err["message"] == "L=16, delta=1.5, phase index 0-1: eigensolver did not converge"
+    assert err["message"] == message
 
 
 def test_cli_lapack_info_names_grid_point(tmp_path, monkeypatch, capsys):

@@ -365,18 +365,25 @@ def test_phase_table_rejects_unknown_basis(monkeypatch):
 def test_one_loop_over_phases_and_one_reduction():
     # every phase average draws its phases and reduces its weights in phase_table
     # alone, which the two table functions and the runner's grid job call directly,
-    # and fallback counts are returned, never passed in
-    callers, fallback_params = set(), set()
+    # fallback counts are returned, never passed in, and the errors of a
+    # numerical failure are spelled once, in sampling.NUMERICAL_ERRORS
+    callers, fallback_params, error_tuples = set(), set(), []
+    errors = {"LinAlgError", "ValueError", "FloatingPointError"}
 
     def visit(node, module, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
+        if isinstance(node, ast.Assign) and owner is None and isinstance(node.targets[0], ast.Name):
+            owner = node.targets[0].id  # a module-level constant
         if isinstance(node, ast.arg) and node.arg == "fallbacks":  # a parameter of any function or lambda
             fallback_params.add((module, owner))
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name in ("phase_sequence", "uniform_block_entropy", "phase_table"):
                 callers.add((name, module, owner))
+        if isinstance(node, ast.Tuple) and {getattr(e, "id", getattr(e, "attr", None))
+                                            for e in node.elts} == errors:
+            error_tuples.append((module, owner))
         for child in ast.iter_child_nodes(node):
             visit(child, module, owner)
 
@@ -388,6 +395,8 @@ def test_one_loop_over_phases_and_one_reduction():
                        ("phase_table", "dynamics", "quench_entropy_table"),
                        ("phase_table", "runner", "_grid_job")}
     assert not fallback_params
+    assert error_tuples == [("sampling", "NUMERICAL_ERRORS")]
+    assert sampling.NUMERICAL_ERRORS == (np.linalg.LinAlgError, ValueError, FloatingPointError)
 
 
 @pytest.mark.parametrize(
