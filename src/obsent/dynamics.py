@@ -25,13 +25,24 @@ BESSEL_MAX_ORDER = 300
 BESSEL_MAX_ARG = 100.0
 
 
-def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray,
+                complex_vectors: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """States at all requested times, shape (n_times, L).
 
     The eigenbasis projection of psi0 is computed once; each time then
-    costs a single matrix-vector product.  A stack of systems gives a
-    (..., n_times, L) stack.  Negative times raise ``ValueError``, and an
+    costs a single matrix-vector product, all of them one complex product
+    of V + 0i with the phase factors.  A stack of systems gives a
+    (..., n_times, L) stack: the transposed view of the C-ordered
+    (..., L, n_times) product.  Negative times raise ``ValueError``, and an
     overflowing t * E raises ``FloatingPointError``.
+
+    The optional buffers let a caller that evolves many blocks reuse its
+    memory: ``complex_vectors``, a complex array shaped like
+    ``eig.vectors``, takes V + 0i, and the phase factors and the product
+    are carved out of ``scratch``, a C-ordered float array, where it holds
+    4 * n_times * L floats per system; they are allocated otherwise.
+    ``scratch`` may be the memory of ``eig.vectors`` itself, which is read
+    before it is written.
     """
     psi0 = np.asarray(psi0)
     if psi0.shape != (eig.L,):
@@ -42,19 +53,32 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray) -> np.nda
     if not math.isfinite(float(times.max(initial=0.0)) * float(np.abs(eig.energies).max(initial=0.0))):
         raise FloatingPointError(f"t * E overflows for t up to {times.max():g}")
     coeff = eig.vectors.conj().swapaxes(-1, -2) @ psi0
-    phases = -1j * (times[:, None] * eig.energies[..., None, :])
-    np.exp(phases, out=phases)  # in place, like the product: these are a chunk's largest arrays
+    if complex_vectors is None:
+        complex_vectors = np.empty(eig.vectors.shape, complex)
+    complex_vectors[...] = eig.vectors  # the operand numpy's cast would build for the product
+    batch = eig.energies.shape[:-1]
+    size = math.prod(batch) * times.size * eig.L
+    if scratch is not None and scratch.flags.c_contiguous and scratch.size >= 4 * size:
+        memory = scratch.reshape(-1)[:4 * size].view(complex)  # the vectors are spent
+        phases, product = memory[:size], memory[size:2 * size]
+    else:
+        phases, product = np.empty(size, complex), np.empty(size, complex)
+    phases, product = phases.reshape(batch + (times.size, eig.L)), product.reshape(batch + (eig.L, times.size))
+    np.multiply(times[:, None], eig.energies[..., None, :], out=phases)
+    phases *= -1j
+    np.exp(phases, out=phases)
     phases *= coeff[..., None, :]
-    return (eig.vectors @ phases.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return np.matmul(complex_vectors, phases.swapaxes(-1, -2), out=product).swapaxes(-1, -2)
 
 
 def quench_states(L: int, times, initial_site: int | None = None):
     """The states a quench table of size L measures: a function of a stack
     of eigensystems that evolves the particle on the 1-based site
-    ``initial_site`` (default the middle of the lattice) to each of ``times``."""
+    ``initial_site`` (default the middle of the lattice) to each of ``times``,
+    and takes :func:`evolve_many`'s buffers."""
     psi0 = site_state(L, L // 2 if initial_site is None else initial_site)
     times = np.asarray(times, dtype=float)
-    return lambda eig: evolve_many(eig, psi0, times)
+    return lambda eig, complex_vectors=None, scratch=None: evolve_many(eig, psi0, times, complex_vectors, scratch)
 
 
 def quench_entropy_table(

@@ -201,17 +201,30 @@ def chain_eigenvalues(diag) -> np.ndarray:
     return d
 
 
-def chain_eigensystem(diag) -> EigenSystem:
+def chain_eigensystem(diag, z=None, work=None) -> EigenSystem:
     """Full eigensystems of open chains as in :func:`chain_eigenvalues`, by
     LAPACK ``dstevd``, or by :func:`eigendecompose` of the dense matrices
-    where ``dstevd`` is not bound; both agree up to eigenvector signs."""
+    where ``dstevd`` is not bound; both agree up to eigenvector signs.
+
+    The optional buffers let a caller that solves many blocks reuse its
+    memory: ``dstevd`` writes the vectors into ``z``, a C-ordered float
+    (B, L, L) array whose transposed view the result then holds, and uses
+    ``work``, any C-ordered array of at least 8 * (1 + 4L + L**2) bytes, as
+    its work array.  Without them, or where ``work`` is too small, the
+    arrays are allocated; the dense route ignores both."""
     d, e = _chain_problem(diag)
     if _DSTEVD is None:
         return eigendecompose(chain_matrices(d))
     B, L = d.shape
-    z = np.empty((B, L, L))  # chain b's column-major Z is z[b].T
-    work, iwork = np.empty(1 + 4 * L + L * L), np.empty(3 + 5 * L, dtype=np.int64)
-    n, lwork, liwork, info = (ctypes.c_int64(v) for v in (L, work.size, iwork.size, 0))
+    if z is None:
+        z = np.empty((B, L, L))  # chain b's column-major Z is z[b].T
+    elif z.shape != (B, L, L) or z.dtype != float or not z.flags.c_contiguous:
+        raise ValueError(f"z must be a C-ordered float array of shape {(B, L, L)}")
+    size = 1 + 4 * L + L * L
+    if work is None or not work.flags.c_contiguous or work.nbytes < 8 * size:
+        work = np.empty(size)
+    iwork = np.empty(3 + 5 * L, dtype=np.int64)
+    n, lwork, liwork, info = (ctypes.c_int64(v) for v in (L, size, iwork.size, 0))
     (d_ptr, d_step), (e_ptr, e_step), (z_ptr, z_step) = ((a.ctypes.data, a.strides[0]) for a in (d, e, z))
     work_ptr, iwork_ptr = work.ctypes.data, iwork.ctypes.data
     for b in range(B):

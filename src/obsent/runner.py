@@ -153,7 +153,8 @@ def validate(config: ExperimentConfig) -> list:
     """All configuration violations, without executing anything.
 
     A numeric field of the wrong type or length is reported and left out of
-    the value checks, so that it hides no other violation.
+    the value checks, so that it hides no other violation.  An ``out`` that
+    is a file, or lies under one, is reported too; nothing is created.
     """
     diags, typed, bad = [], {}, set()
     for key, kind in _NUMERIC_FIELDS.items():
@@ -210,6 +211,10 @@ def validate(config: ExperimentConfig) -> list:
     if typed["initial_site"] is not None:
         diags += [f"initial_site={typed['initial_site']} outside 1..{L}"
                   for L in typed["L"] or () if not 1 <= typed["initial_site"] <= L]
+    out = Path(config.out)  # run() creates it: it must be, or lie under, a directory
+    existing = next((path for path in (out, *out.parents) if path.exists()), None)
+    if existing is not None and not existing.is_dir():
+        diags.append(f"out={config.out!r} is not a usable directory: {existing} is not a directory")
     runs_quench = any(kind == "quench" for kind, *_ in tables)
     if runs_quench and not bad & {"t_min", "t_max", "t_points", "times", "fit_window"}:
         lo, hi = config.fit_window
@@ -368,6 +373,10 @@ def run(config: ExperimentConfig) -> list:
     jobs = _grid_jobs(config)
     pool = min(config.jobs, len(jobs), os.cpu_count() or 1) if config.jobs > 1 and len(jobs) > 1 else None
     tables, fallbacks, files = {}, Counter(), []
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
+        blas = {}
 
     def write_manifest(status: str, outputs: list, **error):
         manifest = {
@@ -381,6 +390,7 @@ def run(config: ExperimentConfig) -> list:
                 "python": platform.python_version(),
             },
             "eigensolver": chain_solvers(),
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
             "threads": {name: os.environ.get(name)
                         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
             "workers": pool or 1,

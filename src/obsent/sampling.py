@@ -19,6 +19,7 @@ zero energy, ``Window(count, "ground")(eig)`` for the lowest ones.
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -238,8 +239,15 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     of a fallback.
     Everything else diagonalizes :func:`chunk_size` (L) realizations at a
     time, open chains through :func:`~obsent.model.chain_eigensystem` and
-    periodic ones as dense matrices.  Either way the weights of one basis
-    at a time are formed and reduced in chunks of :func:`chunk_size`
+    periodic ones as dense matrices.  On open chains, states that take the
+    ``complex_vectors`` and ``scratch`` buffers of
+    :func:`~obsent.dynamics.evolve_many`, as a quench's do, share one
+    workspace that the call allocates once and every block reuses: a float
+    (B, L, L) array for Z, which the states may use once they have read it,
+    and a complex one, with B the realizations of a block, 24*B*L**2 bytes
+    in all.  The complex array is ``dstevd``'s work array, then takes the
+    states' copy of V, then the weights.  Either way the weights of one
+    basis at a time are formed and reduced in chunks of :func:`chunk_size`
     realizations, and a block is released before the next one is built.
     Momentum tags see the states in the plane-wave basis, sorted by kinetic
     energy when ``momentum_order`` is "kinetic".  Numerical errors name L,
@@ -255,14 +263,20 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     windowed = window and bc == "open"
     step = chunk_size(L, states.count) if windowed else chunk_size(L)
     block = max(step, L // states.count) if windowed else step
+    total, spare = len(grid) * n_phi, None
     if windowed:
         solve = lambda diag: window_rows(diag, states)
+    elif bc == "open" and "scratch" in inspect.signature(states).parameters:
+        z, spare = np.empty((min(block, total), L, L)), np.empty((min(block, total), L, L), complex)
+
+        def solve(diag):
+            B = len(diag)
+            return states(chain_eigensystem(diag, z[:B], spare[:B]), spare[:B], z[:B]), ()
     elif bc == "open":
         solve = lambda diag: (states(chain_eigensystem(diag)), ())
     else:
         solve = lambda diag: (states(eigendecompose(chain_matrices(diag, periodic=True))), ())
     tables, samples, fallbacks = [], {(m, b): [] for m in m_list for b in basis_tags}, Counter()
-    total = len(grid) * n_phi
     for start in range(0, total, block):
         stop = min(start + block, total)
         # (grid index, first phase, end phase) of each chain the block holds
@@ -275,7 +289,8 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
             for chunk in range(0, len(rows), step):
                 part = rows[chunk:chunk + step]
                 for b in basis_tags:
-                    weights = np.abs(part if b == "real" else to_momentum(part, axis=-1)[..., perm])
+                    amplitudes = part if b == "real" else to_momentum(part, axis=-1)[..., perm]
+                    weights = np.abs(amplitudes, out=_laid_out_like(amplitudes, spare))
                     np.square(weights, out=weights)
                     for m in m_list:
                         entropy = uniform_block_entropy(weights, m)
@@ -283,7 +298,7 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
         except NUMERICAL_ERRORS as exc:
             where = "; ".join(f"delta={grid[g].delta}, phase index {lo}-{hi - 1}" for g, lo, hi in parts)
             raise type(exc)(f"L={L}, {where}: {exc}") from exc
-        rows = part = weights = None  # the last chunk's view and weights would keep the block alive
+        rows = part = amplitudes = weights = None  # the last chunk's arrays would keep the block alive
         for _ in range(len(tables), stop // n_phi):  # the chains whose realizations are all in
             tables.append({})
             for key, vals in samples.items():  # one key at a time, each list released as it is joined
@@ -292,6 +307,19 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
                 samples[key] = [vals[n_phi:].copy()]  # a view would keep the joined array
             vals = None  # and so would the name
     return tables, fallbacks
+
+
+def _laid_out_like(x: np.ndarray, memory):
+    """A float array shaped like ``x`` in the first bytes of ``memory``, its
+    axes laid out as ``np.abs(x)`` would allocate them, by descending stride,
+    so that sums over it add in the same order; None where ``memory`` is
+    None or too small."""
+    if memory is None or memory.nbytes < 8 * x.size:
+        return None
+    order = sorted(range(x.ndim), key=lambda axis: -abs(x.strides[axis]))
+    inverse = [order.index(axis) for axis in range(x.ndim)]  # np.argsort would page in 0.4 MB of sort code
+    flat = memory.reshape(-1).view(float)[:x.size]
+    return flat.reshape([x.shape[axis] for axis in order]).transpose(inverse)
 
 
 def mean_stderr(samples: np.ndarray):

@@ -184,6 +184,11 @@ def test_custom_with_quench(tmp_path):
     assert len(rows) == 2 * 3
 
 
+#: The BLAS numpy was built against, as the manifest records it.
+NUMPY_BLAS = {key: np.show_config(mode="dicts")["Build Dependencies"]["blas"].get(key)
+              for key in ("name", "version", "openblas configuration")}
+
+
 def test_manifest_contents(tmp_path):
     cfg = make_config("fig1", L=[16], delta=[1.0], m=[1], n_phi=2, out=str(tmp_path))
     run(cfg)
@@ -197,6 +202,7 @@ def test_manifest_contents(tmp_path):
     assert set(manifest["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
     assert manifest["dense_fallbacks"] == {}
     assert manifest["status"] == "complete" and manifest["workers"] == 1
+    assert manifest["blas"] == NUMPY_BLAS
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -210,7 +216,9 @@ def test_rerun_byte_identical(tmp_path):
     ("fig4", {}),
     ("fig3", dict(L=[8], t_min=0.5, t_max=40.0, t_points=12)),  # fig3.csv has no L column
     ("custom", dict(times=[0.0, 1.0, 2.0])),
-], ids=["fig4", "fig3", "custom-times"])
+    # serial runs share blocks of 128 phases across both deltas, parallel ones do not
+    ("custom", dict(L=[16], n_phi=130, times=[0.5, 2.0, 8.0, 32.0])),
+], ids=["fig4", "fig3", "custom-times", "custom-partial-blocks"])
 def test_parallel_matches_serial(tmp_path, preset, extra):
     kwargs = {**dict(L=[8, 16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6), **extra}
     serial = run(make_config(preset, out=str(tmp_path / "serial"), jobs=1, **kwargs))
@@ -462,12 +470,16 @@ def test_unusable_out_is_a_config_error(tmp_path, monkeypatch, capsys, under):
     monkeypatch.setattr(obsent.runner, "_map_grid", no_compute)
     (tmp_path / "file").write_text("")
     out = str(tmp_path / "file" / under)
-    with pytest.raises(ConfigError, match=f"^out={re.escape(repr(out))} is not a usable directory: "):
+    message = f"out={out!r} is not a usable directory: {tmp_path / 'file'} is not a directory"
+    assert validate(make_config("fig1", L=[16], m=[1], n_phi=2, out=out)) == [message]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         run(make_config("fig1", L=[16], m=[1], n_phi=2, out=out))
-    assert obsent.cli.main(["run", "--preset", "fig1", "--L", "16", "--m", "1", "--out", out]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "config"
-    assert err["diagnostics"][0].startswith(f"out={out!r} is not a usable directory")
+    flags = ["--preset", "fig1", "--L", "16", "--m", "1", "--out", out]
+    assert obsent.cli.main(["run", *flags]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "diagnostics": [message]}
+    assert obsent.cli.main(["validate", *flags]) == 2
+    assert json.loads(capsys.readouterr().out) == {"valid": False, "diagnostics": [message]}
+    assert [p.name for p in tmp_path.iterdir()] == ["file"] and (tmp_path / "file").read_text() == ""
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -499,7 +511,7 @@ LIBRARY_CALLS = {
                                             ("quench_entropy_table", "chain_eigensystem")])
 def test_cli_numerical_failure_names_grid_point(tmp_path, monkeypatch, capsys, preset, solver):
     # the presets and the library's table functions name the same grid point
-    def boom(diag):
+    def boom(diag, *buffers):  # a quench passes chain_eigensystem its workspace
         raise np.linalg.LinAlgError("eigensolver did not converge")
 
     monkeypatch.setattr(obsent.sampling, solver, boom)
@@ -582,7 +594,7 @@ def test_cli_failed_run_writes_no_csv(tmp_path, capsys, flags):
     assert not list((tmp_path / "failed").glob("*.csv"))
     manifest = json.loads((tmp_path / "failed" / "run_manifest.json").read_text())
     assert manifest["status"] == "failed" and manifest["error"] == err["message"]
-    assert manifest["outputs"] == []
+    assert manifest["outputs"] == [] and manifest["blas"] == NUMPY_BLAS
     harmless = [("1.5" if flag.startswith("1e") else flag) for flag in flags]
     assert obsent.cli.main(["run", *harmless, "--n-phi", "2", "--out", str(tmp_path / "complete")]) == 0
     manifest = json.loads((tmp_path / "complete" / "run_manifest.json").read_text())

@@ -444,3 +444,51 @@ def test_quench_table_matches_scalar_reference(L, basis_tag, bc, momentum_order)
         mean, stderr = mean_and_stderr(samples)
         assert np.abs(table[m][0] - mean).max() < 1e-12
         assert np.abs(table[m][1] - stderr).max() < 1e-12
+
+
+def per_phase_quench_table(params, times, m_list, n_phi, seed, basis_tag):
+    """quench_entropy_table's {m: (mean, stderr)} from one chain_eigensystem,
+    evolve_many and uniform_block_entropy call per phase, none given buffers."""
+    psi0, samples = site_state(params.L, params.L // 2), {m: [] for m in m_list}
+    for phi in phase_sequence(seed, params.L, params.delta, n_phi):
+        states = evolve_many(chain_eigensystem(chain_diagonals(params, [phi])), psi0, times)
+        if basis_tag == "momentum":
+            states = to_momentum(states, axis=-1)
+        for m in m_list:
+            samples[m].append(uniform_block_entropy(np.abs(states) ** 2, m)[0])
+    return {m: sampling.mean_stderr(np.array(values)) for m, values in samples.items()}
+
+
+@pytest.mark.parametrize("L, n_phi, n_times, basis_tag, route", [
+    (16, 130, 4, "real", "lapack"),  # blocks of 128 phases, the last one partial; 4 T <= L: carved from Z
+    (64, 5, 40, "real", "lapack"),  # 4 T > L: the phase factors and the product are allocated
+    (256, 3, 60, "real", "lapack"),  # fig3's size, carved from Z
+    (64, 5, 12, "momentum", "lapack"),
+    (16, 130, 4, "real", "numpy-dense"),
+    (64, 5, 40, "real", "numpy-dense"),
+], ids=["16-partial-block", "64-allocated", "256-carved", "64-momentum", "16-dense", "64-dense"])
+def test_quench_workspace_equals_per_phase_reference(monkeypatch, L, n_phi, n_times, basis_tag, route):
+    if route == "numpy-dense":
+        monkeypatch.setattr(model, "_DSTEVD", None)
+    params, times, m_list = ModelParams(L=L, delta=1.3), np.geomspace(0.1, 100.0, n_times), (1, 4, L)
+    table = quench_entropy_table(params, times, m_list, n_phi=n_phi, seed=11, basis_tag=basis_tag)
+    reference = per_phase_quench_table(params, times, m_list, n_phi, 11, basis_tag)
+    for m in m_list:
+        for got, expected in zip(table[m], reference[m]):
+            assert np.array_equal(got, expected), m
+
+
+def test_quench_table_peak_memory_holds_one_workspace():
+    # fig3's size: the table allocates Z (512 KiB) and the complex buffer
+    # (1 MiB) once, and the phase factors, the product and the weights of
+    # every phase live in their spent memory.  Allocating these arrays and
+    # dstevd's work array for each phase instead peaks at about 2040 KiB here.
+    args = (ModelParams(L=256, delta=1.0), np.geomspace(0.1, 100.0, 60), (1, 4, 16))
+    quench_entropy_table(*args, n_phi=8, seed=1)  # warm-up
+    tracemalloc.start()
+    try:
+        quench_entropy_table(*args, n_phi=8, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1900 * 1024
