@@ -5,8 +5,8 @@ the full chain Hamiltonian.  For delta = 0 on a ring the site amplitudes
 are Bessel functions of the first kind, ``<j|psi(t)> = i^n J_n(2t)`` with
 n the signed distance from the initial site, which gives an independent
 closed-form reference for the finest-grained entropy.  A quench table is
-one :func:`obsent.sampling.phase_table` call that keeps each phase's
-entropies per time.
+one :func:`obsent.sampling.phase_table` call on a :class:`Quench`, which
+keeps each phase's entropies per time.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .entropy import block_entropy
-from .model import EigenSystem, ModelParams, site_state
-from .sampling import phase_table
+from .model import EigenSystem, ModelParams, chain_eigensystem, site_state
+from .sampling import chunk_size, phase_table
 
 #: Largest Bessel order the downward recurrence is tuned (and tested) for.
 BESSEL_MAX_ORDER = 300
@@ -36,13 +36,11 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray,
     (..., L, n_times) product.  Negative times raise ``ValueError``, and an
     overflowing t * E raises ``FloatingPointError``.
 
-    The optional buffers let a caller that evolves many blocks reuse its
-    memory: ``complex_vectors``, a complex array shaped like
-    ``eig.vectors``, takes V + 0i, and the phase factors and the product
-    are carved out of ``scratch``, a C-ordered float array, where it holds
-    4 * n_times * L floats per system; they are allocated otherwise.
-    ``scratch`` may be the memory of ``eig.vectors`` itself, which is read
-    before it is written.
+    The optional buffers let a :class:`Quench` reuse its workspace:
+    ``complex_vectors``, shaped like ``eig.vectors``, takes V + 0i, and the
+    phase factors and the product are carved out of ``scratch``, a C-ordered
+    float array that may be the memory of ``eig.vectors`` itself, where it
+    holds 4 * n_times * L floats per system; they are allocated otherwise.
     """
     psi0 = np.asarray(psi0)
     if psi0.shape != (eig.L,):
@@ -71,14 +69,32 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray,
     return np.matmul(complex_vectors, phases.swapaxes(-1, -2), out=product).swapaxes(-1, -2)
 
 
-def quench_states(L: int, times, initial_site: int | None = None):
-    """The states a quench table of size L measures: a function of a stack
-    of eigensystems that evolves the particle on the 1-based site
-    ``initial_site`` (default the middle of the lattice) to each of ``times``,
-    and takes :func:`evolve_many`'s buffers."""
-    psi0 = site_state(L, L // 2 if initial_site is None else initial_site)
-    times = np.asarray(times, dtype=float)
-    return lambda eig, complex_vectors=None, scratch=None: evolve_many(eig, psi0, times, complex_vectors, scratch)
+class Quench:
+    """The states a quench table of size L measures: the particle on the
+    1-based site ``initial_site`` (default the middle of the lattice),
+    evolved to each of ``times``; their entropies are kept per time.  On
+    open chains the blocks share one workspace, Z and a complex buffer,
+    allocated by the first (largest) block; rings take dense ``eigh``, which
+    allocates its own vectors, and no workspace."""
+
+    averaged = False
+
+    def __init__(self, L: int, times, initial_site: int | None = None):
+        self.psi0 = site_state(L, L // 2 if initial_site is None else initial_site)
+        self.times, self._z, self._spare = np.asarray(times, dtype=float), None, None
+
+    def blocks(self, L: int, bc: str) -> tuple:
+        return chunk_size(L), chunk_size(L)
+
+    def rows(self, diag: np.ndarray, bc: str) -> tuple:
+        """(B, n_times, L) states, no fallback reasons, and the spent complex buffer or None."""
+        if bc != "open":
+            return evolve_many(chain_eigensystem(diag, periodic=True), self.psi0, self.times), (), None
+        if self._z is None or len(self._z) < len(diag):
+            shape = diag.shape + diag.shape[-1:]
+            self._z, self._spare = np.empty(shape), np.empty(shape, complex)
+        z, spare = self._z[:len(diag)], self._spare[:len(diag)]
+        return evolve_many(chain_eigensystem(diag, z, spare), self.psi0, self.times, spare, z), (), self._spare
 
 
 def quench_entropy_table(
@@ -96,10 +112,9 @@ def quench_entropy_table(
     ``{m: (mean, stderr)}``, arrays over the time grid.
 
     One diagonalization per phase realization serves every time and block
-    size.  The particle starts on the 1-based site ``initial_site`` (default
-    the middle of the lattice).
+    size; the states are those of :class:`Quench`.
     """
-    tables, _ = phase_table([params], n_phi, seed, quench_states(params.L, times, initial_site), m_list,
+    tables, _ = phase_table([params], n_phi, seed, Quench(params.L, times, initial_site), m_list,
                             (basis_tag,), momentum_order)
     return {m: stats for (m, _), stats in tables[0].items()}
 

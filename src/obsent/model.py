@@ -201,10 +201,11 @@ def chain_eigenvalues(diag) -> np.ndarray:
     return d
 
 
-def chain_eigensystem(diag, z=None, work=None) -> EigenSystem:
+def chain_eigensystem(diag, z=None, work=None, periodic: bool = False) -> EigenSystem:
     """Full eigensystems of open chains as in :func:`chain_eigenvalues`, by
     LAPACK ``dstevd``, or by :func:`eigendecompose` of the dense matrices
     where ``dstevd`` is not bound; both agree up to eigenvector signs.
+    Rings (``periodic``) are not tridiagonal and always take the dense route.
 
     The optional buffers let a caller that solves many blocks reuse its
     memory: ``dstevd`` writes the vectors into ``z``, a C-ordered float
@@ -213,8 +214,8 @@ def chain_eigensystem(diag, z=None, work=None) -> EigenSystem:
     its work array.  Without them, or where ``work`` is too small, the
     arrays are allocated; the dense route ignores both."""
     d, e = _chain_problem(diag)
-    if _DSTEVD is None:
-        return eigendecompose(chain_matrices(d))
+    if periodic or _DSTEVD is None:
+        return eigendecompose(chain_matrices(d, periodic))
     B, L = d.shape
     if z is None:
         z = np.empty((B, L, L))  # chain b's column-major Z is z[b].T

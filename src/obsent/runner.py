@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import eigenstate_window, fit_log_slope, normalized_fluctuation, resolve_mid_count
-from .dynamics import quench_states
+from .dynamics import Quench
 from .model import ModelParams, chain_solvers
 from .sampling import NUMERICAL_ERRORS, phase_table
 
@@ -243,7 +243,7 @@ def _grid_job(job):
     """One job's tables and dense-fallback counts: :func:`~obsent.sampling.phase_table`
     of its deltas of one L, on the eigenstate window or the quench states."""
     config, kind, L, deltas = job
-    states = (quench_states(L, config.time_grid(), config.initial_site) if kind == "quench"
+    states = (Quench(L, config.time_grid(), config.initial_site) if kind == "quench"
               else eigenstate_window(L, config.mid_count, config.selector))
     grid = [ModelParams(L=L, delta=delta, bc=config.bc) for delta in deltas]
     return phase_table(grid, config.n_phi, config.seed, states, config.m, config.basis_tags(),

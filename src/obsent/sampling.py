@@ -12,14 +12,16 @@ stream itself (see :func:`phase_sequence`); it does not import
 of one size and the one reduction of their weights into averaged
 entropies that every eigenstate and quench table runs through; an error
 of :data:`NUMERICAL_ERRORS` raised in it names the size, deltas and phase
-indices of the failing block.  :class:`Window` is the one selector of
-eigenstates: call ``Window(count)(eig)`` for the ``count`` states nearest
-zero energy, ``Window(count, "ground")(eig)`` for the lowest ones.
+indices of the failing block.  Each kind of state owns its solve route:
+``blocks(L, bc)`` gives the realizations solved and reduced together,
+``rows(diag, bc)`` a block's (B, n, L) rows, its chains' fallback reasons
+and a spent buffer for the weights (or None), and ``averaged`` whether a
+realization's n entropies are averaged or kept.  :class:`Window` selects
+eigenstates, :class:`~obsent.dynamics.Quench` evolves a particle.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -32,8 +34,6 @@ from .model import (
     chain_eigensystem,
     chain_eigenvalues,
     chain_eigenvectors,
-    chain_matrices,
-    eigendecompose,
     eigenpair_errors,
     kinetic_index_order,
     to_momentum,
@@ -129,12 +129,17 @@ def chunk_size(L: int, n: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class Window:
-    """Eigenstates an eigenstate table measures: ``count`` levels picked by
-    ``selector``.  Calling it on an :class:`~obsent.model.EigenSystem` (or a
-    stack) returns the (..., count, L) rows of those eigenvectors."""
+    """The one selector of eigenstates: ``Window(count)`` picks the ``count``
+    levels nearest zero energy, ``Window(count, "ground")`` the lowest ones;
+    calling it on an :class:`~obsent.model.EigenSystem` (or a stack) returns
+    the (..., count, L) rows of those eigenvectors.  Open chains run on
+    :func:`window_rows` in blocks of at least L lanes, whose pivots and
+    vectors take up to 2*8*L**2 bytes, as much as one fallback's full
+    eigensystem; rings are diagonalized densely."""
 
     count: int
     selector: str = "mid"
+    averaged = True
 
     def __post_init__(self):
         if self.selector not in ("mid", "ground"):
@@ -167,6 +172,19 @@ class Window:
     def __call__(self, eig) -> np.ndarray:
         picked = self.indices(eig.energies)
         return np.take_along_axis(eig.vectors, picked[..., None, :], axis=-1).swapaxes(-1, -2)
+
+    def blocks(self, L: int, bc: str) -> tuple:
+        """Realizations solved together, and realizations reduced together."""
+        if bc != "open":
+            return chunk_size(L), chunk_size(L)
+        step = chunk_size(L, self.count)
+        return max(step, L // self.count), step
+
+    def rows(self, diag: np.ndarray, bc: str) -> tuple:
+        """(B, count, L) rows, each chain's fallback reason ("" for none), no spent buffer."""
+        if bc == "open":
+            return (*window_rows(diag, self), None)
+        return self(chain_eigensystem(diag, periodic=True)), (), None
 
 
 def window_rows(diag: np.ndarray, window: Window) -> tuple:
@@ -218,64 +236,29 @@ def window_rows(diag: np.ndarray, window: Window) -> tuple:
 def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentum_order: str = "index"):
     """Phase-averaged entropies ``{(m, basis_tag): (mean, stderr)}`` under
     size-m contiguous blocks, one table per chain in ``grid``, and the count
-    of dense fallbacks by reason: the one loop over phase realizations, and
-    the one reduction of their weights, that every eigenstate and quench
-    table runs through.
+    of dense fallbacks by reason.
 
     ``grid`` holds chains of one L and boundary condition, typically the
     deltas of one size.  Their ``n_phi`` phases each, in grid order, are
     solved in shared blocks; since each chain, lane and row is computed on
     its own, a table does not depend on which chains share ``grid``.
-    ``states`` picks the (B, n, L) stack of states (one row each) to measure
-    in a chunk of B realizations.  It is either a :class:`Window` of
-    eigenstates, whose n entropies are averaged within each realization, or
-    a function of the chunk's stacked :class:`~obsent.model.EigenSystem`,
-    whose n entropies per realization are kept (a quench's times), so that
-    the means and standard errors over phases have shape (n,).  A window of
-    open chains runs on eigenvalues plus inverse iteration (see
-    :func:`window_rows`) in blocks of ``max(chunk_size(L, n), L // n)``
-    realizations, so that at least L lanes share each sweep; its pivots and
-    vectors then take up to 2*8*L**2 bytes, as much as one full eigensystem
-    of a fallback.
-    Everything else diagonalizes :func:`chunk_size` (L) realizations at a
-    time, open chains through :func:`~obsent.model.chain_eigensystem` and
-    periodic ones as dense matrices.  On open chains, states that take the
-    ``complex_vectors`` and ``scratch`` buffers of
-    :func:`~obsent.dynamics.evolve_many`, as a quench's do, share one
-    workspace that the call allocates once and every block reuses: a float
-    (B, L, L) array for Z, which the states may use once they have read it,
-    and a complex one, with B the realizations of a block, 24*B*L**2 bytes
-    in all.  The complex array is ``dstevd``'s work array, then takes the
-    states' copy of V, then the weights.  Either way the weights of one
-    basis at a time are formed and reduced in chunks of :func:`chunk_size`
-    realizations, and a block is released before the next one is built.
-    Momentum tags see the states in the plane-wave basis, sorted by kinetic
-    energy when ``momentum_order`` is "kinetic".  Numerical errors name L,
-    each delta of the failing block and its phase indices.
+    ``states`` is a :class:`Window` or a :class:`~obsent.dynamics.Quench`
+    (see the module docstring); a quench keeps its n times, so its means and
+    standard errors have shape (n,).  The weights of one basis at a time are
+    formed and reduced in chunks, in a block's spent buffer where it returns
+    one, and a block is released before the next one is built.  Momentum tags
+    see the states in the plane-wave basis, sorted by kinetic energy when
+    ``momentum_order`` is "kinetic".  Numerical errors name L, each delta of
+    the failing block and its phase indices.
     """
     if not set(basis_tags) <= set(BASIS_TAGS):
         raise ValueError(f"basis tags must be among {BASIS_TAGS}, got {tuple(basis_tags)}")
     if len({(params.L, params.bc) for params in grid}) != 1:
         raise ValueError("a grid holds chains of one L and one boundary condition")
-    L, bc, window = grid[0].L, grid[0].bc, isinstance(states, Window)
+    L, bc = grid[0].L, grid[0].bc
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else slice(None)
     phis = [phase_sequence(seed, L, params.delta, n_phi) for params in grid]
-    windowed = window and bc == "open"
-    step = chunk_size(L, states.count) if windowed else chunk_size(L)
-    block = max(step, L // states.count) if windowed else step
-    total, spare = len(grid) * n_phi, None
-    if windowed:
-        solve = lambda diag: window_rows(diag, states)
-    elif bc == "open" and "scratch" in inspect.signature(states).parameters:
-        z, spare = np.empty((min(block, total), L, L)), np.empty((min(block, total), L, L), complex)
-
-        def solve(diag):
-            B = len(diag)
-            return states(chain_eigensystem(diag, z[:B], spare[:B]), spare[:B], z[:B]), ()
-    elif bc == "open":
-        solve = lambda diag: (states(chain_eigensystem(diag)), ())
-    else:
-        solve = lambda diag: (states(eigendecompose(chain_matrices(diag, periodic=True))), ())
+    (block, step), total = states.blocks(L, bc), len(grid) * n_phi
     tables, samples, fallbacks = [], {(m, b): [] for m in m_list for b in basis_tags}, Counter()
     for start in range(0, total, block):
         stop = min(start + block, total)
@@ -283,18 +266,18 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
         parts = [(g, max(start - g * n_phi, 0), min(stop - g * n_phi, n_phi))
                  for g in range(start // n_phi, (stop - 1) // n_phi + 1)]
         try:
-            rows, reason = solve(np.concatenate([chain_diagonals(grid[g], phis[g][lo:hi])
-                                                 for g, lo, hi in parts]))
+            rows, reason, spent = states.rows(np.concatenate([chain_diagonals(grid[g], phis[g][lo:hi])
+                                                              for g, lo, hi in parts]), bc)
             fallbacks.update(filter(None, reason))
             for chunk in range(0, len(rows), step):
                 part = rows[chunk:chunk + step]
                 for b in basis_tags:
                     amplitudes = part if b == "real" else to_momentum(part, axis=-1)[..., perm]
-                    weights = np.abs(amplitudes, out=_laid_out_like(amplitudes, spare))
+                    weights = np.abs(amplitudes, out=_laid_out_like(amplitudes, spent))
                     np.square(weights, out=weights)
                     for m in m_list:
                         entropy = uniform_block_entropy(weights, m)
-                        samples[(m, b)].append(entropy.mean(axis=-1) if window else entropy)
+                        samples[(m, b)].append(entropy.mean(axis=-1) if states.averaged else entropy)
         except NUMERICAL_ERRORS as exc:
             where = "; ".join(f"delta={grid[g].delta}, phase index {lo}-{hi - 1}" for g, lo, hi in parts)
             raise type(exc)(f"L={L}, {where}: {exc}") from exc

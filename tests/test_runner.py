@@ -511,10 +511,11 @@ LIBRARY_CALLS = {
                                             ("quench_entropy_table", "chain_eigensystem")])
 def test_cli_numerical_failure_names_grid_point(tmp_path, monkeypatch, capsys, preset, solver):
     # the presets and the library's table functions name the same grid point
-    def boom(diag, *buffers):  # a quench passes chain_eigensystem its workspace
+    def boom(*args, **kwargs):  # a quench passes chain_eigensystem its workspace
         raise np.linalg.LinAlgError("eigensolver did not converge")
 
-    monkeypatch.setattr(obsent.sampling, solver, boom)
+    # a window looks its solvers up in sampling, a quench in dynamics
+    monkeypatch.setattr(obsent.dynamics if solver == "chain_eigensystem" else obsent.sampling, solver, boom)
     message = "L=16, delta=1.5, phase index 0-1: eigensolver did not converge"
     if preset in LIBRARY_CALLS:
         with pytest.raises(np.linalg.LinAlgError) as info:

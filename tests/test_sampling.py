@@ -333,10 +333,10 @@ def test_huge_delta_falls_back_without_warnings(L, selector):
 
 
 def test_chunks_cover_every_phase_in_order(monkeypatch):
-    params, chunks = ModelParams(L=64, delta=1.0), recorded_weights(monkeypatch)
-    phase_table([params], 37, 5, lambda eig: eig.vectors[..., :2].swapaxes(-1, -2), [1], ("real",))
+    params, chunks = ModelParams(L=64, delta=1.0, bc="periodic"), recorded_weights(monkeypatch)
+    phase_table([params], 37, 5, Window(2, "ground"), [1], ("real",))
     assert [c.shape for c in chunks] == [(8, 2, 64)] * 4 + [(5, 2, 64)]
-    single = list(phase_eigensystems(64, 1.0, 37, 5, "open"))
+    single = list(phase_eigensystems(64, 1.0, 37, 5, "periodic"))
     batched = np.concatenate(chunks)
     for r in (0, 7, 8, 36):
         assert np.array_equal(batched[r], np.abs(single[r].vectors[:, :2].T) ** 2)
@@ -366,8 +366,10 @@ def test_one_loop_over_phases_and_one_reduction():
     # every phase average draws its phases and reduces its weights in phase_table
     # alone, which the two table functions and the runner's grid job call directly,
     # fallback counts are returned, never passed in, and the errors of a
-    # numerical failure are spelled once, in sampling.NUMERICAL_ERRORS
-    callers, fallback_params, error_tuples = set(), set(), []
+    # numerical failure are spelled once, in sampling.NUMERICAL_ERRORS; no module
+    # imports inspect and phase_table calls no isinstance, so that the states pick
+    # their own route and phase_table never picks one by inspecting them
+    callers, fallback_params, error_tuples, sniffing = set(), set(), [], []
     errors = {"LinAlgError", "ValueError", "FloatingPointError"}
 
     def visit(node, module, owner):
@@ -377,10 +379,15 @@ def test_one_loop_over_phases_and_one_reduction():
             owner = node.targets[0].id  # a module-level constant
         if isinstance(node, ast.arg) and node.arg == "fallbacks":  # a parameter of any function or lambda
             fallback_params.add((module, owner))
+        if isinstance(node, ast.Import) and "inspect" in {alias.name for alias in node.names} or (
+                isinstance(node, ast.ImportFrom) and node.module == "inspect"):
+            sniffing.append((module, "import inspect"))
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name in ("phase_sequence", "uniform_block_entropy", "phase_table"):
                 callers.add((name, module, owner))
+            if name == "isinstance" and owner == "phase_table":
+                sniffing.append((module, "phase_table calls isinstance"))
         if isinstance(node, ast.Tuple) and {getattr(e, "id", getattr(e, "attr", None))
                                             for e in node.elts} == errors:
             error_tuples.append((module, owner))
@@ -395,6 +402,7 @@ def test_one_loop_over_phases_and_one_reduction():
                        ("phase_table", "dynamics", "quench_entropy_table"),
                        ("phase_table", "runner", "_grid_job")}
     assert not fallback_params
+    assert not sniffing
     assert error_tuples == [("sampling", "NUMERICAL_ERRORS")]
     assert sampling.NUMERICAL_ERRORS == (np.linalg.LinAlgError, ValueError, FloatingPointError)
 
@@ -492,3 +500,18 @@ def test_quench_table_peak_memory_holds_one_workspace():
     finally:
         tracemalloc.stop()
     assert peak <= 1900 * 1024
+
+
+def test_periodic_quench_table_peak_memory_holds_no_workspace():
+    # rings take dense eigh, which allocates its own vectors, so a ring quench
+    # evolves without the open chains' workspace: about 1933 KiB here, against
+    # 2189 KiB when the table also holds a Z for each block
+    args = (ModelParams(L=64, delta=1.3, bc="periodic"), np.geomspace(0.1, 100.0, 60), (1, 4))
+    quench_entropy_table(*args, n_phi=20, seed=1)  # warm-up
+    tracemalloc.start()
+    try:
+        quench_entropy_table(*args, n_phi=20, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2048 * 1024
