@@ -87,14 +87,14 @@ class Quench:
         return chunk_size(L), chunk_size(L)
 
     def rows(self, diag: np.ndarray, bc: str) -> tuple:
-        """(B, n_times, L) states, no fallback reasons, and the spent complex buffer or None."""
+        """(B, n_times, L) states and no fallback reasons."""
         if bc != "open":
-            return evolve_many(chain_eigensystem(diag, periodic=True), self.psi0, self.times), (), None
+            return evolve_many(chain_eigensystem(diag, periodic=True), self.psi0, self.times), ()
         if self._z is None or len(self._z) < len(diag):
             shape = diag.shape + diag.shape[-1:]
             self._z, self._spare = np.empty(shape), np.empty(shape, complex)
         z, spare = self._z[:len(diag)], self._spare[:len(diag)]
-        return evolve_many(chain_eigensystem(diag, z, spare), self.psi0, self.times, spare, z), (), self._spare
+        return evolve_many(chain_eigensystem(diag, z, spare), self.psi0, self.times, spare, z), ()
 
 
 def quench_entropy_table(

@@ -131,11 +131,12 @@ def block_entropy(p: np.ndarray, log_volume) -> np.ndarray:
     """``max(-sum p ln p, 0) + log_volume`` over the last axis of ``p``, with
     ``p`` clipped into [0, 1] and 0 ln 0 = 0.  With the mean log volume
     ``sum p ln V`` as ``log_volume`` this is the observational entropy, with 0
-    the Shannon entropy; the package evaluates ``p ln p`` nowhere else."""
-    p = np.clip(p, 0.0, 1.0)
-    plogp = np.where(p > 0.0, p, 1.0)
-    np.log(plogp, out=plogp)  # 0 ln 0 = 0 ln 1 = 0
-    plogp *= p
+    the Shannon entropy; the package evaluates ``p ln p`` nowhere else.  It
+    holds one temporary the size of ``p``; a ±inf entry gives NaN."""
+    plogp = np.clip(p, 0.0, 1.0)
+    plogp += plogp == 0.0  # 0 ln 0 = 0 ln 1 = 0
+    np.log(plogp, out=plogp)
+    plogp *= p  # where ln is not 0, the clipped value is p
     return np.maximum(-plogp.sum(axis=-1), 0.0) + log_volume
 
 

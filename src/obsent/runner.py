@@ -260,10 +260,10 @@ def _grid_jobs(config: ExperimentConfig) -> list:
             for L in config.L for a, b in zip(cuts, cuts[1:])]
 
 
-def _map_grid(jobs: list, pool: int | None):
+def _map_grid(jobs: list, pool: int):
     """Each job's result in job order, as it comes in: in this process when ``pool``
-    is None, else from one pool of ``pool`` processes, shut down once read to the end."""
-    if pool is None:
+    is 1, else from one pool of ``pool`` processes, shut down once read to the end."""
+    if pool < 2:
         yield from map(_grid_job, jobs)
         return
     from concurrent.futures import ProcessPoolExecutor  # costs about 20 ms of import; serial runs skip it
@@ -371,7 +371,7 @@ def run(config: ExperimentConfig) -> list:
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
     jobs = _grid_jobs(config)
-    pool = min(config.jobs, len(jobs), os.cpu_count() or 1) if config.jobs > 1 and len(jobs) > 1 else None
+    pool = min(config.jobs, len(jobs), os.cpu_count() or 1)  # one worker runs in this process
     tables, fallbacks, files = {}, Counter(), []
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -393,7 +393,7 @@ def run(config: ExperimentConfig) -> list:
             "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
             "threads": {name: os.environ.get(name)
                         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
-            "workers": pool or 1,
+            "workers": pool,
             "dense_fallbacks": dict(sorted(fallbacks.items())),
             "started_utc": started.isoformat(),
             "wall_time_s": time.perf_counter() - t0,

@@ -14,10 +14,10 @@ entropies that every eigenstate and quench table runs through; an error
 of :data:`NUMERICAL_ERRORS` raised in it names the size, deltas and phase
 indices of the failing block.  Each kind of state owns its solve route:
 ``blocks(L, bc)`` gives the realizations solved and reduced together,
-``rows(diag, bc)`` a block's (B, n, L) rows, its chains' fallback reasons
-and a spent buffer for the weights (or None), and ``averaged`` whether a
-realization's n entropies are averaged or kept.  :class:`Window` selects
-eigenstates, :class:`~obsent.dynamics.Quench` evolves a particle.
+``rows(diag, bc)`` a block's (B, n, L) rows and its chains' fallback
+reasons, and ``averaged`` whether a realization's n entropies are averaged
+or kept.  :class:`Window` selects eigenstates,
+:class:`~obsent.dynamics.Quench` evolves a particle.
 """
 
 from __future__ import annotations
@@ -181,10 +181,10 @@ class Window:
         return max(step, L // self.count), step
 
     def rows(self, diag: np.ndarray, bc: str) -> tuple:
-        """(B, count, L) rows, each chain's fallback reason ("" for none), no spent buffer."""
+        """(B, count, L) rows and each chain's fallback reason ("" for none)."""
         if bc == "open":
-            return (*window_rows(diag, self), None)
-        return self(chain_eigensystem(diag, periodic=True)), (), None
+            return window_rows(diag, self)
+        return self(chain_eigensystem(diag, periodic=True)), ()
 
 
 def window_rows(diag: np.ndarray, window: Window) -> tuple:
@@ -245,11 +245,10 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     ``states`` is a :class:`Window` or a :class:`~obsent.dynamics.Quench`
     (see the module docstring); a quench keeps its n times, so its means and
     standard errors have shape (n,).  The weights of one basis at a time are
-    formed and reduced in chunks, in a block's spent buffer where it returns
-    one, and a block is released before the next one is built.  Momentum tags
-    see the states in the plane-wave basis, sorted by kinetic energy when
-    ``momentum_order`` is "kinetic".  Numerical errors name L, each delta of
-    the failing block and its phase indices.
+    allocated and reduced in chunks, and a block is released before the next
+    one is built.  Momentum tags see the states in the plane-wave basis,
+    sorted by kinetic energy when ``momentum_order`` is "kinetic".  Numerical
+    errors name L, each delta of the failing block and its phase indices.
     """
     if not set(basis_tags) <= set(BASIS_TAGS):
         raise ValueError(f"basis tags must be among {BASIS_TAGS}, got {tuple(basis_tags)}")
@@ -266,14 +265,14 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
         parts = [(g, max(start - g * n_phi, 0), min(stop - g * n_phi, n_phi))
                  for g in range(start // n_phi, (stop - 1) // n_phi + 1)]
         try:
-            rows, reason, spent = states.rows(np.concatenate([chain_diagonals(grid[g], phis[g][lo:hi])
-                                                              for g, lo, hi in parts]), bc)
+            rows, reason = states.rows(np.concatenate([chain_diagonals(grid[g], phis[g][lo:hi])
+                                                       for g, lo, hi in parts]), bc)
             fallbacks.update(filter(None, reason))
             for chunk in range(0, len(rows), step):
                 part = rows[chunk:chunk + step]
                 for b in basis_tags:
                     amplitudes = part if b == "real" else to_momentum(part, axis=-1)[..., perm]
-                    weights = np.abs(amplitudes, out=_laid_out_like(amplitudes, spent))
+                    weights = np.abs(amplitudes)
                     np.square(weights, out=weights)
                     for m in m_list:
                         entropy = uniform_block_entropy(weights, m)
@@ -290,19 +289,6 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
                 samples[key] = [vals[n_phi:].copy()]  # a view would keep the joined array
             vals = None  # and so would the name
     return tables, fallbacks
-
-
-def _laid_out_like(x: np.ndarray, memory):
-    """A float array shaped like ``x`` in the first bytes of ``memory``, its
-    axes laid out as ``np.abs(x)`` would allocate them, by descending stride,
-    so that sums over it add in the same order; None where ``memory`` is
-    None or too small."""
-    if memory is None or memory.nbytes < 8 * x.size:
-        return None
-    order = sorted(range(x.ndim), key=lambda axis: -abs(x.strides[axis]))
-    inverse = [order.index(axis) for axis in range(x.ndim)]  # np.argsort would page in 0.4 MB of sort code
-    flat = memory.reshape(-1).view(float)[:x.size]
-    return flat.reshape([x.shape[axis] for axis in order]).transpose(inverse)
 
 
 def mean_stderr(samples: np.ndarray):

@@ -1,6 +1,7 @@
 """Partitions, macrostate probabilities, and entropy functional properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,60 @@ def test_block_sums_have_the_reshape_sums_bits(m):
         expected = block_entropy(p.reshape(p.shape[:-1] + (L // m, m)).sum(axis=-1), math.log(m))
         assert np.array_equal(uniform_block_entropy(p, m), expected)
         assert np.array_equal(p, before)
+
+
+def two_copy_block_entropy(p, log_volume):
+    """``block_entropy`` with a second temporary, from ``np.where``: the
+    reference whose bits the one-temporary kernel keeps."""
+    p = np.clip(p, 0.0, 1.0)
+    plogp = np.where(p > 0.0, p, 1.0)
+    np.log(plogp, out=plogp)
+    plogp *= p
+    return np.maximum(-plogp.sum(axis=-1), 0.0) + log_volume
+
+
+def weight_inputs():
+    rng = np.random.default_rng(2)
+    for shape in [(1, 60, 256), (1, 64, 512), (1024, 2, 16)]:
+        w = rng.random(shape)
+        w[..., ::5] = 0.0
+        w /= w.sum(axis=-1, keepdims=True)
+        yield w
+        yield np.ascontiguousarray(w.swapaxes(-1, -2)).swapaxes(-1, -2)  # a quench's axis order
+        yield w[..., 0::4] + w[..., 1::4] + w[..., 2::4] + w[..., 3::4]  # block sums by strided adds
+        yield w[..., 1::2]  # a strided view
+    yield np.array([[0.0, -0.0, 1.0, 1.0 + 2.0**-52, 5e-324, -1e-300, -3.0, 2.0, np.nan],
+                    [0.0, -0.0, 1.0, 1.0 + 2.0**-52, 5e-324, -1e-300, -3.0, 2.0, 0.5],
+                    [-0.0, -0.0, 0.0, 5e-324, -1e-300, -3.0, 0.25, 0.25, 0.5],
+                    [0.0] * 9])
+
+
+@pytest.mark.parametrize("log_volume", [0.0, math.log(4)])
+def test_block_entropy_keeps_the_two_copy_bits(log_volume):
+    for p in weight_inputs():
+        got, expected = block_entropy(p, log_volume), two_copy_block_entropy(p, log_volume)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_block_entropy_of_an_infinite_weight_is_nan():
+    # no package path makes an infinite weight; if broken numerics do, NaN shows it
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(block_entropy(np.array([[0.5, np.inf, 0.25]]), 0.0)).all()
+
+
+def test_block_entropy_holds_one_temporary():
+    rng = np.random.default_rng(4)
+    p = rng.random((4, 64, 512))
+    p /= p.sum(axis=-1, keepdims=True)  # 1 MiB
+    block_entropy(p, 0.0)  # warm-up
+    tracemalloc.start()
+    try:
+        block_entropy(p, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the temporary, its bool mask (1/8 of it) and numpy's 64 KiB cast buffer
+    assert peak <= 1.5 * p.nbytes
 
 
 def shuffled_blocks(draw, indices):

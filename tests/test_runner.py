@@ -4,6 +4,7 @@ import csv
 import ctypes
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -304,7 +305,8 @@ def pool_sizes(monkeypatch):
     return seen
 
 
-def test_pool_never_exceeds_grid_points(tmp_path, pool_sizes):
+def test_pool_never_exceeds_grid_points(tmp_path, pool_sizes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     kwargs = dict(L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6)
     csvs, workers = [], []
     for jobs in (1, 100000):
@@ -312,21 +314,29 @@ def test_pool_never_exceeds_grid_points(tmp_path, pool_sizes):
         run(make_config("fig1", out=str(out), jobs=jobs, **kwargs))
         csvs.append((out / "fig1.csv").read_bytes())
         workers.append(json.loads((out / "run_manifest.json").read_text())["workers"])
-    assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= 2
-    assert workers == [1, pool_sizes[0]]
+    assert pool_sizes == [2]  # two grid points, one job each
+    assert workers == [1, 2]
     assert csvs[0] == csvs[1]
 
 
-def test_run_starts_one_pool_for_all_its_tables(tmp_path, pool_sizes):
+def test_one_cpu_starts_no_pool(tmp_path, pool_sizes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    run(make_config("fig1", out=str(tmp_path), jobs=2, L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3))
+    assert pool_sizes == []
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["workers"] == 1
+
+
+def test_run_starts_one_pool_for_all_its_tables(tmp_path, pool_sizes, monkeypatch):
     # the sweep and the quench jobs of a custom run share one pool, whose size
     # the manifest records; a failing run records the pool it started
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     kwargs = dict(L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6, times=[0.0, 1.0, 2.0])
     manifests = []
     for jobs in (1, 2):
         run(make_config("custom", out=str(tmp_path / f"jobs{jobs}"), jobs=jobs, **kwargs))
         manifests.append(json.loads((tmp_path / f"jobs{jobs}" / "run_manifest.json").read_text()))
-    assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= 2
-    assert [m["workers"] for m in manifests] == [1, pool_sizes[0]]
+    assert pool_sizes == [2]
+    assert [m["workers"] for m in manifests] == [1, 2]
     assert manifests[0]["outputs"] == manifests[1]["outputs"] == ["sweep.csv", "quench.csv"]
     for name in manifests[0]["outputs"]:
         assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()

@@ -488,9 +488,11 @@ def test_quench_workspace_equals_per_phase_reference(monkeypatch, L, n_phi, n_ti
 
 def test_quench_table_peak_memory_holds_one_workspace():
     # fig3's size: the table allocates Z (512 KiB) and the complex buffer
-    # (1 MiB) once, and the phase factors, the product and the weights of
-    # every phase live in their spent memory.  Allocating these arrays and
-    # dstevd's work array for each phase instead peaks at about 2040 KiB here.
+    # (1 MiB) once, and the phase factors and the product of every phase live
+    # in their spent memory; each chunk's weights (120 KiB) and block_entropy's
+    # one temporary are allocated, about 1874 KiB in all.  Without the
+    # workspace, every phase allocating its own arrays, it peaks at about
+    # 2234 KiB here.
     args = (ModelParams(L=256, delta=1.0), np.geomspace(0.1, 100.0, 60), (1, 4, 16))
     quench_entropy_table(*args, n_phi=8, seed=1)  # warm-up
     tracemalloc.start()
