@@ -311,12 +311,11 @@ def to_momentum(state: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def kinetic_index_order(L: int) -> np.ndarray:
-    """Permutation of momentum indices sorted by ascending kinetic energy.
-
-    Ties between the degenerate +k/-k pairs are broken by the original
-    index (stable sort), which keeps the permutation deterministic.
-    """
-    return np.argsort(-2.0 * np.cos(_TWO_PI * np.arange(L) / L), kind="stable")
+    """Permutation of momentum indices by ascending kinetic energy
+    -2 cos(2*pi*n/L), which rises with the exact integer key min(n, L - n);
+    one stable sort of that key puts the lower index of each (n, L - n) pair first."""
+    n = np.arange(L)
+    return np.argsort(np.minimum(n, L - n), kind="stable")
 
 
 def site_state(L: int, site: int) -> np.ndarray:

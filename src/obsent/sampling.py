@@ -16,8 +16,8 @@ indices of the failing block.  Each kind of state owns its solve route:
 ``blocks(L, bc)`` gives the realizations solved and reduced together,
 ``rows(diag, bc)`` a block's (B, n, L) rows and its chains' fallback
 reasons, and ``averaged`` whether a realization's n entropies are averaged
-or kept.  :class:`Window` selects eigenstates,
-:class:`~obsent.dynamics.Quench` evolves a particle.
+or kept.  :class:`Window` selects eigenstates by one stable ranking of the
+spectrum, :class:`~obsent.dynamics.Quench` evolves a particle.
 """
 
 from __future__ import annotations
@@ -130,12 +130,12 @@ def chunk_size(L: int, n: int | None = None) -> int:
 @dataclass(frozen=True)
 class Window:
     """The one selector of eigenstates: ``Window(count)`` picks the ``count``
-    levels nearest zero energy, ``Window(count, "ground")`` the lowest ones;
-    calling it on an :class:`~obsent.model.EigenSystem` (or a stack) returns
-    the (..., count, L) rows of those eigenvectors.  Open chains run on
-    :func:`window_rows` in blocks of at least L lanes, whose pivots and
-    vectors take up to 2*8*L**2 bytes, as much as one fallback's full
-    eigensystem; rings are diagonalized densely."""
+    levels nearest zero energy, ``Window(count, "ground")`` the lowest ones,
+    by one ranking rule (:meth:`select`); called on an EigenSystem (or a
+    stack) it returns the (..., count, L) rows of those eigenvectors.  Open
+    chains run on :func:`window_rows` in blocks of at least L lanes, whose
+    pivots and vectors take up to 2*8*L**2 bytes, as much as one fallback's
+    full eigensystem; rings are diagonalized densely."""
 
     count: int
     selector: str = "mid"
@@ -144,33 +144,27 @@ class Window:
     def __post_init__(self):
         if self.selector not in ("mid", "ground"):
             raise ValueError(f"selector must be 'mid' or 'ground', got {self.selector!r}")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count!r}")
 
-    def indices(self, energies: np.ndarray) -> np.ndarray:
-        """Spectrum positions of the selected eigenstates, shape (..., count).
-
-        ``energies`` are ascending along the last axis.  "mid" takes the
-        ``count`` levels nearest zero, ties in |E| broken toward the lower
-        index (stable sort), in spectrum order; "ground" takes the ``count``
-        lowest.
-        """
+    def select(self, energies: np.ndarray) -> tuple:
+        """Spectrum positions (..., count) of the levels picked from ascending
+        ``energies``, in spectrum order, and the window-tie margin (...,).
+        One stable sort ranks the levels by |E| ("mid") or E ("ground"),
+        ties to the lower index, and picks the first ``count``; the margin
+        is the key of the first level left out less that of the last one
+        picked, inf when every level is picked."""
         if self.count > energies.shape[-1]:
             raise ValueError(f"count={self.count} exceeds the {energies.shape[-1]} available states")
-        if self.selector == "ground":
-            return np.broadcast_to(np.arange(self.count), energies.shape[:-1] + (self.count,))
-        order = np.argsort(np.abs(energies), axis=-1, kind="stable")
-        return np.sort(order[..., :self.count], axis=-1)
-
-    def margin(self, energies: np.ndarray) -> np.ndarray:
-        """How far the first level left out lies beyond the last one picked,
-        in the selection key (|E| for "mid", E for "ground"); inf when the
-        window holds every level.  Shape (...,)."""
-        if self.count == energies.shape[-1]:
-            return np.full(energies.shape[:-1], np.inf)
-        key = np.sort(np.abs(energies), axis=-1) if self.selector == "mid" else energies
-        return key[..., self.count] - key[..., self.count - 1]
+        key = np.abs(energies) if self.selector == "mid" else energies
+        order = np.argsort(key, axis=-1, kind="stable")
+        edge = np.take_along_axis(key, order[..., self.count - 1:self.count + 1], axis=-1)
+        with np.errstate(over="ignore"):  # a margin beyond the float range is a wide one
+            margin = edge[..., 1] - edge[..., 0] if edge.shape[-1] == 2 else np.full(edge.shape[:-1], np.inf)
+        return np.sort(order[..., :self.count], axis=-1), margin
 
     def __call__(self, eig) -> np.ndarray:
-        picked = self.indices(eig.energies)
+        picked, _ = self.select(eig.energies)
         return np.take_along_axis(eig.vectors, picked[..., None, :], axis=-1).swapaxes(-1, -2)
 
     def blocks(self, L: int, bc: str) -> tuple:
@@ -192,7 +186,8 @@ def window_rows(diag: np.ndarray, window: Window) -> tuple:
     energies are the rows of ``diag`` (B, L), and the B reasons they fell
     back, "" where a chain did not.
 
-    Eigenvalues come from :func:`~obsent.model.chain_eigenvalues`, and
+    Eigenvalues come from :func:`~obsent.model.chain_eigenvalues`,
+    :meth:`Window.select` picks levels and edge margins from them, and
     :func:`~obsent.model.chain_eigenvectors` finds the eigenvectors of all
     selected levels at once; unless a chain fell back, the rows are its
     C-ordered working array.  A chain is redone on the full eigensystem
@@ -207,13 +202,13 @@ def window_rows(diag: np.ndarray, window: Window) -> tuple:
     its own chain, not on the others in ``diag``.
     """
     energies = chain_eigenvalues(diag)
-    picked = window.indices(energies)
+    picked, margin = window.select(energies)
     level = np.take_along_axis(energies, picked, axis=-1)
     with np.errstate(over="ignore"):  # a spacing beyond the float range is a wide gap
         spacing = np.diff(energies, axis=-1, prepend=-np.inf, append=np.inf)
         gap = np.minimum(np.take_along_axis(spacing, picked, axis=-1),
                          np.take_along_axis(spacing, picked + 1, axis=-1)).min(axis=-1)
-        reason = np.select([gap < GAP_MIN, window.margin(energies) < EIGENPAIR_TOL],
+        reason = np.select([gap < GAP_MIN, margin < EIGENPAIR_TOL],
                            ["near_degenerate", "window_tie"], "")
     del energies, spacing  # not needed beside the lanes, a block's largest arrays
     solve = lambda p: window(chain_eigensystem(diag[p:p + 1]))[0]
@@ -254,6 +249,8 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
         raise ValueError(f"basis tags must be among {BASIS_TAGS}, got {tuple(basis_tags)}")
     if len({(params.L, params.bc) for params in grid}) != 1:
         raise ValueError("a grid holds chains of one L and one boundary condition")
+    if momentum_order not in ("index", "kinetic"):
+        raise ValueError(f"momentum_order must be 'index' or 'kinetic', got {momentum_order!r}")
     L, bc = grid[0].L, grid[0].bc
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else slice(None)
     phis = [phase_sequence(seed, L, params.delta, n_phi) for params in grid]

@@ -163,11 +163,16 @@ def test_duality_sign_flip(tmp_path):
 def test_kinetic_momentum_ordering():
     from obsent import kinetic_index_order
 
+    for L in (2, 3, 16, 24, 32, 64, 256, 610):
+        perm = kinetic_index_order(L)
+        assert sorted(perm.tolist()) == list(range(L))
+        o = -2.0 * np.cos(2.0 * math.pi * np.arange(L) / L)
+        assert np.all(np.diff(o[perm]) >= -1e-15)
+        # the exact key min(n, L - n) never decreases, and each +-k pair has its lower index first
+        assert np.all(np.diff(np.minimum(perm, L - perm)) >= 0), L
+        position = np.argsort(perm)
+        assert all(position[n] < position[L - n] for n in range(1, (L + 1) // 2)), L
     L = 32
-    perm = kinetic_index_order(L)
-    assert sorted(perm.tolist()) == list(range(L))
-    o = -2.0 * np.cos(2.0 * math.pi * np.arange(L) / L)
-    assert np.all(np.diff(o[perm]) >= -1e-15)
     # pair blocks see the same consecutive-pair sums either way because the
     # momentum distribution of a real Hamiltonian is symmetric under k -> -k,
     # so m=2 entropies agree between the index and kinetic orderings

@@ -2,6 +2,7 @@
 
 import csv
 import ctypes
+import importlib.util
 import json
 import math
 import os
@@ -368,6 +369,21 @@ def test_cli_validate_config_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"preset": "fig1", "L": [12], "m": [5]}))
     assert obsent.cli.main(["validate", "--config", str(bad)]) == 2
+
+
+def compared_configs():
+    """The configs that tools/cmp_outputs.py runs on two source trees."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "cmp_outputs.py")
+    spec = importlib.util.spec_from_file_location("cmp_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CONFIGS
+
+
+@pytest.mark.parametrize("args", compared_configs())
+def test_compared_configs_validate(args, capsys):
+    # a config that stopped validating would compare no CSV at all
+    assert obsent.cli.main(["validate", *args.split()]) == 0, capsys.readouterr().out
 
 
 def test_cli_config_error_is_machine_readable(tmp_path, capsys):

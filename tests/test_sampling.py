@@ -169,6 +169,31 @@ def test_window_rows_match_dense_eigh(L, delta, phi, size, selector):
             assert np.abs(new - old).max() <= 1e-10
 
 
+def ranked_spectrum(L, rng):
+    """Ascending energies of L levels with exact ties: +-E pairs about zero
+    and repeated levels, among distinct ones."""
+    levels = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=L)
+    levels[: L // 3] = rng.uniform(-3.0, 3.0, L // 3)
+    return np.sort(levels)
+
+
+@pytest.mark.parametrize("L", [2, 3, 8, 33])
+def test_window_select_matches_plain_ranking(L):
+    # the rule, in plain Python: rank by (key, index), take the first count, in
+    # spectrum order; the margin is the key of the first level left out less
+    # that of the last one picked
+    rng = np.random.default_rng(L)
+    stack = np.array([ranked_spectrum(L, rng) for _ in range(20)])
+    for selector in ("mid", "ground"):
+        for count in range(1, L + 1):
+            picked, margin = Window(count, selector).select(stack)
+            for energies, row, edge in zip(stack.tolist(), picked.tolist(), margin.tolist()):
+                key = [abs(e) if selector == "mid" else e for e in energies]
+                ranked = sorted(range(L), key=lambda j: (key[j], j))
+                assert row == sorted(ranked[:count])
+                assert edge == (key[ranked[count]] - key[ranked[count - 1]] if count < L else math.inf)
+
+
 def wells(twin):
     """On-site energies of 32 sites: two equally deep wells 20 sites apart in a
     strong potential of period 10 bind a pair of states split by far less than
@@ -345,6 +370,9 @@ def test_chunks_cover_every_phase_in_order(monkeypatch):
 def test_window_rejects_unknown_selector():
     with pytest.raises(ValueError, match="selector must be 'mid' or 'ground', got 'bogus'"):
         Window(3, "bogus")
+    for count in (0, -1):  # -1 would pick all but one level, 0 none
+        with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+            Window(count)
 
 
 def test_eigenstate_table_rejects_selector_before_solving(monkeypatch):
@@ -360,6 +388,8 @@ def test_phase_table_rejects_unknown_basis(monkeypatch):
     monkeypatch.setattr(sampling, "chain_eigenvalues", None)  # fails if a phase is solved
     with pytest.raises(ValueError, match="basis tags must be among"):
         phase_table([ModelParams(L=16)], 2, 0, Window(2), [1], ("real", "position"))
+    with pytest.raises(ValueError, match="momentum_order must be 'index' or 'kinetic', got 'kinetik'"):
+        eigenstate_entropy_table(16, 1.0, [2], ("momentum",), momentum_order="kinetik")
 
 
 def test_one_loop_over_phases_and_one_reduction():
