@@ -6,7 +6,7 @@ are Bessel functions of the first kind, ``<j|psi(t)> = i^n J_n(2t)`` with
 n the signed distance from the initial site, which gives an independent
 closed-form reference for the finest-grained entropy.  A quench table is
 one :func:`obsent.sampling.phase_table` call on a :class:`Quench`, which
-keeps each phase's entropies per time.
+keeps each phase's entropies per time and holds no arrays between blocks.
 """
 
 from __future__ import annotations
@@ -26,21 +26,19 @@ BESSEL_MAX_ARG = 100.0
 
 
 def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray,
-                complex_vectors: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+                scratch: np.ndarray | None = None) -> np.ndarray:
     """States at all requested times, shape (n_times, L).
 
     The eigenbasis projection of psi0 is computed once; each time then
     costs a single matrix-vector product, all of them one complex product
-    of V + 0i with the phase factors.  A stack of systems gives a
-    (..., n_times, L) stack: the transposed view of the C-ordered
-    (..., L, n_times) product.  Negative times raise ``ValueError``, and an
-    overflowing t * E raises ``FloatingPointError``.
-
-    The optional buffers let a :class:`Quench` reuse its workspace:
-    ``complex_vectors``, shaped like ``eig.vectors``, takes V + 0i, and the
-    phase factors and the product are carved out of ``scratch``, a C-ordered
-    float array that may be the memory of ``eig.vectors`` itself, where it
-    holds 4 * n_times * L floats per system; they are allocated otherwise.
+    of V + 0i, copied into a fresh C-ordered array, with the phase factors.
+    A stack of systems gives a (..., n_times, L) stack: the transposed view
+    of the C-ordered (..., L, n_times) product.  The phase factors and the
+    product are carved out of ``scratch`` when it is a C-ordered float
+    array of at least 4 * n_times * L floats per system, such as the spent
+    memory of ``eig.vectors`` once V + 0i is copied, and allocated
+    otherwise.  Negative times raise ``ValueError``, and an overflowing
+    t * E raises ``FloatingPointError``.
     """
     psi0 = np.asarray(psi0)
     if psi0.shape != (eig.L,):
@@ -51,13 +49,11 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray,
     if not math.isfinite(float(times.max(initial=0.0)) * float(np.abs(eig.energies).max(initial=0.0))):
         raise FloatingPointError(f"t * E overflows for t up to {times.max():g}")
     coeff = eig.vectors.conj().swapaxes(-1, -2) @ psi0
-    if complex_vectors is None:
-        complex_vectors = np.empty(eig.vectors.shape, complex)
-    complex_vectors[...] = eig.vectors  # the operand numpy's cast would build for the product
+    vectors = eig.vectors.astype(complex, order="C")  # the operand numpy's cast would build for the product
     batch = eig.energies.shape[:-1]
     size = math.prod(batch) * times.size * eig.L
     if scratch is not None and scratch.flags.c_contiguous and scratch.size >= 4 * size:
-        memory = scratch.reshape(-1)[:4 * size].view(complex)  # the vectors are spent
+        memory = scratch.reshape(-1)[:4 * size].view(complex)
         phases, product = memory[:size], memory[size:2 * size]
     else:
         phases, product = np.empty(size, complex), np.empty(size, complex)
@@ -66,35 +62,29 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray,
     phases *= -1j
     np.exp(phases, out=phases)
     phases *= coeff[..., None, :]
-    return np.matmul(complex_vectors, phases.swapaxes(-1, -2), out=product).swapaxes(-1, -2)
+    return np.matmul(vectors, phases.swapaxes(-1, -2), out=product).swapaxes(-1, -2)
 
 
 class Quench:
     """The states a quench table of size L measures: the particle on the
-    1-based site ``initial_site`` (default the middle of the lattice),
-    evolved to each of ``times``; their entropies are kept per time.  On
-    open chains the blocks share one workspace, Z and a complex buffer,
-    allocated by the first (largest) block; rings take dense ``eigh``, which
-    allocates its own vectors, and no workspace."""
+    1-based site ``initial_site`` (default the middle site, (L + 1) // 2),
+    evolved to each of ``times``; their entropies are kept per time.  Each
+    block allocates its own eigensystem, and :func:`evolve_many` carves the
+    phase factors and the product out of its spent vectors where it can."""
 
     averaged = False
 
     def __init__(self, L: int, times, initial_site: int | None = None):
-        self.psi0 = site_state(L, L // 2 if initial_site is None else initial_site)
-        self.times, self._z, self._spare = np.asarray(times, dtype=float), None, None
+        self.psi0 = site_state(L, (L + 1) // 2 if initial_site is None else initial_site)
+        self.times = np.asarray(times, dtype=float)
 
     def blocks(self, L: int, bc: str) -> tuple:
         return chunk_size(L), chunk_size(L)
 
     def rows(self, diag: np.ndarray, bc: str) -> tuple:
         """(B, n_times, L) states and no fallback reasons."""
-        if bc != "open":
-            return evolve_many(chain_eigensystem(diag, periodic=True), self.psi0, self.times), ()
-        if self._z is None or len(self._z) < len(diag):
-            shape = diag.shape + diag.shape[-1:]
-            self._z, self._spare = np.empty(shape), np.empty(shape, complex)
-        z, spare = self._z[:len(diag)], self._spare[:len(diag)]
-        return evolve_many(chain_eigensystem(diag, z, spare), self.psi0, self.times, spare, z), ()
+        eig = chain_eigensystem(diag, periodic=bc != "open")
+        return evolve_many(eig, self.psi0, self.times, eig.vectors.swapaxes(-1, -2)), ()
 
 
 def quench_entropy_table(

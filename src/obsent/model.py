@@ -18,6 +18,8 @@ import numpy as np
 GOLDEN_RATIO_INVERSE = (math.sqrt(5.0) - 1.0) / 2.0
 
 _TWO_PI = 2.0 * math.pi
+#: The boundary conditions of a chain.
+BOUNDARY_CONDITIONS = ("open", "periodic")
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,8 @@ class ModelParams:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi!r}")
-        if self.bc not in ("open", "periodic"):
-            raise ValueError(f"bc must be 'open' or 'periodic', got {self.bc!r}")
+        if self.bc not in BOUNDARY_CONDITIONS:
+            raise ValueError(f"bc must be {' or '.join(map(repr, BOUNDARY_CONDITIONS))}, got {self.bc!r}")
         object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
 
 
@@ -90,21 +92,24 @@ def chain_diagonals(params: ModelParams, phis) -> np.ndarray:
 
 def chain_matrices(diag: np.ndarray, periodic: bool = False) -> np.ndarray:
     """Dense (n, L, L) chains with diagonals ``diag`` (n, L) and hopping -1,
-    closed into rings when ``periodic``; every dense chain matrix is made here."""
+    closed into rings when ``periodic`` by adding the wrap bond -1 between
+    sites L and 1 (an L = 2 ring's two bonds add up to -2); every dense
+    chain matrix is made here."""
     B, L = diag.shape
     h = np.zeros((B, L, L))
     idx = np.arange(L)
     h[:, idx, idx] = diag
     h[:, idx[:-1], idx[1:]] = h[:, idx[1:], idx[:-1]] = -1.0
     if periodic:
-        h[:, 0, L - 1] = h[:, L - 1, 0] = -1.0
+        h[:, 0, L - 1] -= 1.0
+        h[:, L - 1, 0] -= 1.0
     return h
 
 
 def build_hamiltonian(params: ModelParams, phis=None) -> np.ndarray:
     """The dense L x L chain Hamiltonian at ``params.phi``: the potential of
     :func:`chain_diagonals` on the diagonal, -1 on the first off-diagonals,
-    and -1 in the corners only for periodic boundaries (see
+    and for periodic boundaries the wrap bond -1 added in the corners (see
     :func:`chain_matrices`).  Given ``phis``, the (n, L, L) stack of these
     matrices at each of those phases instead."""
     stack = chain_matrices(chain_diagonals(params, [params.phi] if phis is None else phis),
@@ -201,31 +206,20 @@ def chain_eigenvalues(diag) -> np.ndarray:
     return d
 
 
-def chain_eigensystem(diag, z=None, work=None, periodic: bool = False) -> EigenSystem:
+def chain_eigensystem(diag, periodic: bool = False) -> EigenSystem:
     """Full eigensystems of open chains as in :func:`chain_eigenvalues`, by
     LAPACK ``dstevd``, or by :func:`eigendecompose` of the dense matrices
     where ``dstevd`` is not bound; both agree up to eigenvector signs.
     Rings (``periodic``) are not tridiagonal and always take the dense route.
-
-    The optional buffers let a caller that solves many blocks reuse its
-    memory: ``dstevd`` writes the vectors into ``z``, a C-ordered float
-    (B, L, L) array whose transposed view the result then holds, and uses
-    ``work``, any C-ordered array of at least 8 * (1 + 4L + L**2) bytes, as
-    its work array.  Without them, or where ``work`` is too small, the
-    arrays are allocated; the dense route ignores both."""
+    ``dstevd`` writes each chain's column-major Z into a C-ordered (B, L, L)
+    array, so the vectors are its transposed view."""
     d, e = _chain_problem(diag)
     if periodic or _DSTEVD is None:
         return eigendecompose(chain_matrices(d, periodic))
     B, L = d.shape
-    if z is None:
-        z = np.empty((B, L, L))  # chain b's column-major Z is z[b].T
-    elif z.shape != (B, L, L) or z.dtype != float or not z.flags.c_contiguous:
-        raise ValueError(f"z must be a C-ordered float array of shape {(B, L, L)}")
-    size = 1 + 4 * L + L * L
-    if work is None or not work.flags.c_contiguous or work.nbytes < 8 * size:
-        work = np.empty(size)
+    z, work = np.empty((B, L, L)), np.empty(1 + 4 * L + L * L)  # chain b's column-major Z is z[b].T
     iwork = np.empty(3 + 5 * L, dtype=np.int64)
-    n, lwork, liwork, info = (ctypes.c_int64(v) for v in (L, size, iwork.size, 0))
+    n, lwork, liwork, info = (ctypes.c_int64(v) for v in (L, work.size, iwork.size, 0))
     (d_ptr, d_step), (e_ptr, e_step), (z_ptr, z_step) = ((a.ctypes.data, a.strides[0]) for a in (d, e, z))
     work_ptr, iwork_ptr = work.ctypes.data, iwork.ctypes.data
     for b in range(B):

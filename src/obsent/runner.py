@@ -25,8 +25,9 @@ import numpy as np
 from . import __version__
 from .analysis import eigenstate_window, fit_log_slope, normalized_fluctuation, resolve_mid_count
 from .dynamics import Quench
-from .model import ModelParams, chain_solvers
-from .sampling import NUMERICAL_ERRORS, phase_table
+from .entropy import BASIS_TAGS
+from .model import BOUNDARY_CONDITIONS, ModelParams, chain_solvers
+from .sampling import MOMENTUM_ORDERS, NUMERICAL_ERRORS, SELECTORS, phase_table
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries the full diagnostics list."""
@@ -71,7 +72,7 @@ class ExperimentConfig:
         return np.geomspace(self.t_min, self.t_max, self.t_points)
 
     def basis_tags(self) -> tuple:
-        return ("real", "momentum") if self.basis == "both" else (self.basis,)
+        return BASIS_TAGS if self.basis == "both" else (self.basis,)
 
 
 _PRESET_DEFAULTS = {
@@ -93,9 +94,8 @@ _SCALAR_FIELDS = {"n_phi": int, "seed": int, "t_points": int, "initial_site": in
                   "t_min": float, "t_max": float}
 _NUMERIC_FIELDS = {**_LIST_FIELDS, **_SCALAR_FIELDS}
 #: fields restricted to a fixed set of values, and integer fields with a lower bound
-_CHOICES = {"preset": tuple(_PRESET_DEFAULTS), "basis": ("real", "momentum", "both"),
-            "bc": ("open", "periodic"), "selector": ("mid", "ground"),
-            "momentum_order": ("index", "kinetic")}
+_CHOICES = {"preset": tuple(_PRESET_DEFAULTS), "basis": (*BASIS_TAGS, "both"), "bc": BOUNDARY_CONDITIONS,
+            "selector": SELECTORS, "momentum_order": MOMENTUM_ORDERS}
 _MINIMUM = {"n_phi": 1, "seed": 0, "jobs": 1}
 _MAX_TIMES = 10_000  # most points a time grid may hold, checked before one is built
 

@@ -51,6 +51,8 @@ GAP_MIN = 1e-4
 EIGENPAIR_TOL = 1e-10
 #: The errors a numerical failure raises; a run ends with exit 3 on them.
 NUMERICAL_ERRORS = (np.linalg.LinAlgError, ValueError, FloatingPointError)
+#: How a :class:`Window` ranks levels, and how momentum indices are ordered.
+SELECTORS, MOMENTUM_ORDERS = ("mid", "ground"), ("index", "kinetic")
 
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -142,8 +144,8 @@ class Window:
     averaged = True
 
     def __post_init__(self):
-        if self.selector not in ("mid", "ground"):
-            raise ValueError(f"selector must be 'mid' or 'ground', got {self.selector!r}")
+        if self.selector not in SELECTORS:
+            raise ValueError(f"selector must be {' or '.join(map(repr, SELECTORS))}, got {self.selector!r}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count!r}")
 
@@ -249,8 +251,9 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
         raise ValueError(f"basis tags must be among {BASIS_TAGS}, got {tuple(basis_tags)}")
     if len({(params.L, params.bc) for params in grid}) != 1:
         raise ValueError("a grid holds chains of one L and one boundary condition")
-    if momentum_order not in ("index", "kinetic"):
-        raise ValueError(f"momentum_order must be 'index' or 'kinetic', got {momentum_order!r}")
+    if momentum_order not in MOMENTUM_ORDERS:
+        raise ValueError(f"momentum_order must be {' or '.join(map(repr, MOMENTUM_ORDERS))}, "
+                         f"got {momentum_order!r}")
     L, bc = grid[0].L, grid[0].bc
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else slice(None)
     phis = [phase_sequence(seed, L, params.delta, n_phi) for params in grid]

@@ -77,11 +77,13 @@ def test_free_ring_amplitudes_are_bessel():
 
 
 def test_quench_spec_validation():
-    params = ModelParams(L=8)
     times = np.array([0.0, 1.0])
-    default = quench_entropy_table(params, times, [1], n_phi=2, seed=0)
-    middle = quench_entropy_table(params, times, [1], n_phi=2, seed=0, initial_site=4)
-    assert np.array_equal(default[1][0], middle[1][0])
+    for L in (8, 9):  # the default site is the middle one, (L + 1) // 2, also for odd L
+        params = ModelParams(L=L)
+        default = quench_entropy_table(params, times, [1], n_phi=2, seed=0)
+        middle = quench_entropy_table(params, times, [1], n_phi=2, seed=0, initial_site=(L + 1) // 2)
+        assert np.array_equal(default[1][0], middle[1][0]), L
+    params = ModelParams(L=8)
     with pytest.raises(ValueError):
         quench_entropy_table(params, np.array([-1.0, 0.5]), [1], n_phi=2, seed=0)
     with pytest.raises(ValueError):

@@ -274,7 +274,7 @@ def test_phase_shift_is_cyclic_relabeling_at_rational_alpha():
 
 
 def test_free_ring_spectrum_multiset():
-    for L in (4, 8, 32):
+    for L in (2, 3, 4, 8, 32):  # an L = 2 ring counts both of its bonds
         eig = eigendecompose(build_hamiltonian(ModelParams(L=L, delta=0.0, bc="periodic")))
         expected = np.sort(-2.0 * np.cos(2.0 * math.pi * np.arange(L) / L))
         assert np.abs(eig.energies - expected).max() < 1e-10

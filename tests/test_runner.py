@@ -537,7 +537,7 @@ LIBRARY_CALLS = {
                                             ("quench_entropy_table", "chain_eigensystem")])
 def test_cli_numerical_failure_names_grid_point(tmp_path, monkeypatch, capsys, preset, solver):
     # the presets and the library's table functions name the same grid point
-    def boom(*args, **kwargs):  # a quench passes chain_eigensystem its workspace
+    def boom(*args, **kwargs):  # a quench passes chain_eigensystem its boundary condition
         raise np.linalg.LinAlgError("eigensolver did not converge")
 
     # a window looks its solvers up in sampling, a quench in dynamics

@@ -28,7 +28,7 @@ from obsent import (
     to_momentum,
     uniform_block_entropy,
 )
-from obsent import model, sampling
+from obsent import entropy, model, runner, sampling
 from obsent.analysis import eigenstate_window
 from obsent.sampling import Window, chunk_size, phase_table, window_rows
 
@@ -437,6 +437,28 @@ def test_one_loop_over_phases_and_one_reduction():
     assert sampling.NUMERICAL_ERRORS == (np.linalg.LinAlgError, ValueError, FloatingPointError)
 
 
+def test_one_tuple_per_choice():
+    # each vocabulary is spelled as a literal once, by the module that owns it,
+    # and the runner's validation and the library's own checks read that tuple
+    owners = {(entropy, "BASIS_TAGS"): {"real", "momentum"}, (model, "BOUNDARY_CONDITIONS"): {"open", "periodic"},
+              (sampling, "SELECTORS"): {"mid", "ground"}, (sampling, "MOMENTUM_ORDERS"): {"index", "kinetic"}}
+    spelled = {name: [] for _, name in owners}
+    for path in sorted(Path(sampling.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and all(
+                    isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+                for (_, name), words in owners.items():
+                    if {e.value for e in node.elts} == words:
+                        spelled[name].append(path.stem)
+    assert spelled == {name: [module.__name__.split(".")[-1]] for module, name in owners}
+    for (module, name), words in owners.items():
+        assert set(getattr(module, name)) == words
+    assert runner._CHOICES["basis"] == (*entropy.BASIS_TAGS, "both")
+    assert runner._CHOICES["bc"] is model.BOUNDARY_CONDITIONS
+    assert runner._CHOICES["selector"] is sampling.SELECTORS
+    assert runner._CHOICES["momentum_order"] is sampling.MOMENTUM_ORDERS
+
+
 @pytest.mark.parametrize(
     "L, n_phi, bases, bc, selector, momentum_order",
     [
@@ -472,7 +494,7 @@ def test_quench_table_matches_scalar_reference(L, basis_tag, bc, momentum_order)
     times = np.array([0.0, 0.3, 1.0, 4.0, 12.0])
     table = quench_entropy_table(ModelParams(L=L, delta=delta, bc=bc), times, m_list, n_phi=n_phi,
                                  seed=seed, basis_tag=basis_tag, momentum_order=momentum_order)
-    psi0 = site_state(L, L // 2)
+    psi0 = site_state(L, (L + 1) // 2)
     per_phase = {m: [] for m in m_list}
     for eig in phase_eigensystems(L, delta, n_phi, seed, bc):
         for m, values in scalar_entropies(evolve_many(eig, psi0, times), L, m_list, basis_tag,
@@ -487,7 +509,7 @@ def test_quench_table_matches_scalar_reference(L, basis_tag, bc, momentum_order)
 def per_phase_quench_table(params, times, m_list, n_phi, seed, basis_tag):
     """quench_entropy_table's {m: (mean, stderr)} from one chain_eigensystem,
     evolve_many and uniform_block_entropy call per phase, none given buffers."""
-    psi0, samples = site_state(params.L, params.L // 2), {m: [] for m in m_list}
+    psi0, samples = site_state(params.L, (params.L + 1) // 2), {m: [] for m in m_list}
     for phi in phase_sequence(seed, params.L, params.delta, n_phi):
         states = evolve_many(chain_eigensystem(chain_diagonals(params, [phi])), psi0, times)
         if basis_tag == "momentum":
@@ -517,11 +539,11 @@ def test_quench_workspace_equals_per_phase_reference(monkeypatch, L, n_phi, n_ti
 
 
 def test_quench_table_peak_memory_holds_one_workspace():
-    # fig3's size: the table allocates Z (512 KiB) and the complex buffer
-    # (1 MiB) once, and the phase factors and the product of every phase live
-    # in their spent memory; each chunk's weights (120 KiB) and block_entropy's
-    # one temporary are allocated, about 1874 KiB in all.  Without the
-    # workspace, every phase allocating its own arrays, it peaks at about
+    # fig3's size: each block allocates its Z (512 KiB) and the C-ordered
+    # V + 0i (1 MiB), and the phase factors and the product live in Z's spent
+    # memory; each chunk's weights (120 KiB) and block_entropy's one temporary
+    # are allocated, about 1754 KiB in all.  Without the carve, evolve_many
+    # allocating the phase factors and the product, it peaks at about
     # 2234 KiB here.
     args = (ModelParams(L=256, delta=1.0), np.geomspace(0.1, 100.0, 60), (1, 4, 16))
     quench_entropy_table(*args, n_phi=8, seed=1)  # warm-up
@@ -535,9 +557,9 @@ def test_quench_table_peak_memory_holds_one_workspace():
 
 
 def test_periodic_quench_table_peak_memory_holds_no_workspace():
-    # rings take dense eigh, which allocates its own vectors, so a ring quench
-    # evolves without the open chains' workspace: about 1933 KiB here, against
-    # 2189 KiB when the table also holds a Z for each block
+    # rings take dense eigh, whose vectors' transposed view is not C-ordered,
+    # so evolve_many allocates the phase factors and the product: about
+    # 1933 KiB here, against 2189 KiB when the table also held a Z per block
     args = (ModelParams(L=64, delta=1.3, bc="periodic"), np.geomspace(0.1, 100.0, 60), (1, 4))
     quench_entropy_table(*args, n_phi=20, seed=1)  # warm-up
     tracemalloc.start()

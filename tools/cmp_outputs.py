@@ -27,7 +27,8 @@ from pathlib import Path
 
 #: ``obsent run`` arguments of each compared config.  Together they cover the
 #: four presets, both bases, both boundary conditions, both selectors, both
-#: momentum orders, eigenstate and quench tables, and a window_tie fallback.
+#: momentum orders, eigenstate and quench tables, a window_tie fallback, the
+#: default quench site at odd L, and the two-site ring.
 CONFIGS = (
     "--preset fig1",
     "--preset fig3",
@@ -40,6 +41,8 @@ CONFIGS = (
     "--preset custom --L 16,32 --delta 0,1.5 --m 1,4 --basis momentum --bc periodic --times 0,0.5,3,20 --initial-site 3",
     "--preset custom --L 64 --delta 0,1 --m 1,4 --basis momentum --bc periodic --selector ground --momentum-order kinetic",
     "--preset custom --L 16 --delta 1 --m 1,2 --basis momentum --momentum-order kinetic --times 0.1,1,10 --initial-site 1",
+    "--preset custom --L 3,5 --delta 0.5,3 --m 1 --times 0,1,5 --n-phi 4",
+    "--preset custom --L 2 --delta 0,1 --m 1,2 --bc periodic --times 0,0.5,2 --n-phi 3",
 )
 
 _ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
