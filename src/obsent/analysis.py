@@ -71,8 +71,8 @@ def eigenstate_entropy_table(
     mid-spectrum window of ``mid_count`` states, "ground" for the
     lowest-energy state.
     """
-    tables, _ = phase_table([ModelParams(L=L, delta=delta, bc=bc)], n_phi, seed,
-                            eigenstate_window(L, mid_count, selector), m_list, basis_tags, momentum_order)
+    tables, _ = phase_table([params := ModelParams(L=L, delta=delta, bc=bc)], n_phi, seed,
+                            eigenstate_window(params.L, mid_count, selector), m_list, basis_tags, momentum_order)
     return {key: (float(mean), float(stderr)) for key, (mean, stderr) in tables[0].items()}
 
 

@@ -25,6 +25,14 @@ BESSEL_MAX_ORDER = 300
 BESSEL_MAX_ARG = 100.0
 
 
+def _checked_times(times) -> np.ndarray:
+    """``times`` as floats; they must form a non-empty 1-D grid of finite t >= 0."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size or not np.all(np.isfinite(times) & (times >= 0.0)):
+        raise ValueError(f"times must be a non-empty 1-D grid of finite t >= 0, got {np.array2string(times, threshold=8)}")
+    return times
+
+
 def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray,
                 scratch: np.ndarray | None = None) -> np.ndarray:
     """States at all requested times, shape (n_times, L).
@@ -37,16 +45,14 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray,
     product are carved out of ``scratch`` when it is a C-ordered float
     array of at least 4 * n_times * L floats per system, such as the spent
     memory of ``eig.vectors`` once V + 0i is copied, and allocated
-    otherwise.  Negative times raise ``ValueError``, and an overflowing
-    t * E raises ``FloatingPointError``.
+    otherwise.  Times other than a non-empty 1-D grid of finite t >= 0 raise
+    ``ValueError``, and an overflowing t * E raises ``FloatingPointError``.
     """
     psi0 = np.asarray(psi0)
     if psi0.shape != (eig.L,):
         raise ValueError(f"state has shape {psi0.shape}, expected ({eig.L},)")
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise ValueError(f"times must be >= 0, got {times.min()}")
-    if not math.isfinite(float(times.max(initial=0.0)) * float(np.abs(eig.energies).max(initial=0.0))):
+    times = _checked_times(times)
+    if not math.isfinite(float(times.max()) * float(np.abs(eig.energies).max(initial=0.0))):
         raise FloatingPointError(f"t * E overflows for t up to {times.max():g}")
     coeff = eig.vectors.conj().swapaxes(-1, -2) @ psi0
     vectors = eig.vectors.astype(complex, order="C")  # the operand numpy's cast would build for the product
@@ -68,18 +74,19 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray,
 class Quench:
     """The states a quench table of size L measures: the particle on the
     1-based site ``initial_site`` (default the middle site, (L + 1) // 2),
-    evolved to each of ``times``; their entropies are kept per time.  Each
-    block allocates its own eigensystem, and :func:`evolve_many` carves the
-    phase factors and the product out of its spent vectors where it can."""
+    evolved to each of ``times``; their entropies are kept per time.  A block
+    counts each realization's eigenvectors and (n_times, L) complex states,
+    and reuses spent vectors for the phase factors and product where it can."""
 
     averaged = False
 
     def __init__(self, L: int, times, initial_site: int | None = None):
         self.psi0 = site_state(L, (L + 1) // 2 if initial_site is None else initial_site)
-        self.times = np.asarray(times, dtype=float)
+        self.times = _checked_times(times)
 
-    def blocks(self, L: int, bc: str) -> tuple:
-        return chunk_size(L), chunk_size(L)
+    def blocks(self, L: int, bc: str) -> int:
+        """Realizations solved together, each with its eigenvectors and states."""
+        return chunk_size(L, L + 2 * self.times.size)
 
     def rows(self, diag: np.ndarray, bc: str) -> tuple:
         """(B, n_times, L) states and no fallback reasons."""

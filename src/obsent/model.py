@@ -60,6 +60,7 @@ class ModelParams:
             raise ValueError(f"phi must be finite, got {self.phi!r}")
         if self.bc not in BOUNDARY_CONDITIONS:
             raise ValueError(f"bc must be {' or '.join(map(repr, BOUNDARY_CONDITIONS))}, got {self.bc!r}")
+        object.__setattr__(self, "L", int(self.L))
         object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
 
 
@@ -314,8 +315,8 @@ def kinetic_index_order(L: int) -> np.ndarray:
 
 def site_state(L: int, site: int) -> np.ndarray:
     """Unit-norm state fully localized on 1-based lattice site ``site``."""
-    if not 1 <= site <= L:
+    if not 1 <= site <= L or site != int(site):
         raise ValueError(f"site must lie in 1..{L}, got {site}")
     psi = np.zeros(L)
-    psi[site - 1] = 1.0
+    psi[int(site) - 1] = 1.0
     return psi

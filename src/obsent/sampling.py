@@ -13,11 +13,12 @@ of one size and the one reduction of their weights into averaged
 entropies that every eigenstate and quench table runs through; an error
 of :data:`NUMERICAL_ERRORS` raised in it names the size, deltas and phase
 indices of the failing block.  Each kind of state owns its solve route:
-``blocks(L, bc)`` gives the realizations solved and reduced together,
-``rows(diag, bc)`` a block's (B, n, L) rows and its chains' fallback
-reasons, and ``averaged`` whether a realization's n entropies are averaged
-or kept.  :class:`Window` selects eigenstates by one stable ranking of the
-spectrum, :class:`~obsent.dynamics.Quench` evolves a particle.
+``blocks(L, bc)`` gives the realizations solved together, ``rows(diag,
+bc)`` a block's (B, n, L) rows and its chains' fallback reasons, and
+``averaged`` whether a realization's n entropies are averaged or kept;
+:func:`phase_table` sizes its reduction chunks from the rows it receives.
+:class:`Window` selects eigenstates by one stable ranking of the spectrum,
+:class:`~obsent.dynamics.Quench` evolves a particle.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .model import (
     to_momentum,
 )
 
-#: Memory budget of one chunk of eigenvector matrices, or of one chunk of
-#: window rows, in :func:`phase_table`.
+#: Memory budget of the arrays one block holds per phase realization: the
+#: eigensystems and states a block solves, and the rows a chunk reduces.
 CHUNK_BYTES = 256 * 1024
 #: Smallest spacing (in units of the hopping) between a selected level and
 #: its neighbours for which inverse iteration is trusted.  Closer levels
@@ -120,13 +121,12 @@ def phase_sequence(seed: int, L: int, delta: float, n_phi: int) -> np.ndarray:
     return np.array(phases)
 
 
-def chunk_size(L: int, n: int | None = None) -> int:
-    """Phases processed together: as many (L, n) float64 arrays per phase as
-    fit in :data:`CHUNK_BYTES`, at least one.  ``n`` defaults to L (full
-    eigensystems); it is the window size for chunks of window rows.
+def chunk_size(L: int, n: int) -> int:
+    """Phases processed together: as many (n, L) float64 arrays per phase as
+    fit in :data:`CHUNK_BYTES`, at least one; n = L for a full eigensystem.
     Depends on L and n only, so results never depend on how a grid is split
     across workers."""
-    return max(1, CHUNK_BYTES // (8 * L * (L if n is None else n)))
+    return max(1, CHUNK_BYTES // (8 * L * n))
 
 
 @dataclass(frozen=True)
@@ -169,12 +169,9 @@ class Window:
         picked, _ = self.select(eig.energies)
         return np.take_along_axis(eig.vectors, picked[..., None, :], axis=-1).swapaxes(-1, -2)
 
-    def blocks(self, L: int, bc: str) -> tuple:
-        """Realizations solved together, and realizations reduced together."""
-        if bc != "open":
-            return chunk_size(L), chunk_size(L)
-        step = chunk_size(L, self.count)
-        return max(step, L // self.count), step
+    def blocks(self, L: int, bc: str) -> int:
+        """Realizations solved together; at least L lanes on open chains."""
+        return chunk_size(L, L) if bc != "open" else max(chunk_size(L, self.count), L // self.count)
 
     def rows(self, diag: np.ndarray, bc: str) -> tuple:
         """(B, count, L) rows and each chain's fallback reason ("" for none)."""
@@ -242,10 +239,11 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     ``states`` is a :class:`Window` or a :class:`~obsent.dynamics.Quench`
     (see the module docstring); a quench keeps its n times, so its means and
     standard errors have shape (n,).  The weights of one basis at a time are
-    allocated and reduced in chunks, and a block is released before the next
-    one is built.  Momentum tags see the states in the plane-wave basis,
-    sorted by kinetic energy when ``momentum_order`` is "kinetic".  Numerical
-    errors name L, each delta of the failing block and its phase indices.
+    allocated and reduced in chunks of as many realizations' (n, L) rows as
+    :func:`chunk_size` allows, and a block is released before the next one
+    is built.  Momentum tags see the states in the plane-wave basis, sorted
+    by kinetic energy when ``momentum_order`` is "kinetic".  Numerical errors
+    name L, each delta of the failing block and its phase indices.
     """
     if not set(basis_tags) <= set(BASIS_TAGS):
         raise ValueError(f"basis tags must be among {BASIS_TAGS}, got {tuple(basis_tags)}")
@@ -257,7 +255,7 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     L, bc = grid[0].L, grid[0].bc
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else slice(None)
     phis = [phase_sequence(seed, L, params.delta, n_phi) for params in grid]
-    (block, step), total = states.blocks(L, bc), len(grid) * n_phi
+    block, total = states.blocks(L, bc), len(grid) * n_phi
     tables, samples, fallbacks = [], {(m, b): [] for m in m_list for b in basis_tags}, Counter()
     for start in range(0, total, block):
         stop = min(start + block, total)
@@ -268,6 +266,7 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
             rows, reason = states.rows(np.concatenate([chain_diagonals(grid[g], phis[g][lo:hi])
                                                        for g, lo, hi in parts]), bc)
             fallbacks.update(filter(None, reason))
+            step = chunk_size(L, rows.shape[-2])
             for chunk in range(0, len(rows), step):
                 part = rows[chunk:chunk + step]
                 for b in basis_tags:

@@ -160,6 +160,15 @@ def test_duality_sign_flip(tmp_path):
         assert signs[other] < 0.0
 
 
+def test_integral_float_size_gives_the_int_size_table():
+    args = (1.0, [1, 2], ("real", "momentum"))
+    by_int = eigenstate_entropy_table(16, *args, n_phi=4, seed=3, mid_count="L/8")
+    by_float = eigenstate_entropy_table(16.0, *args, n_phi=4, seed=3, mid_count="L/8")
+    assert by_int.keys() == by_float.keys()
+    for key in by_int:
+        assert [np.float64(v).tobytes() for v in by_int[key]] == [np.float64(v).tobytes() for v in by_float[key]]
+
+
 def test_kinetic_momentum_ordering():
     from obsent import kinetic_index_order
 

@@ -19,6 +19,7 @@ from obsent import (
     quench_entropy_table,
     site_state,
 )
+from obsent import dynamics
 
 
 def bessel_series_oracle(n, x, terms=60):
@@ -88,6 +89,26 @@ def test_quench_spec_validation():
         quench_entropy_table(params, np.array([-1.0, 0.5]), [1], n_phi=2, seed=0)
     with pytest.raises(ValueError):
         quench_entropy_table(params, times, [1], n_phi=2, seed=0, initial_site=9)
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [-1.0, 0.5], [[0.0, 1.0], [2.0, 3.0]], []],
+                         ids=["nan", "inf", "negative", "2-D", "empty"])
+def test_quench_times_are_checked_before_any_solve(monkeypatch, times):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a chain was solved before the times were checked")
+
+    monkeypatch.setattr(dynamics, "chain_eigensystem", unreachable)
+    with pytest.raises(ValueError, match="times must be a non-empty 1-D grid"):
+        quench_entropy_table(ModelParams(L=16, delta=1.0), np.array(times), [1], n_phi=2, seed=0)
+
+
+def test_integral_float_size_gives_the_int_size_table():
+    times = np.array([0.0, 0.5, 3.0])
+    by_int = quench_entropy_table(ModelParams(L=16, delta=1.0), times, [1, 4], n_phi=3, seed=2)
+    by_float = quench_entropy_table(ModelParams(L=16.0, delta=1.0), times, [1, 4], n_phi=3, seed=2)
+    assert by_int.keys() == by_float.keys()
+    for m in by_int:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(by_int[m], by_float[m]))
 
 
 def test_quench_series_start_values():

@@ -288,6 +288,12 @@ def test_plane_wave_maps_to_single_momentum_index():
     assert_allclose(np.abs(amps) ** 2, expected, atol=1e-12)
 
 
+def test_site_state_takes_integral_sites_only():
+    assert np.array_equal(site_state(8, 3.0), site_state(8, 3))
+    with pytest.raises(ValueError, match="site must lie in 1..8"):
+        site_state(8, 1.5)
+
+
 def test_site_state_is_uniform_in_momentum():
     L = 16
     amps = to_momentum(site_state(L, 7))

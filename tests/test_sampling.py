@@ -127,7 +127,7 @@ print(sorted(name for name in sys.modules if name.startswith("numpy.random")))
 
 
 def test_chunk_size_depends_on_L_only():
-    assert [chunk_size(L) for L in (16, 32, 64, 128, 256, 512)] == [128, 32, 8, 2, 1, 1]
+    assert [chunk_size(L, L) for L in (16, 32, 64, 128, 256, 512)] == [128, 32, 8, 2, 1, 1]
 
 
 def test_lane_chunk_size_depends_on_L_and_window_only():
@@ -556,10 +556,28 @@ def test_quench_table_peak_memory_holds_one_workspace():
     assert peak <= 1900 * 1024
 
 
+def test_long_quench_grid_blocks_count_their_states():
+    # 600 times: a realization's (600, 16) complex states are 75 times its
+    # eigenvectors, so a block sized for eigenvectors alone (128 realizations)
+    # peaked at about 39.7 MiB; counting the states, a block holds 1
+    # realization and the table about 3.2 MiB, mostly its samples
+    args = (ModelParams(L=16, delta=1.0), np.geomspace(0.1, 100.0, 600), (1, 4, 16))
+    quench_entropy_table(*args, n_phi=130, seed=1)  # warm-up
+    tracemalloc.start()
+    try:
+        quench_entropy_table(*args, n_phi=130, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 1024 * 1024
+
+
 def test_periodic_quench_table_peak_memory_holds_no_workspace():
     # rings take dense eigh, whose vectors' transposed view is not C-ordered,
-    # so evolve_many allocates the phase factors and the product: about
-    # 1933 KiB here, against 2189 KiB when the table also held a Z per block
+    # so evolve_many allocates the phase factors and the product; a block
+    # counts each realization's 60 complex states beside its eigenvectors
+    # (2 realizations, not 8), about 639 KiB here, against 1933 KiB when
+    # blocks counted eigenvectors alone
     args = (ModelParams(L=64, delta=1.3, bc="periodic"), np.geomspace(0.1, 100.0, 60), (1, 4))
     quench_entropy_table(*args, n_phi=20, seed=1)  # warm-up
     tracemalloc.start()
@@ -568,4 +586,4 @@ def test_periodic_quench_table_peak_memory_holds_no_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2048 * 1024
+    assert peak <= 1024 * 1024
