@@ -314,9 +314,12 @@ def kinetic_index_order(L: int) -> np.ndarray:
 
 
 def site_state(L: int, site: int) -> np.ndarray:
-    """Unit-norm state fully localized on 1-based lattice site ``site``."""
+    """Unit-norm state fully localized on 1-based lattice site ``site`` of
+    ``L`` sites; an integral float L or site counts as its int."""
+    if not (float(L).is_integer() and L >= 1):
+        raise ValueError(f"L must be an integer >= 1, got {L!r}")
     if not 1 <= site <= L or site != int(site):
         raise ValueError(f"site must lie in 1..{L}, got {site}")
-    psi = np.zeros(L)
+    psi = np.zeros(int(L))
     psi[int(site) - 1] = 1.0
     return psi

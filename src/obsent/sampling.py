@@ -149,24 +149,18 @@ class Window:
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count!r}")
 
-    def select(self, energies: np.ndarray) -> tuple:
+    def select(self, energies: np.ndarray) -> np.ndarray:
         """Spectrum positions (..., count) of the levels picked from ascending
-        ``energies``, in spectrum order, and the window-tie margin (...,).
-        One stable sort ranks the levels by |E| ("mid") or E ("ground"),
-        ties to the lower index, and picks the first ``count``; the margin
-        is the key of the first level left out less that of the last one
-        picked, inf when every level is picked."""
+        ``energies``, in spectrum order.  One stable sort ranks the levels by
+        |E| ("mid") or E ("ground"), ties to the lower index, and picks the
+        first ``count``; this ranking alone decides a window, ties included."""
         if self.count > energies.shape[-1]:
             raise ValueError(f"count={self.count} exceeds the {energies.shape[-1]} available states")
         key = np.abs(energies) if self.selector == "mid" else energies
-        order = np.argsort(key, axis=-1, kind="stable")
-        edge = np.take_along_axis(key, order[..., self.count - 1:self.count + 1], axis=-1)
-        with np.errstate(over="ignore"):  # a margin beyond the float range is a wide one
-            margin = edge[..., 1] - edge[..., 0] if edge.shape[-1] == 2 else np.full(edge.shape[:-1], np.inf)
-        return np.sort(order[..., :self.count], axis=-1), margin
+        return np.sort(np.argsort(key, axis=-1, kind="stable")[..., :self.count], axis=-1)
 
     def __call__(self, eig) -> np.ndarray:
-        picked, _ = self.select(eig.energies)
+        picked = self.select(eig.energies)
         return np.take_along_axis(eig.vectors, picked[..., None, :], axis=-1).swapaxes(-1, -2)
 
     def blocks(self, L: int, bc: str) -> int:
@@ -186,29 +180,26 @@ def window_rows(diag: np.ndarray, window: Window) -> tuple:
     back, "" where a chain did not.
 
     Eigenvalues come from :func:`~obsent.model.chain_eigenvalues`,
-    :meth:`Window.select` picks levels and edge margins from them, and
+    :meth:`Window.select` picks levels from them (a tie included), and
     :func:`~obsent.model.chain_eigenvectors` finds the eigenvectors of all
     selected levels at once; unless a chain fell back, the rows are its
     C-ordered working array.  A chain is redone on the full eigensystem
     when a selected level lies within :data:`GAP_MIN` of a neighbour
-    (reason "near_degenerate"), when the window edge is a tie within
-    :data:`EIGENPAIR_TOL` so that rounding decides which level is picked
-    ("window_tie"), or when its vectors miss :data:`EIGENPAIR_TOL`
-    ("inaccurate").  The first two are decided from
-    the eigenvalues and solved before the inverse iteration allocates its
+    (reason "near_degenerate"), or when its vectors miss
+    :data:`EIGENPAIR_TOL` ("inaccurate").  The first is decided from the
+    eigenvalues and solved before the inverse iteration allocates its
     arrays, which then leaves those chains out, so that a full eigensystem
     and a block of lanes are never held at once.  Each row depends only on
     its own chain, not on the others in ``diag``.
     """
     energies = chain_eigenvalues(diag)
-    picked, margin = window.select(energies)
+    picked = window.select(energies)
     level = np.take_along_axis(energies, picked, axis=-1)
     with np.errstate(over="ignore"):  # a spacing beyond the float range is a wide gap
         spacing = np.diff(energies, axis=-1, prepend=-np.inf, append=np.inf)
         gap = np.minimum(np.take_along_axis(spacing, picked, axis=-1),
                          np.take_along_axis(spacing, picked + 1, axis=-1)).min(axis=-1)
-        reason = np.select([gap < GAP_MIN, margin < EIGENPAIR_TOL],
-                           ["near_degenerate", "window_tie"], "")
+    reason = np.where(gap < GAP_MIN, "near_degenerate", "")
     del energies, spacing  # not needed beside the lanes, a block's largest arrays
     solve = lambda p: window(chain_eigensystem(diag[p:p + 1]))[0]
     redo, rest = np.flatnonzero(reason), np.flatnonzero(reason == "")

@@ -292,6 +292,10 @@ def test_site_state_takes_integral_sites_only():
     assert np.array_equal(site_state(8, 3.0), site_state(8, 3))
     with pytest.raises(ValueError, match="site must lie in 1..8"):
         site_state(8, 1.5)
+    assert np.array_equal(site_state(8.0, 2), site_state(8, 2))  # and so does an integral float size
+    for L in (8.5, 0, -4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="L must be an integer >= 1"):
+            site_state(L, 1)
 
 
 def test_site_state_is_uniform_in_momentum():

@@ -180,18 +180,16 @@ def ranked_spectrum(L, rng):
 @pytest.mark.parametrize("L", [2, 3, 8, 33])
 def test_window_select_matches_plain_ranking(L):
     # the rule, in plain Python: rank by (key, index), take the first count, in
-    # spectrum order; the margin is the key of the first level left out less
-    # that of the last one picked
+    # spectrum order
     rng = np.random.default_rng(L)
     stack = np.array([ranked_spectrum(L, rng) for _ in range(20)])
     for selector in ("mid", "ground"):
         for count in range(1, L + 1):
-            picked, margin = Window(count, selector).select(stack)
-            for energies, row, edge in zip(stack.tolist(), picked.tolist(), margin.tolist()):
+            picked = Window(count, selector).select(stack)
+            for energies, row in zip(stack.tolist(), picked.tolist()):
                 key = [abs(e) if selector == "mid" else e for e in energies]
                 ranked = sorted(range(L), key=lambda j: (key[j], j))
                 assert row == sorted(ranked[:count])
-                assert edge == (key[ranked[count]] - key[ranked[count - 1]] if count < L else math.inf)
 
 
 def wells(twin):
@@ -321,13 +319,37 @@ def test_lane_block_peak_memory_stays_within_a_dense_fallback(monkeypatch, route
     assert peak <= 3 * 8 * L**2
 
 
-def test_window_edge_tie_takes_dense_path():
-    # At delta = 0 the open chain's spectrum is symmetric about zero, so an
-    # odd mid window ends on a |E| tie that rounding alone would decide.
-    diag, window = chain_diagonals(ModelParams(L=16), np.zeros(1)), Window(9)
+def test_all_tie_lane_block_peak_memory_holds_no_dense_fallback():
+    # At delta = 0 every phase of an odd L=512 mid window ends on a +-E tie;
+    # the ranking decides each one, so the block holds only its lanes.
+    tracemalloc.start()
+    try:
+        _, fallbacks = phase_table([ModelParams(L=512, delta=0.0)], 16, 42, Window(63),
+                                   (1, 2, 4, 8), ("real", "momentum"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not fallbacks
+    assert peak <= 5 * 1024**2
+
+
+def test_window_edge_tie_needs_no_dense_path():
+    # At delta = 0 the open chain is bipartite, psi_-E(j) = (-1)^j psi_E(j), so
+    # an odd mid window ends on a +-E tie that rounding decides.  Either level
+    # has the same |psi|^2 on every site and momentum weights shifted by L/2,
+    # so the picked states' entropies, as a set, are those of the dense route.
+    L, window = 16, Window(9)
+    diag = chain_diagonals(ModelParams(L=L), np.array([0.0, 1.1, 3.7, 5.9]))
     rows, reason = window_rows(diag, window)
-    assert Counter(filter(None, reason)) == {"window_tie": 1}
-    assert np.array_equal(rows, full_window(diag, window))
+    dense = full_window(diag, window)
+    assert reason == [""] * len(diag)
+    assert np.abs(rows @ rows.swapaxes(-1, -2) - np.eye(9)).max() < 1e-10
+    for perm in (np.arange(L), kinetic_index_order(L)):
+        weights = [(np.abs(r) ** 2, np.abs(to_momentum(r, axis=-1)[..., perm]) ** 2) for r in (rows, dense)]
+        for m in (1, 2, 4, 8):
+            for found, expected in zip(*weights):
+                assert np.abs(np.sort(uniform_block_entropy(found, m), axis=-1)
+                              - np.sort(uniform_block_entropy(expected, m), axis=-1)).max() < 1e-12
 
 
 def test_inaccurate_vectors_take_dense_path(monkeypatch):

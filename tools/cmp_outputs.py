@@ -27,9 +27,10 @@ from pathlib import Path
 
 #: ``obsent run`` arguments of each compared config.  Together they cover the
 #: four presets, both bases, both boundary conditions, both selectors, both
-#: momentum orders, eigenstate and quench tables, a window_tie fallback, the
-#: default quench site at odd L, the two-site ring, and long time grids whose
-#: quench blocks are sized by their states rather than their eigenvectors.
+#: momentum orders, eigenstate and quench tables, a delta = 0 odd window whose
+#: edge is a +-E tie (in index and in kinetic momentum order), the default
+#: quench site at odd L, the two-site ring, and long time grids whose quench
+#: blocks are sized by their states rather than their eigenvectors.
 CONFIGS = (
     "--preset fig1",
     "--preset fig3",
@@ -40,6 +41,7 @@ CONFIGS = (
     "--preset fig3 --L 16 --m 1,4,16 --t-points 600 --n-phi 40 --bc periodic",
     "--preset custom --L 32,64 --delta 0.5,2.5 --m 1,2,8 --basis both",
     "--preset custom --L 16 --delta 0,0.75 --m 1 --mid-count 9 --n-phi 4",
+    "--preset custom --L 16,64,128 --delta 0 --m 1,2,4,8 --basis both --momentum-order kinetic --mid-count 9 --n-phi 4",
     "--preset custom --L 32,64 --delta 0.5,2.5 --m 1,2,8 --basis real --times 0.5,1,2,4,8",
     "--preset custom --L 16,32 --delta 0,1.5 --m 1,4 --basis momentum --bc periodic --times 0,0.5,3,20 --initial-site 3",
     "--preset custom --L 64 --delta 0,1 --m 1,4 --basis momentum --bc periodic --selector ground --momentum-order kinetic",
