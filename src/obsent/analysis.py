@@ -30,8 +30,9 @@ class FitResult:
 def resolve_mid_count(mid_count, L: int) -> int:
     """Turn a state-count spec into a concrete count for lattice size L.
 
-    Accepts a positive integer, "all", or "L/<k>" for a mid-spectrum
-    window proportional to the system size (at least 2 states).
+    Accepts a positive integer (an integral float reads as its int), "all",
+    or "L/<k>" for a mid-spectrum window proportional to the system size
+    (at least 2 states).
     """
     if isinstance(mid_count, str):
         if mid_count == "all":
@@ -39,7 +40,8 @@ def resolve_mid_count(mid_count, L: int) -> int:
         match = re.fullmatch(r"L/([1-9]\d*)", mid_count)
         if match:
             return max(2, L // int(match.group(1)))
-    elif isinstance(mid_count, numbers.Integral) and not isinstance(mid_count, bool) and mid_count >= 1:
+    elif (isinstance(mid_count, numbers.Real) and not isinstance(mid_count, bool)
+          and float(mid_count).is_integer() and mid_count >= 1):
         return min(int(mid_count), L)
     raise ValueError(f"mid_count must be an integer >= 1, 'all' or 'L/<k>'; got {mid_count!r}")
 

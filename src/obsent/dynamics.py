@@ -33,19 +33,17 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray,
-                scratch: np.ndarray | None = None) -> np.ndarray:
+def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """States at all requested times, shape (n_times, L).
 
     The eigenbasis projection of psi0 is computed once; each time then
     costs a single matrix-vector product, all of them one complex product
     of V + 0i, copied into a fresh C-ordered array, with the phase factors.
     A stack of systems gives a (..., n_times, L) stack: the transposed view
-    of the C-ordered (..., L, n_times) product.  The phase factors and the
-    product are carved out of ``scratch`` when it is a C-ordered float
-    array of at least 4 * n_times * L floats per system, such as the spent
-    memory of ``eig.vectors`` once V + 0i is copied, and allocated
-    otherwise.  Times other than a non-empty 1-D grid of finite t >= 0 raise
+    of the C-ordered (..., L, n_times) product.  Once V + 0i is copied the
+    eigensystem is dropped, so a caller that hands it over, as
+    :meth:`Quench.rows` does, frees V before the phase factors are
+    allocated.  Times other than a non-empty 1-D grid of finite t >= 0 raise
     ``ValueError``, and an overflowing t * E raises ``FloatingPointError``.
     """
     psi0 = np.asarray(psi0)
@@ -56,27 +54,21 @@ def evolve_many(eig: EigenSystem, psi0: np.ndarray, times: np.ndarray,
         raise FloatingPointError(f"t * E overflows for t up to {times.max():g}")
     coeff = eig.vectors.conj().swapaxes(-1, -2) @ psi0
     vectors = eig.vectors.astype(complex, order="C")  # the operand numpy's cast would build for the product
-    batch = eig.energies.shape[:-1]
-    size = math.prod(batch) * times.size * eig.L
-    if scratch is not None and scratch.flags.c_contiguous and scratch.size >= 4 * size:
-        memory = scratch.reshape(-1)[:4 * size].view(complex)
-        phases, product = memory[:size], memory[size:2 * size]
-    else:
-        phases, product = np.empty(size, complex), np.empty(size, complex)
-    phases, product = phases.reshape(batch + (times.size, eig.L)), product.reshape(batch + (eig.L, times.size))
-    np.multiply(times[:, None], eig.energies[..., None, :], out=phases)
+    energies = eig.energies
+    del eig
+    phases = np.multiply(times[:, None], energies[..., None, :], dtype=complex)
     phases *= -1j
     np.exp(phases, out=phases)
     phases *= coeff[..., None, :]
-    return np.matmul(vectors, phases.swapaxes(-1, -2), out=product).swapaxes(-1, -2)
+    return np.matmul(vectors, phases.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 class Quench:
     """The states a quench table of size L measures: the particle on the
     1-based site ``initial_site`` (default the middle site, (L + 1) // 2),
     evolved to each of ``times``; their entropies are kept per time.  A block
-    counts each realization's eigenvectors and (n_times, L) complex states,
-    and reuses spent vectors for the phase factors and product where it can."""
+    counts each realization's eigenvectors and (n_times, L) complex states;
+    the eigenvectors are freed before the phase factors are allocated."""
 
     averaged = False
 
@@ -90,8 +82,11 @@ class Quench:
 
     def rows(self, diag: np.ndarray, bc: str) -> tuple:
         """(B, n_times, L) states and no fallback reasons."""
-        eig = chain_eigensystem(diag, periodic=bc != "open")
-        return evolve_many(eig, self.psi0, self.times, eig.vectors.swapaxes(-1, -2)), ()
+        # Only evolve_many holds the eigensystem, so it frees the vectors before
+        # the phase factors exist.  That relies on CPython >= 3.11 moving a
+        # call's arguments into the callee's frame; on 3.10 the states are the
+        # same, but the vectors live until rows returns.
+        return evolve_many(chain_eigensystem(diag, periodic=bc != "open"), self.psi0, self.times), ()
 
 
 def quench_entropy_table(

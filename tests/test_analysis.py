@@ -3,6 +3,7 @@ scaling read from fig4 runs."""
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,10 +64,13 @@ def test_resolve_mid_count():
     assert resolve_mid_count("all", 64) == 64
     assert resolve_mid_count("L/8", 256) == 32
     assert resolve_mid_count("L/8", 8) == 2  # floor of 2 states
+    assert resolve_mid_count(10.0, 256) == 10  # an integral float reads as its int
     with pytest.raises(ValueError):
         resolve_mid_count("middle", 64)
-    with pytest.raises(ValueError):
-        resolve_mid_count(0, 64)
+    for bad in (0, 0.0, 10.5, True):
+        message = f"mid_count must be an integer >= 1, 'all' or 'L/<k>'; got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resolve_mid_count(bad, 64)
 
 
 def test_ground_state_free_ring_is_maximal_for_every_m():

@@ -13,13 +13,18 @@ from obsent import (
     bessel_j_sequence,
     bessel_reference_entropy,
     build_hamiltonian,
+    chain_diagonals,
     eigendecompose,
     evolve_many,
     fit_log_slope,
+    phase_sequence,
     quench_entropy_table,
     site_state,
+    uniform_block_entropy,
 )
 from obsent import dynamics
+
+import exact
 
 
 def bessel_series_oracle(n, x, terms=60):
@@ -161,6 +166,28 @@ def test_quench_order_relations_small():
         assert np.all(mean >= mean[0] - 1e-12)
     for fine, rough in ((1, 2), (2, 4), (4, 8), (8, 16), (16, 32)):
         assert np.all(table[rough][0] >= table[fine][0] - 1e-12)
+
+
+@pytest.mark.parametrize("L, delta, bc, site", [
+    (16, 1.0, "open", 8),
+    (16, 3.0, "open", 3),
+    (16, 1.0, "periodic", 8),
+    (16, 3.0, "periodic", 13),
+    (32, 1.0, "open", 16),
+], ids=["16-open-1", "16-open-3", "16-ring-1", "16-ring-3", "32-open-1"])
+def test_quench_rows_match_exact_states(L, delta, bc, site):
+    # open chains take dstevd and rings dense eigh; both are held against
+    # 30-digit states of the same double diagonals, two phases each
+    times = np.array([0.5, 5.0, 50.0])
+    diag = chain_diagonals(ModelParams(L=L, delta=delta), phase_sequence(5, L, delta, 2))
+    rows, _ = dynamics.Quench(L, times, site).rows(diag, bc)
+    weights = np.abs(rows) ** 2
+    for chain, found in zip(diag, weights):
+        expected = exact.quench_weights(chain, bc == "periodic", site, times)
+        assert np.abs(found - np.array(expected, dtype=float)).max() < 1e-13
+        for m in (1, 4):
+            entropies = [float(exact.block_entropy(w, m)) for w in expected]
+            assert np.abs(uniform_block_entropy(found, m) - entropies).max() < 1e-13, m
 
 
 # --- Bessel ---------------------------------------------------------------

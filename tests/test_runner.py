@@ -371,6 +371,19 @@ def test_cli_validate_config_file(tmp_path):
     assert obsent.cli.main(["validate", "--config", str(bad)]) == 2
 
 
+def test_integral_float_mid_count_gives_the_int_count_table(capsys):
+    # mid_count 10.0, from a config file or from --mid-count, reads as 10, as n_phi 100.0 reads as 100
+    assert validate(config_from_mapping({"preset": "fig1", "L": [16], "m": [1], "n_phi": 2, "mid_count": 10.0})) == []
+    flags = ["--preset", "fig1", "--L", "16", "--m", "1", "--n-phi", "2", "--mid-count", "10.0"]
+    assert obsent.cli.main(["validate", *flags]) == 0, capsys.readouterr().out
+    args = (64, 1.0, [1, 4], ("real", "momentum"))
+    by_int = eigenstate_entropy_table(*args, n_phi=4, seed=3, mid_count=10)
+    by_float = eigenstate_entropy_table(*args, n_phi=4, seed=3, mid_count=10.0)
+    assert by_int.keys() == by_float.keys()
+    for key in by_int:
+        assert [np.float64(v).tobytes() for v in by_int[key]] == [np.float64(v).tobytes() for v in by_float[key]]
+
+
 def compared_configs():
     """The configs that tools/cmp_outputs.py runs on two source trees."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "cmp_outputs.py")

@@ -549,13 +549,13 @@ def per_phase_quench_table(params, times, m_list, n_phi, seed, basis_tag):
 
 
 @pytest.mark.parametrize("L, n_phi, n_times, basis_tag, route", [
-    (16, 130, 4, "real", "lapack"),  # blocks of 128 phases, the last one partial; 4 T <= L: carved from Z
-    (64, 5, 40, "real", "lapack"),  # 4 T > L: the phase factors and the product are allocated
-    (256, 3, 60, "real", "lapack"),  # fig3's size, carved from Z
+    (16, 130, 4, "real", "lapack"),  # blocks of 128 phases, the last one partial
+    (64, 5, 40, "real", "lapack"),  # a long grid: the phase factors and the product outweigh the eigenvectors
+    (256, 3, 60, "real", "lapack"),  # fig3's size
     (64, 5, 12, "momentum", "lapack"),
     (16, 130, 4, "real", "numpy-dense"),
     (64, 5, 40, "real", "numpy-dense"),
-], ids=["16-partial-block", "64-allocated", "256-carved", "64-momentum", "16-dense", "64-dense"])
+], ids=["16-partial-block", "64-long-grid", "256-fig3-size", "64-momentum", "16-dense", "64-dense"])
 def test_quench_workspace_equals_per_phase_reference(monkeypatch, L, n_phi, n_times, basis_tag, route):
     if route == "numpy-dense":
         monkeypatch.setattr(model, "_DSTEVD", None)
@@ -569,11 +569,11 @@ def test_quench_workspace_equals_per_phase_reference(monkeypatch, L, n_phi, n_ti
 
 def test_quench_table_peak_memory_holds_one_workspace():
     # fig3's size: each block allocates its Z (512 KiB) and the C-ordered
-    # V + 0i (1 MiB), and the phase factors and the product live in Z's spent
-    # memory; each chunk's weights (120 KiB) and block_entropy's one temporary
-    # are allocated, about 1754 KiB in all.  Without the carve, evolve_many
-    # allocating the phase factors and the product, it peaks at about
-    # 2234 KiB here.
+    # V + 0i (1 MiB); Quench.rows hands the eigensystem to evolve_many, which
+    # drops it, so Z is freed before the phase factors and the product are
+    # allocated.  With each chunk's weights (120 KiB) and block_entropy's one
+    # temporary the table peaks at about 1561 KiB; it was about 1754 KiB when
+    # the phase factors and the product were carved out of the spent Z.
     args = (ModelParams(L=256, delta=1.0), np.geomspace(0.1, 100.0, 60), (1, 4, 16))
     quench_entropy_table(*args, n_phi=8, seed=1)  # warm-up
     tracemalloc.start()
@@ -582,7 +582,7 @@ def test_quench_table_peak_memory_holds_one_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1900 * 1024
+    assert peak <= 1650 * 1024
 
 
 def test_long_quench_grid_blocks_count_their_states():
@@ -602,11 +602,11 @@ def test_long_quench_grid_blocks_count_their_states():
 
 
 def test_periodic_quench_table_peak_memory_holds_no_workspace():
-    # rings take dense eigh, whose vectors' transposed view is not C-ordered,
-    # so evolve_many allocates the phase factors and the product; a block
-    # counts each realization's 60 complex states beside its eigenvectors
-    # (2 realizations, not 8), about 639 KiB here, against 1933 KiB when
-    # blocks counted eigenvectors alone
+    # rings take dense eigh; a block counts each realization's 60 complex
+    # states beside its eigenvectors (2 realizations, not 8), and the
+    # eigenvectors are freed before the phase factors are allocated: about
+    # 515 KiB here, against 640 KiB while they lived through the product and
+    # 1933 KiB when blocks counted eigenvectors alone
     args = (ModelParams(L=64, delta=1.3, bc="periodic"), np.geomspace(0.1, 100.0, 60), (1, 4))
     quench_entropy_table(*args, n_phi=20, seed=1)  # warm-up
     tracemalloc.start()
@@ -615,4 +615,4 @@ def test_periodic_quench_table_peak_memory_holds_no_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1024 * 1024
+    assert peak <= 576 * 1024
