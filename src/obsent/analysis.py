@@ -10,13 +10,13 @@ realizations.
 
 from __future__ import annotations
 
-import numbers
+import contextlib
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, integer
 from .sampling import Window, phase_table
 
 
@@ -30,19 +30,15 @@ class FitResult:
 def resolve_mid_count(mid_count, L: int) -> int:
     """Turn a state-count spec into a concrete count for lattice size L.
 
-    Accepts a positive integer (an integral float reads as its int), "all",
+    Accepts a positive integer (by :func:`~obsent.model.integer`), "all",
     or "L/<k>" for a mid-spectrum window proportional to the system size
     (at least 2 states).
     """
-    if isinstance(mid_count, str):
-        if mid_count == "all":
-            return L
-        match = re.fullmatch(r"L/([1-9]\d*)", mid_count)
-        if match:
-            return max(2, L // int(match.group(1)))
-    elif (isinstance(mid_count, numbers.Real) and not isinstance(mid_count, bool)
-          and float(mid_count).is_integer() and mid_count >= 1):
-        return min(int(mid_count), L)
+    match = isinstance(mid_count, str) and re.fullmatch(r"all|L/([1-9]\d*)", mid_count)
+    if match:
+        return L if mid_count == "all" else max(2, L // int(match.group(1)))
+    with contextlib.suppress(ValueError):
+        return min(integer(mid_count, "mid_count", 1), L)
     raise ValueError(f"mid_count must be an integer >= 1, 'all' or 'L/<k>'; got {mid_count!r}")
 
 

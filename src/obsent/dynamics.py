@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .entropy import block_entropy
-from .model import EigenSystem, ModelParams, chain_eigensystem, site_state
+from .model import EigenSystem, ModelParams, chain_eigensystem, integer, site_state
 from .sampling import chunk_size, phase_table
 
 #: Largest Bessel order the downward recurrence is tuned (and tested) for.
@@ -120,8 +120,7 @@ def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
     J_0 + 2 * sum_k J_{2k} = 1.  Intermediate values are rescaled before
     they can overflow.
     """
-    if not 0 <= n_max <= BESSEL_MAX_ORDER:
-        raise ValueError(f"order must lie in 0..{BESSEL_MAX_ORDER}, got {n_max}")
+    n_max = integer(n_max, "order", 0, BESSEL_MAX_ORDER)
     if not 0.0 <= x <= BESSEL_MAX_ARG:
         raise ValueError(f"argument must lie in [0, {BESSEL_MAX_ARG}], got {x}")
     if x == 0.0:
@@ -146,7 +145,7 @@ def bessel_j(n: int, x: float) -> float:
 
     Negative orders use J_{-n}(x) = (-1)^n J_n(x).
     """
-    order = abs(int(n))
+    order = abs(integer(n, "order", -BESSEL_MAX_ORDER, BESSEL_MAX_ORDER))
     sign = -1.0 if (n < 0 and order % 2) else 1.0
     return sign * float(bessel_j_sequence(order, x)[order])
 
@@ -162,11 +161,11 @@ def bessel_reference_entropy(t: float, span: int) -> float:
     wavefront spans many sites.  Raises when span is too small to capture
     the norm at this t.
     """
-    if span < 2 or span % 2:
+    half, odd = divmod(integer(span, "span", 2), 2)
+    if odd:
         raise ValueError(f"span must be a positive even integer, got {span}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    half = span // 2
     p = bessel_j_sequence(half, 2.0 * t) ** 2
     # |n| over n = -half..half-1: half once, half-1..1 twice, 0 once
     p = np.concatenate([p[half:0:-1], p[:half]])

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import integer
+
 #: |sum(p) - 1| up to this is accepted silently.
 _PROB_SUM_TOL = 1e-10
 #: beyond _PROB_SUM_TOL but within this the probabilities are renormalized.
@@ -84,8 +86,7 @@ def make_block_partition(L: int, m: int, basis_tag: str = "real") -> CoarseGrain
     entropy reduces to the Shannon entropy) and m = L the roughest (a
     single identity block with entropy ln L).  m must divide L.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    L, m = integer(L, "L", 1), integer(m, "m", 1)
     if L % m != 0:
         raise ValueError(f"m must divide L: got L={L}, m={m}")
     return CoarseGraining(owner=np.arange(L) // m, basis_tag=basis_tag)
@@ -159,8 +160,7 @@ def uniform_block_entropy(amp2: np.ndarray, m: int) -> np.ndarray:
     terms in that order, so the bits equal those of the reshape-sum that
     larger m use.  ``amp2`` itself is never written."""
     L = amp2.shape[-1]
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = integer(m, "m", 1)
     if L % m != 0:
         raise ValueError(f"m must divide L: got L={L}, m={m}")
     if m == 1 or m >= 8:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,17 @@ GOLDEN_RATIO_INVERSE = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 #: The boundary conditions of a chain.
 BOUNDARY_CONDITIONS = ("open", "periodic")
+
+
+def integer(value, name: str, low, high=None) -> int:
+    """The package's one integer rule: ``value`` as its exact int if it is a finite integral real,
+    not a bool, in ``low..high`` (unbounded above if ``high`` is None); else ``ValueError`` naming ``name``."""
+    finite = isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and math.isfinite(value)
+    exact = int(value) if finite and not isinstance(value, bool) else None  # != below catches a truncation
+    if exact is None or exact != value or exact < low or (high is not None and exact > high):
+        bound = f"be an integer >= {low}" if high is None else f"lie in {low}..{high}"
+        raise ValueError(f"{name} must {bound}, got {value!r}")
+    return exact
 
 
 @dataclass(frozen=True)
@@ -50,8 +62,7 @@ class ModelParams:
     bc: str = "open"
 
     def __post_init__(self):
-        if int(self.L) != self.L or self.L < 2:
-            raise ValueError(f"L must be an integer >= 2, got {self.L!r}")
+        object.__setattr__(self, "L", integer(self.L, "L", 2))
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -60,7 +71,6 @@ class ModelParams:
             raise ValueError(f"phi must be finite, got {self.phi!r}")
         if self.bc not in BOUNDARY_CONDITIONS:
             raise ValueError(f"bc must be {' or '.join(map(repr, BOUNDARY_CONDITIONS))}, got {self.bc!r}")
-        object.__setattr__(self, "L", int(self.L))
         object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
 
 
@@ -302,7 +312,7 @@ def to_momentum(state: np.ndarray, axis: int = 0) -> np.ndarray:
     unitary FFT (``norm="ortho"``), the one change of basis the momentum
     entropies use.
     """
-    return np.fft.fft(state, axis=axis, norm="ortho")
+    return np.fft.fft(np.asarray(state, dtype=complex), axis=axis, norm="ortho")  # not cast per buffer
 
 
 def kinetic_index_order(L: int) -> np.ndarray:
@@ -315,11 +325,8 @@ def kinetic_index_order(L: int) -> np.ndarray:
 
 def site_state(L: int, site: int) -> np.ndarray:
     """Unit-norm state fully localized on 1-based lattice site ``site`` of
-    ``L`` sites; an integral float L or site counts as its int."""
-    if not (float(L).is_integer() and L >= 1):
-        raise ValueError(f"L must be an integer >= 1, got {L!r}")
-    if not 1 <= site <= L or site != int(site):
-        raise ValueError(f"site must lie in 1..{L}, got {site}")
-    psi = np.zeros(int(L))
-    psi[int(site) - 1] = 1.0
+    ``L`` sites, both taken by :func:`integer`."""
+    L = integer(L, "L", 1)
+    psi = np.zeros(L)
+    psi[integer(site, "site", 1, L) - 1] = 1.0
     return psi

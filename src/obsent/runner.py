@@ -9,6 +9,7 @@ of jobs for all its tables once, serially or through one process pool.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import numbers
@@ -26,7 +27,7 @@ from . import __version__
 from .analysis import eigenstate_window, fit_log_slope, normalized_fluctuation, resolve_mid_count
 from .dynamics import Quench
 from .entropy import BASIS_TAGS
-from .model import BOUNDARY_CONDITIONS, ModelParams, chain_solvers
+from .model import BOUNDARY_CONDITIONS, ModelParams, chain_solvers, integer
 from .sampling import MOMENTUM_ORDERS, NUMERICAL_ERRORS, SELECTORS, phase_table
 
 class ConfigError(ValueError):
@@ -101,10 +102,11 @@ _MAX_TIMES = 10_000  # most points a time grid may hold, checked before one is b
 
 
 def _cast(x, kind):
-    """``kind(x)`` for a real number (an integral one for int), else None."""
+    """``float(x)``, or for int the exact int of :func:`~obsent.model.integer`
+    (bounds left to :func:`validate`), if ``x`` is a real number other than a bool; else None."""
     if isinstance(x, numbers.Real) and not isinstance(x, bool):
-        if kind is float or isinstance(x, numbers.Integral) or float(x).is_integer():
-            return kind(x)
+        with contextlib.suppress(ValueError, OverflowError):  # float(10**400) overflows
+            return integer(x, "value", float("-inf")) if kind is int else float(x)
 
 
 def _typed(key: str, value):

@@ -36,6 +36,7 @@ from .model import (
     chain_eigenvalues,
     chain_eigenvectors,
     eigenpair_errors,
+    integer,
     kinetic_index_order,
     to_momentum,
 )
@@ -104,12 +105,8 @@ def phase_sequence(seed: int, L: int, delta: float, n_phi: int) -> np.ndarray:
     alone: the SeedSequence state seeds PCG64 (XSL-RR output, O'Neill 2014),
     and each phase is 2*pi times the top 53 bits of one 64-bit output.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if n_phi < 1:
-        raise ValueError(f"n_phi must be >= 1, got {n_phi}")
-    delta_bits = int(np.float64(delta).view(np.uint64))
-    s0, s1, i0, i1 = _seed_words([int(seed), int(L), delta_bits])
+    seed, L, n_phi = integer(seed, "seed", 0), integer(L, "L", 2), integer(n_phi, "n_phi", 1)
+    s0, s1, i0, i1 = _seed_words([seed, L, int(np.float64(delta).view(np.uint64))])
     inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
     state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128  # pcg_setseq_128_srandom_r
     phases = []
@@ -146,8 +143,7 @@ class Window:
     def __post_init__(self):
         if self.selector not in SELECTORS:
             raise ValueError(f"selector must be {' or '.join(map(repr, SELECTORS))}, got {self.selector!r}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count!r}")
+        object.__setattr__(self, "count", integer(self.count, "count", 1))
 
     def select(self, energies: np.ndarray) -> np.ndarray:
         """Spectrum positions (..., count) of the levels picked from ascending
@@ -243,7 +239,7 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     if momentum_order not in MOMENTUM_ORDERS:
         raise ValueError(f"momentum_order must be {' or '.join(map(repr, MOMENTUM_ORDERS))}, "
                          f"got {momentum_order!r}")
-    L, bc = grid[0].L, grid[0].bc
+    L, bc, n_phi = grid[0].L, grid[0].bc, integer(n_phi, "n_phi", 1)
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else slice(None)
     phis = [phase_sequence(seed, L, params.delta, n_phi) for params in grid]
     block, total = states.blocks(L, bc), len(grid) * n_phi

@@ -1,16 +1,22 @@
-"""Exact quench states for the oracle tests, in mpmath at 30 digits.
+"""Exact states for the oracle tests, in mpmath.
 
 A chain is given by its double on-site energies, which are exact binary
-numbers; the dense matrix (hopping -1, and for a ring the wrap bond -1
-added between sites L and 1) is built here and diagonalized by
-``mpmath.eigsy``.  Nothing comes from ``obsent``, so the package's LAPACK
-and dense routes are compared with states whose error is far below double
-rounding.
+numbers, and hopping -1.  Quench states come from the dense matrix (for a
+ring with the wrap bond -1 added between sites L and 1), diagonalized by
+``mpmath.eigsy`` at 30 digits.  Single levels of an open chain and their
+vectors come at 40 digits from the tridiagonal recurrence alone: Sturm-count
+bisection for the level (Wilkinson 1965) and inverse iteration for the
+vector.  Nothing comes from ``obsent``, so the package's LAPACK and dense
+routes are compared with states whose error is far below double rounding.
 """
 
 import mpmath as mp
 
 DIGITS = 30
+#: Working digits of the open-chain level and vector routines.
+LEVEL_DIGITS = 40
+#: Width at which the level bisection stops; the level's error is half of it.
+LEVEL_WIDTH = mp.mpf(10) ** -32
 
 
 def chain_matrix(diag, periodic):
@@ -52,3 +58,70 @@ def block_entropy(weights, m):
             if p > 0:
                 total += p * (mp.log(m) - mp.log(p))
     return total
+
+
+def _pivots(diag, energy):
+    """Pivots u_i of T - energy = LU without row exchanges, for the open chain
+    T with on-site energies ``diag`` (mpf) and hopping -1: u_1 = d_1 - E and
+    u_i = d_i - E - 1/u_{i-1}.  A zero pivot is replaced by eps."""
+    pivots = []
+    for d in diag:
+        pivots.append((d - energy - (1 / pivots[-1] if pivots else 0)) or mp.eps)
+    return pivots
+
+
+def chain_level(diag, k):
+    """Level k (0-based, ascending) of the open chain with on-site energies
+    ``diag`` (doubles) and hopping -1, by bisection on the Sturm count: by
+    Sylvester's law of inertia the number of negative pivots of T - x is the
+    number of levels below x.  Starts from the Gershgorin interval and stops
+    at :data:`LEVEL_WIDTH`."""
+    with mp.workdps(LEVEL_DIGITS):
+        d = [mp.mpf(float(v)) for v in diag]
+        lo = min(d) - 2
+        hi = max(d) + 2
+        while hi - lo > LEVEL_WIDTH:
+            mid = (lo + hi) / 2
+            if sum(u < 0 for u in _pivots(d, mid)) > k:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2
+
+
+def chain_vector(diag, energy):
+    """Unit eigenvector (a list of L mpf, sign arbitrary) of the open chain at
+    the level ``energy`` that :func:`chain_level` returns, by three solves of
+    (T - energy) y = x from x = 1, and its largest residual entry
+    |(T - energy) x|_i.  A residual r and a distance g to the other levels
+    bound the vector's error by r / g."""
+    with mp.workdps(LEVEL_DIGITS):
+        d = [mp.mpf(float(v)) for v in diag]
+        L, u = len(d), _pivots(d, energy)
+        x = [mp.mpf(1)] * L
+        for _ in range(3):
+            for i in range(1, L):  # L z = x
+                x[i] += x[i - 1] / u[i - 1]
+            x[-1] /= u[-1]
+            for i in range(L - 2, -1, -1):  # U y = z
+                x[i] = (x[i] + x[i + 1]) / u[i]
+            norm = mp.sqrt(mp.fsum(v * v for v in x))
+            x = [v / norm for v in x]
+        residual = max(abs((d[i] - energy) * x[i] - (x[i - 1] if i else 0) - (x[i + 1] if i < L - 1 else 0))
+                       for i in range(L))
+    return x, residual
+
+
+def momentum_weights(vector):
+    """|<k_n|x>|^2 = |sum_j exp(-2 pi i n j / L) x_j|^2 / L of a real vector,
+    n = 0..L-1, at :data:`LEVEL_DIGITS`."""
+    L = len(vector)
+    with mp.workdps(LEVEL_DIGITS):
+        cos = [mp.cospi(mp.mpf(2 * t) / L) for t in range(L)]
+        sin = [mp.sinpi(mp.mpf(2 * t) / L) for t in range(L)]
+        weights = []
+        for n in range(L):
+            turns = [n * j % L for j in range(L)]
+            re, im = (mp.fdot(vector, [table[t] for t in turns]) for table in (cos, sin))
+            weights.append((re * re + im * im) / L)
+    return weights

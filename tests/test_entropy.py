@@ -52,7 +52,7 @@ def test_partition_rejects_non_divisor():
     with pytest.raises(ValueError):
         make_block_partition(8, 2, basis_tag="position")
     for m in (0, -2):  # the vectorized path names the same rule
-        with pytest.raises(ValueError, match="m must be >= 1"):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
             uniform_block_entropy(np.full(8, 1 / 8), m)
 
 

@@ -9,20 +9,31 @@ from numpy.testing import assert_allclose
 
 from obsent import (
     GOLDEN_RATIO_INVERSE,
+    ConfigError,
     ModelParams,
+    bessel_j,
+    bessel_j_sequence,
+    bessel_reference_entropy,
     build_hamiltonian,
     chain_diagonals,
     chain_eigensystem,
     chain_eigenvalues,
     chain_eigenvectors,
     eigendecompose,
+    eigenstate_entropy_table,
     evolve_many,
+    make_block_partition,
+    make_config,
+    phase_sequence,
+    resolve_mid_count,
     site_state,
     to_momentum,
     uniform_block_entropy,
+    validate,
 )
 from obsent import model
-from obsent.model import eigenpair_errors
+from obsent.dynamics import Quench
+from obsent.model import eigenpair_errors, integer
 from obsent.sampling import Window
 
 
@@ -296,6 +307,63 @@ def test_site_state_takes_integral_sites_only():
     for L in (8.5, 0, -4, math.inf, math.nan):
         with pytest.raises(ValueError, match="L must be an integer >= 1"):
             site_state(L, 1)
+
+
+def _validated(config):
+    """``config`` if :func:`validate` passes it, else the ``ConfigError`` that ``run`` raises."""
+    diagnostics = validate(config)
+    if diagnostics:
+        raise ConfigError(diagnostics)
+    return config
+
+
+#: Each entry point that takes an integer: (name its errors start with, call of the
+#: value, a value out of range).  2 is in range everywhere.
+INTEGER_ARGUMENTS = {
+    "ModelParams.L": ("L", lambda v: ModelParams(L=v).L, 1),
+    "site_state.L": ("L", lambda v: site_state(v, 1), 0),
+    "site_state.site": ("site", lambda v: site_state(8, v), 9),
+    "Quench.initial_site": ("site", lambda v: Quench(8, [0.0, 1.0], v).psi0, 0),
+    "Window.count": ("count", lambda v: Window(v).count, 0),
+    "phase_sequence.seed": ("seed", lambda v: phase_sequence(v, 8, 1.0, 3), -1),
+    "phase_sequence.L": ("L", lambda v: phase_sequence(0, v, 1.0, 3), 1),
+    "phase_sequence.n_phi": ("n_phi", lambda v: phase_sequence(0, 8, 1.0, v), 0),
+    "eigenstate_entropy_table.n_phi": (
+        "n_phi", lambda v: eigenstate_entropy_table(8, 1.0, [1], n_phi=v, mid_count=2)[(1, "real")], 0),
+    "bessel_j_sequence.order": ("order", lambda v: bessel_j_sequence(v, 1.0), 301),
+    "bessel_j.order": ("order", lambda v: bessel_j(v, 1.0), 301),
+    "bessel_reference_entropy.span": ("span", lambda v: bessel_reference_entropy(0.0, v), 0),
+    "make_block_partition.L": ("L", lambda v: make_block_partition(v, 1).owner, 0),
+    "make_block_partition.m": ("m", lambda v: make_block_partition(8, v).owner, 0),
+    "uniform_block_entropy.m": ("m", lambda v: uniform_block_entropy(np.full(8, 0.125), v), 0),
+    "resolve_mid_count": ("mid_count", lambda v: resolve_mid_count(v, 16), 0),
+    "validate.n_phi": ("n_phi", lambda v: _validated(make_config("fig1", L=[16], m=[1], n_phi=v)).n_phi, 0),
+    "validate.seed": ("seed", lambda v: _validated(make_config("fig1", L=[16], m=[1], seed=v)).seed, -1),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+def test_every_integer_argument_follows_one_rule(entry):
+    """An integral float reads as its int; a bool, a fraction, inf, NaN and a value
+    out of range raise ValueError, whose message starts with the argument's name."""
+    name, call, out_of_range = INTEGER_ARGUMENTS[entry]
+    by_int, by_float = call(2), call(2.0)
+    assert type(by_float) is type(by_int) and np.array_equal(by_float, by_int)
+    if isinstance(by_int, np.ndarray):
+        assert by_float.tobytes() == by_int.tobytes()
+    for bad in (2.5, True, np.True_, math.inf, math.nan, out_of_range):
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            call(bad)
+
+
+def test_integer_is_exact_beyond_the_float_range():
+    assert integer(10**400, "seed", 0) == 10**400
+    assert integer(np.float64(2.0**60), "L", 2) == 2**60
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
+        integer(-1, "seed", 0)
+    with pytest.raises(ValueError, match=r"^order must lie in 0\.\.300, got 2\.5$"):
+        integer(2.5, "order", 0, 300)
+    assert phase_sequence(10**400, 8, 1.0, 2).shape == (2,)
 
 
 def test_site_state_is_uniform_in_momentum():

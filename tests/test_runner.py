@@ -449,6 +449,7 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     ({"preset": "fig3", "fit_window": [3]}, [], "fit_window"),
     ({"preset": "fig3", "fit_window": [3]}, ["--fit-hi", "40"], "fit_window"),
     ({"seed": 1.5}, [], "seed"),
+    ({"delta": [10**400]}, [], "delta"),
     ({"mid_count": [1]}, [], "mid_count"),
     ({"mid_count": True}, [], "mid_count must be"),
     (None, ["--preset", "bogus"], "preset"),
@@ -475,7 +476,7 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     (None, ["--preset", "fig5", "--L", "16,16", "--m", "1,1"], "m=[1, 1] repeats a value"),
     (None, ["--preset", "fig4", "--L", "16", "--delta", "1,1.0", "--m", "1"], "delta=[1.0, 1.0] repeats a value"),
 ], ids=["file-list", "L-str", "n_phi-str", "t_points-float", "fit_window-short",
-        "fit_window-short-fit-hi", "seed-float", "mid_count-list", "mid_count-bool", "preset", "basis", "bc",
+        "fit_window-short-fit-hi", "seed-float", "delta-overflow", "mid_count-list", "mid_count-bool", "preset", "basis", "bc",
         "selector", "momentum_order", "L-flag", "n_phi-flag", "mid_count-flag", "fig1-L-zero",
         "fig1-L-negative", "fig1-L-empty", "fig3-fit-window-short", "fig3-fit-window-t0",
         "fig1-two-L", "fig3-both-bases", "fig3-t-points-cap", "fig5-one-L", "fig5-repeated-L",

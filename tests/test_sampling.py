@@ -31,8 +31,10 @@ from obsent import (
 )
 from obsent import entropy, model, runner, sampling
 from obsent.analysis import eigenstate_window
+from obsent.model import chain_eigenvectors
 from obsent.sampling import Window, chunk_size, phase_table, window_rows
 
+import exact
 import reference
 
 
@@ -174,6 +176,53 @@ def test_window_rows_match_dense_eigh(L, delta, phi, size, selector):
     for m in (1, 2, L // 2):
         for new, old in zip(block_entropies(rows, m), block_entropies(dense, m)):
             assert np.abs(new - old).max() <= 1e-10
+
+
+#: Open chains of the exact window test: (L, delta, phase index) of the seed-42
+#: phases, with fig4's window of L/8 levels, and how many levels of the window's
+#: closest neighbouring pair are tested.  Delta = 1 chains (window spacings
+#: >= 2e-2) test one level, to keep 12 in all.  The pairs at delta = 2 and 3 on
+#: L = 256 are closer than GAP_MIN, so window_rows takes its dstevd fallback
+#: there; the last chain is fig4's smallest spacing, 2.5e-7.
+EXACT_WINDOW_CHAINS = [(64, 1.0, 0, 1), (128, 1.0, 15, 1), (128, 2.0, 49, 2), (256, 2.0, 72, 2),
+                       (128, 3.0, 80, 2), (256, 3.0, 15, 2), (256, 3.25, 84, 2)]
+#: Largest per-state entropy error against exact states, m in {1, 2, 4}, both bases.
+#: Measured over these chains: 5.0e-13 by inverse iteration and 5.7e-12 by
+#: dstevd, both at delta = 2, L = 256 (spacing 7.6e-5), and at most 7.5e-14
+#: elsewhere.  The bounds allow a factor of 4 and 3.5 over that.
+EXACT_BOUND = {"inverse iteration": 2e-12, "dstevd": 2e-11}
+
+
+@pytest.mark.parametrize("L, delta, index, n_levels", EXACT_WINDOW_CHAINS)
+def test_window_rows_match_exact_states(L, delta, index, n_levels):
+    diag = chain_diagonals(ModelParams(L=L, delta=delta), phase_sequence(42, L, delta, index + 1)[index:])
+    window = Window(L // 8)
+    energies = chain_eigenvalues(diag)
+    picked = window.select(energies)[0]
+    first = int(np.argmin(np.diff(energies[0, picked])))
+    tested = slice(first, first + n_levels)
+    levels = energies[:, picked[tested]]
+    rows, reason = window_rows(diag, window)
+    routes = {  # each route's rows of the tested levels, and the bound it is held to
+        "window_rows": (rows[0, tested], EXACT_BOUND["dstevd" if reason[0] else "inverse iteration"]),
+        "dstevd": (full_window(diag, window)[0, tested], EXACT_BOUND["dstevd"]),
+        "inverse iteration": (chain_eigenvectors(diag, levels)[0], EXACT_BOUND["inverse iteration"]),
+    }
+    assert reason == ["near_degenerate" if L == 256 and delta > 1 else ""]
+    errors = {}
+    for j, k in enumerate(picked[tested]):
+        level = exact.chain_level(diag[0], int(k))
+        vector, residual = exact.chain_vector(diag[0], level)
+        assert abs(float(level) - levels[0, j]) < 1e-13 and residual < 1e-30  # the oracle is exact
+        weights = [x * x for x in vector], exact.momentum_weights(vector)  # real, momentum
+        for m in (1, 2, 4):
+            expected = [float(exact.block_entropy(w, m)) for w in weights]
+            for route, (route_rows, _) in routes.items():
+                for basis, got, want in zip(("real", "momentum"), block_entropies(route_rows[j], m), expected):
+                    errors[route, int(k), basis, m] = abs(float(got) - want)
+    for route, (_, bound) in routes.items():
+        worst = max((error, key) for key, error in errors.items() if key[0] == route)
+        assert worst[0] <= bound, worst
 
 
 def ranked_spectrum(L, rng):
@@ -400,7 +449,7 @@ def test_window_rejects_unknown_selector():
     with pytest.raises(ValueError, match="selector must be 'mid' or 'ground', got 'bogus'"):
         Window(3, "bogus")
     for count in (0, -1):  # -1 would pick all but one level, 0 none
-        with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+        with pytest.raises(ValueError, match=f"count must be an integer >= 1, got {count}"):
             Window(count)
 
 

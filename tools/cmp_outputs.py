@@ -29,8 +29,9 @@ from pathlib import Path
 #: four presets, both bases, both boundary conditions, both selectors, both
 #: momentum orders, eigenstate and quench tables, a delta = 0 odd window whose
 #: edge is a +-E tie (in index and in kinetic momentum order), the default
-#: quench site at odd L, the two-site ring, and long time grids whose quench
-#: blocks are sized by their states rather than their eigenvectors.
+#: quench site at odd L, the two-site ring, long time grids whose quench
+#: blocks are sized by their states rather than their eigenvectors, and
+#: integers written as integral floats, which read as their ints.
 CONFIGS = (
     "--preset fig1",
     "--preset fig3",
@@ -48,6 +49,8 @@ CONFIGS = (
     "--preset custom --L 16 --delta 1 --m 1,2 --basis momentum --momentum-order kinetic --times 0.1,1,10 --initial-site 1",
     "--preset custom --L 3,5 --delta 0.5,3 --m 1 --times 0,1,5 --n-phi 4",
     "--preset custom --L 2 --delta 0,1 --m 1,2 --bc periodic --times 0,0.5,2 --n-phi 3",
+    "--preset custom --L 16.0,32.0 --delta 1 --m 1.0,2.0 --n-phi 4.0 --seed 7.0 --mid-count 2.0 "
+    "--times 0,1,5 --initial-site 3.0",
 )
 
 _ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
