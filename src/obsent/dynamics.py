@@ -73,7 +73,8 @@ class Quench:
     averaged = False
 
     def __init__(self, L: int, times, initial_site: int | None = None):
-        self.psi0 = site_state(L, (L + 1) // 2 if initial_site is None else initial_site)
+        L = integer(L, "L", 1)
+        self.psi0 = site_state(L, (L + 1) // 2 if initial_site is None else integer(initial_site, "initial_site", 1, L))
         self.times = _checked_times(times)
 
     def blocks(self, L: int, bc: str) -> int:
@@ -81,7 +82,7 @@ class Quench:
         return chunk_size(L, L + 2 * self.times.size)
 
     def rows(self, diag: np.ndarray, bc: str) -> tuple:
-        """(B, n_times, L) states and no fallback reasons."""
+        """(B, n_times, L) states and no flags."""
         # Only evolve_many holds the eigensystem, so it frees the vectors before
         # the phase factors exist.  That relies on CPython >= 3.11 moving a
         # call's arguments into the callee's frame; on 3.10 the states are the

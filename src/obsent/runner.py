@@ -242,7 +242,7 @@ def validate(config: ExperimentConfig) -> list:
 # grid jobs (module level so a process pool can pickle them)
 
 def _grid_job(job):
-    """One job's tables and dense-fallback counts: :func:`~obsent.sampling.phase_table`
+    """One job's tables and window flag counts: :func:`~obsent.sampling.phase_table`
     of its deltas of one L, on the eigenstate window or the quench states."""
     config, kind, L, deltas = job
     states = (Quench(L, config.time_grid(), config.initial_site) if kind == "quench"
@@ -374,7 +374,7 @@ def run(config: ExperimentConfig) -> list:
     t0 = time.perf_counter()
     jobs = _grid_jobs(config)
     pool = min(config.jobs, len(jobs), os.cpu_count() or 1)  # one worker runs in this process
-    tables, fallbacks, files = {}, Counter(), []
+    tables, flags, files = {}, Counter(), []
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
@@ -396,7 +396,7 @@ def run(config: ExperimentConfig) -> list:
             "threads": {name: os.environ.get(name)
                         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
             "workers": pool,
-            "dense_fallbacks": dict(sorted(fallbacks.items())),
+            "window_flags": dict(sorted(flags.items())),
             "started_utc": started.isoformat(),
             "wall_time_s": time.perf_counter() - t0,
             "outputs": outputs,
@@ -407,7 +407,7 @@ def run(config: ExperimentConfig) -> list:
 
     try:  # every table is computed before any file is written
         for (group, counts), (_, kind, L, deltas) in zip(_map_grid(jobs, pool), jobs):
-            fallbacks.update(counts)
+            flags.update(counts)
             tables.setdefault(kind, {}).update(zip([(L, delta) for delta in deltas], group))
         for kind, name, columns, extra in _tables(config):
             files.append((name, columns, _table_rows(config, kind, columns, tables[kind])))

@@ -14,7 +14,7 @@ entropies that every eigenstate and quench table runs through; an error
 of :data:`NUMERICAL_ERRORS` raised in it names the size, deltas and phase
 indices of the failing block.  Each kind of state owns its solve route:
 ``blocks(L, bc)`` gives the realizations solved together, ``rows(diag,
-bc)`` a block's (B, n, L) rows and its chains' fallback reasons, and
+bc)`` a block's (B, n, L) rows and its chains' flags, and
 ``averaged`` whether a realization's n entropies are averaged or kept;
 :func:`phase_table` sizes its reduction chunks from the rows it receives.
 :class:`Window` selects eigenstates by one stable ranking of the spectrum,
@@ -45,8 +45,8 @@ from .model import (
 #: eigensystems and states a block solves, and the rows a chunk reduces.
 CHUNK_BYTES = 256 * 1024
 #: Smallest spacing (in units of the hopping) between a selected level and
-#: its neighbours for which inverse iteration is trusted.  Closer levels
-#: make single eigenvectors solver-dependent at about 1e-15 / spacing.
+#: its neighbours that leaves a window unflagged.  Closer levels make single
+#: eigenvectors solver-dependent at about 1e-15 / spacing, on every route.
 GAP_MIN = 1e-4
 #: Largest entry of ``(T - E) x`` and of ``X X^T - I`` accepted from inverse
 #: iteration.
@@ -133,8 +133,9 @@ class Window:
     by one ranking rule (:meth:`select`); called on an EigenSystem (or a
     stack) it returns the (..., count, L) rows of those eigenvectors.  Open
     chains run on :func:`window_rows` in blocks of at least L lanes, whose
-    pivots and vectors take up to 2*8*L**2 bytes, as much as one fallback's
-    full eigensystem; rings are diagonalized densely."""
+    pivots and vectors take up to 2*8*L**2 bytes; rings are diagonalized
+    densely.  Both flag a window whose levels nearly touch their neighbours
+    by one rule, :func:`_gap_flags`."""
 
     count: int
     selector: str = "mid"
@@ -164,60 +165,56 @@ class Window:
         return chunk_size(L, L) if bc != "open" else max(chunk_size(L, self.count), L // self.count)
 
     def rows(self, diag: np.ndarray, bc: str) -> tuple:
-        """(B, count, L) rows and each chain's fallback reason ("" for none)."""
+        """(B, count, L) rows and each chain's flag ("" for none)."""
         if bc == "open":
             return window_rows(diag, self)
-        return self(chain_eigensystem(diag, periodic=True)), ()
+        eig = chain_eigensystem(diag, periodic=True)
+        return self(eig), _gap_flags(eig.energies, self.select(eig.energies)).tolist()
 
 
-def window_rows(diag: np.ndarray, window: Window) -> tuple:
-    """(B, n, L) rows of ``window`` for the B open chains whose on-site
-    energies are the rows of ``diag`` (B, L), and the B reasons they fell
-    back, "" where a chain did not.
-
-    Eigenvalues come from :func:`~obsent.model.chain_eigenvalues`,
-    :meth:`Window.select` picks levels from them (a tie included), and
-    :func:`~obsent.model.chain_eigenvectors` finds the eigenvectors of all
-    selected levels at once; unless a chain fell back, the rows are its
-    C-ordered working array.  A chain is redone on the full eigensystem
-    when a selected level lies within :data:`GAP_MIN` of a neighbour
-    (reason "near_degenerate"), or when its vectors miss
-    :data:`EIGENPAIR_TOL` ("inaccurate").  The first is decided from the
-    eigenvalues and solved before the inverse iteration allocates its
-    arrays, which then leaves those chains out, so that a full eigensystem
-    and a block of lanes are never held at once.  Each row depends only on
-    its own chain, not on the others in ``diag``.
-    """
-    energies = chain_eigenvalues(diag)
-    picked = window.select(energies)
-    level = np.take_along_axis(energies, picked, axis=-1)
+def _gap_flags(energies: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """Per chain, "near_degenerate" where a level at the spectrum positions
+    ``picked`` (..., n) of ascending ``energies`` (..., L) lies within
+    :data:`GAP_MIN` of a neighbour, else ""."""
     with np.errstate(over="ignore"):  # a spacing beyond the float range is a wide gap
         spacing = np.diff(energies, axis=-1, prepend=-np.inf, append=np.inf)
         gap = np.minimum(np.take_along_axis(spacing, picked, axis=-1),
                          np.take_along_axis(spacing, picked + 1, axis=-1)).min(axis=-1)
-    reason = np.where(gap < GAP_MIN, "near_degenerate", "")
-    del energies, spacing  # not needed beside the lanes, a block's largest arrays
-    solve = lambda p: window(chain_eigensystem(diag[p:p + 1]))[0]
-    redo, rest = np.flatnonzero(reason), np.flatnonzero(reason == "")
-    full = [solve(p) for p in redo]
-    kept, level = (diag[rest], level[rest]) if redo.size else (diag, level)
-    rows = chain_eigenvectors(kept, level)
-    error = np.maximum(*eigenpair_errors(kept, level, rows))
-    for i in np.flatnonzero(~(error <= EIGENPAIR_TOL)):
-        reason[rest[i]] = "inaccurate"
-        rows[i] = solve(rest[i])
-    if redo.size:  # the chains solved in full go back to their places
-        rows, found = np.empty((len(diag),) + rows.shape[1:]), rows
-        rows[rest] = found
-        for p, full_rows in zip(redo, full):
-            rows[p] = full_rows
-    return rows, reason.tolist()
+    return np.where(gap < GAP_MIN, "near_degenerate", "")
+
+
+def window_rows(diag: np.ndarray, window: Window) -> tuple:
+    """(B, n, L) rows of ``window`` for the B open chains whose on-site
+    energies are the rows of ``diag`` (B, L), and the B chains' flags, ""
+    where a chain has none.
+
+    Eigenvalues come from :func:`~obsent.model.chain_eigenvalues`,
+    :meth:`Window.select` picks levels from them (a tie included), and
+    :func:`~obsent.model.chain_eigenvectors` finds the eigenvectors of all
+    selected levels at once; the rows are its C-ordered working array.  A
+    chain whose vectors miss :data:`EIGENPAIR_TOL` is flagged "inaccurate"
+    and its rows are redone on its full eigensystem, the one dense route.
+    A chain with a selected level within :data:`GAP_MIN` of a neighbour is
+    flagged "near_degenerate" (see :func:`_gap_flags`) and keeps its rows,
+    unless it is also "inaccurate".  Each row depends only on its own chain,
+    not on the others in ``diag``.
+    """
+    energies = chain_eigenvalues(diag)
+    picked = window.select(energies)
+    level, flags = np.take_along_axis(energies, picked, axis=-1), _gap_flags(energies, picked)
+    del energies, picked  # not needed beside the lanes, a block's largest arrays
+    rows = chain_eigenvectors(diag, level)
+    error = np.maximum(*eigenpair_errors(diag, level, rows))
+    for p in np.flatnonzero(~(error <= EIGENPAIR_TOL)):
+        flags[p] = "inaccurate"
+        rows[p] = window(chain_eigensystem(diag[p:p + 1]))[0]
+    return rows, flags.tolist()
 
 
 def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentum_order: str = "index"):
     """Phase-averaged entropies ``{(m, basis_tag): (mean, stderr)}`` under
     size-m contiguous blocks, one table per chain in ``grid``, and the count
-    of dense fallbacks by reason.
+    of flagged realizations by flag.
 
     ``grid`` holds chains of one L and boundary condition, typically the
     deltas of one size.  Their ``n_phi`` phases each, in grid order, are
@@ -243,16 +240,16 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else slice(None)
     phis = [phase_sequence(seed, L, params.delta, n_phi) for params in grid]
     block, total = states.blocks(L, bc), len(grid) * n_phi
-    tables, samples, fallbacks = [], {(m, b): [] for m in m_list for b in basis_tags}, Counter()
+    tables, samples, flags = [], {(m, b): [] for m in m_list for b in basis_tags}, Counter()
     for start in range(0, total, block):
         stop = min(start + block, total)
         # (grid index, first phase, end phase) of each chain the block holds
         parts = [(g, max(start - g * n_phi, 0), min(stop - g * n_phi, n_phi))
                  for g in range(start // n_phi, (stop - 1) // n_phi + 1)]
         try:
-            rows, reason = states.rows(np.concatenate([chain_diagonals(grid[g], phis[g][lo:hi])
+            rows, flagged = states.rows(np.concatenate([chain_diagonals(grid[g], phis[g][lo:hi])
                                                        for g, lo, hi in parts]), bc)
-            fallbacks.update(filter(None, reason))
+            flags.update(filter(None, flagged))
             step = chunk_size(L, rows.shape[-2])
             for chunk in range(0, len(rows), step):
                 part = rows[chunk:chunk + step]
@@ -274,7 +271,7 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
                 tables[-1][key] = mean_stderr(vals[:n_phi])
                 samples[key] = [vals[n_phi:].copy()]  # a view would keep the joined array
             vals = None  # and so would the name
-    return tables, fallbacks
+    return tables, flags
 
 
 def mean_stderr(samples: np.ndarray):

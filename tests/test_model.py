@@ -323,7 +323,7 @@ INTEGER_ARGUMENTS = {
     "ModelParams.L": ("L", lambda v: ModelParams(L=v).L, 1),
     "site_state.L": ("L", lambda v: site_state(v, 1), 0),
     "site_state.site": ("site", lambda v: site_state(8, v), 9),
-    "Quench.initial_site": ("site", lambda v: Quench(8, [0.0, 1.0], v).psi0, 0),
+    "Quench.initial_site": ("initial_site", lambda v: Quench(8, [0.0, 1.0], v).psi0, 0),
     "Window.count": ("count", lambda v: Window(v).count, 0),
     "phase_sequence.seed": ("seed", lambda v: phase_sequence(v, 8, 1.0, 3), -1),
     "phase_sequence.L": ("L", lambda v: phase_sequence(0, v, 1.0, 3), 1),

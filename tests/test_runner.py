@@ -202,7 +202,7 @@ def test_manifest_contents(tmp_path):
     assert manifest["wall_time_s"] >= 0.0
     assert manifest["eigensolver"] == obsent.model.chain_solvers()
     assert set(manifest["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
-    assert manifest["dense_fallbacks"] == {}
+    assert manifest["window_flags"] == {}
     assert manifest["status"] == "complete" and manifest["workers"] == 1
     assert manifest["blas"] == NUMPY_BLAS
 
@@ -232,9 +232,9 @@ def test_parallel_matches_serial(tmp_path, preset, extra):
 
 
 def test_parallel_fallback_counts_match_serial(tmp_path):
-    # delta=4 puts a near-degenerate pair into one of the 30 windows; at delta=0
-    # every odd window ends on a +-E tie, which the ranking decides without a
-    # fallback
+    # delta=4 puts a near-degenerate pair into one of the 30 windows, which is
+    # flagged; at delta=0 every odd window ends on a +-E tie, which the ranking
+    # decides without a flag
     kwargs = dict(L=[64], delta=[0.0, 4.0], m=[1, 4], n_phi=30, mid_count=15)
     manifests, csvs = [], []
     for jobs in (1, 2):
@@ -242,7 +242,7 @@ def test_parallel_fallback_counts_match_serial(tmp_path):
         run(make_config("fig1", out=str(out), jobs=jobs, **kwargs))
         manifests.append(json.loads((out / "run_manifest.json").read_text()))
         csvs.append((out / "fig1.csv").read_bytes())
-    assert manifests[0]["dense_fallbacks"] == manifests[1]["dense_fallbacks"] == {"near_degenerate": 1}
+    assert manifests[0]["window_flags"] == manifests[1]["window_flags"] == {"near_degenerate": 1}
     assert csvs[0] == csvs[1]
 
 

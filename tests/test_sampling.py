@@ -181,11 +181,17 @@ def test_window_rows_match_dense_eigh(L, delta, phi, size, selector):
 #: Open chains of the exact window test: (L, delta, phase index) of the seed-42
 #: phases, with fig4's window of L/8 levels, and how many levels of the window's
 #: closest neighbouring pair are tested.  Delta = 1 chains (window spacings
-#: >= 2e-2) test one level, to keep 12 in all.  The pairs at delta = 2 and 3 on
-#: L = 256 are closer than GAP_MIN, so window_rows takes its dstevd fallback
-#: there; the last chain is fig4's smallest spacing, 2.5e-7.
+#: >= 2e-2) test one level, to keep 16 in all.  The pairs at delta = 2 and 3 on
+#: L = 256 are closer than GAP_MIN, and so is eigen-large's pair at delta = 2.5
+#: (1.0e-5); fig4's smallest spacing is the delta = 3.25 pair, 2.5e-7.  The
+#: delta = 3.5 pair on L = 512 (3.7e-7) is eigen-large's closest: its lanes miss
+#: EIGENPAIR_TOL in orthogonality, so window_rows redoes it by dstevd.
 EXACT_WINDOW_CHAINS = [(64, 1.0, 0, 1), (128, 1.0, 15, 1), (128, 2.0, 49, 2), (256, 2.0, 72, 2),
-                       (128, 3.0, 80, 2), (256, 3.0, 15, 2), (256, 3.25, 84, 2)]
+                       (128, 3.0, 80, 2), (256, 3.0, 15, 2), (256, 3.25, 84, 2), (512, 2.5, 15, 2),
+                       (512, 3.5, 23, 2)]
+#: The flag window_rows gives each (L, delta) of those chains, "" for none.
+EXACT_WINDOW_FLAGS = {(256, 2.0): "near_degenerate", (256, 3.0): "near_degenerate",
+                      (256, 3.25): "near_degenerate", (512, 2.5): "near_degenerate", (512, 3.5): "inaccurate"}
 #: Largest per-state entropy error against exact states, m in {1, 2, 4}, both bases.
 #: Measured over these chains: 5.0e-13 by inverse iteration and 5.7e-12 by
 #: dstevd, both at delta = 2, L = 256 (spacing 7.6e-5), and at most 7.5e-14
@@ -203,12 +209,13 @@ def test_window_rows_match_exact_states(L, delta, index, n_levels):
     tested = slice(first, first + n_levels)
     levels = energies[:, picked[tested]]
     rows, reason = window_rows(diag, window)
+    resolved = reason == ["inaccurate"]  # only these rows come from dstevd
     routes = {  # each route's rows of the tested levels, and the bound it is held to
-        "window_rows": (rows[0, tested], EXACT_BOUND["dstevd" if reason[0] else "inverse iteration"]),
+        "window_rows": (rows[0, tested], EXACT_BOUND["dstevd" if resolved else "inverse iteration"]),
         "dstevd": (full_window(diag, window)[0, tested], EXACT_BOUND["dstevd"]),
         "inverse iteration": (chain_eigenvectors(diag, levels)[0], EXACT_BOUND["inverse iteration"]),
     }
-    assert reason == ["near_degenerate" if L == 256 and delta > 1 else ""]
+    assert reason == [EXACT_WINDOW_FLAGS.get((L, delta), "")]
     errors = {}
     for j, k in enumerate(picked[tested]):
         level = exact.chain_level(diag[0], int(k))
@@ -260,28 +267,29 @@ def wells(twin):
 
 
 @pytest.mark.parametrize("twin", [True, False], ids=["near-degenerate", "control"])
-def test_near_degenerate_window_takes_dense_path(twin):
+def test_near_degenerate_window_is_flagged_and_keeps_lane_rows(twin):
+    # the flag reports the twin pair; with one partner in the window the lanes
+    # pass EIGENPAIR_TOL, so the rows stay those of inverse iteration
     diag, window = wells(twin)[None], Window(1, "ground")
     rows, reason = window_rows(diag, window)
-    dense = full_window(diag, window)
     assert reason == ["near_degenerate" if twin else ""]
     assert Counter(filter(None, reason))["near_degenerate"] == twin
-    if twin:
-        assert np.array_equal(rows, dense)
-    else:
-        assert np.abs(rows**2 - dense**2).max() < 1e-12
+    assert np.array_equal(rows, chain_eigenvectors(diag, chain_eigenvalues(diag)[:, :1]))
+    if not twin:
+        assert np.abs(rows**2 - full_window(diag, window) ** 2).max() < 1e-12
 
 
 def test_window_rows_of_a_block_equal_per_phase_blocks():
-    # phase 0.0 gets the twin wells, whose ground pair is near-degenerate
+    # phase 0.0 gets the twin wells, whose ground pair is near-degenerate; with
+    # both partners in the window the lanes fail orthogonality and are redone
     params, phis, window = ModelParams(L=32, delta=1.5), np.array([0.4, 0.0, 2.2, 5.0, 0.0]), Window(2, "ground")
     diag = chain_diagonals(params, phis)
     diag[phis == 0.0] = wells(True)
     rows, reason = window_rows(diag, window)
     per_phase = [window_rows(diag[p:p + 1], window) for p in range(len(phis))]
     single = np.concatenate([rows for rows, _ in per_phase])
-    assert reason == [r for _, (r,) in per_phase] == ["", "near_degenerate", "", "", "near_degenerate"]
-    assert Counter(filter(None, reason)) == {"near_degenerate": 2}
+    assert reason == [r for _, (r,) in per_phase] == ["", "inaccurate", "", "", "inaccurate"]
+    assert Counter(filter(None, reason)) == {"inaccurate": 2}
     assert np.array_equal(rows, single)
     assert np.array_equal(rows[1], full_window(diag[1:2], window)[0])
 
@@ -300,8 +308,9 @@ def with_wells(monkeypatch, marked):
 
 def test_shared_blocks_across_deltas_equal_per_delta_tables(monkeypatch):
     # L=32 with a 2-state window takes 512 phases per block, so the block of
-    # 2 x 5 realizations straddles the deltas, with a near-degenerate chain on
-    # each side of the boundary: the last phase of one delta, the first of the next
+    # 2 x 5 realizations straddles the deltas, with a twin-wells chain (redone
+    # as inaccurate) on each side of the boundary: the last phase of one delta,
+    # the first of the next
     deltas, n_phi, window = (1.5, 2.5), 5, Window(2, "ground")
     grid = [ModelParams(L=32, delta=delta) for delta in deltas]
     phis = [phase_sequence(9, 32, delta, n_phi) for delta in deltas]
@@ -322,7 +331,7 @@ def test_shared_blocks_across_deltas_equal_per_delta_tables(monkeypatch):
         single += tables
         single_counts.update(counts)
     assert [len(b) for b in blocks] == [10, 5, 5]
-    assert shared_counts == single_counts == {"near_degenerate": 2}
+    assert shared_counts == single_counts == {"inaccurate": 2}
     assert np.array_equal(blocks[0], np.concatenate(blocks[1:]))
     for table, alone in zip(shared, single):
         assert table.keys() == alone.keys()
@@ -357,22 +366,23 @@ def test_lane_blocks_hold_at_least_L_lanes(monkeypatch, L, n, n_phi, deltas, blo
 
 @pytest.mark.parametrize("route", ["lapack", "numpy-dense"])
 def test_lane_block_peak_memory_stays_within_a_dense_fallback(monkeypatch, route):
-    # One fig4-sized grid point that also takes dense fallbacks: the block's
-    # pivots and vectors (2*8*L**2 bytes) never coexist with a full eigensystem,
-    # and the dense route builds one L x L matrix at a time.
+    # One fig4-sized grid point whose 7 near-degenerate chains are flagged and
+    # keep their lanes' rows: the block holds its pivots and vectors (2*8*L**2
+    # bytes) and no full eigensystem, and the dense route builds one L x L
+    # matrix at a time.
     if route == "numpy-dense":
         monkeypatch.setattr(model, "_DSTERF", None)
         monkeypatch.setattr(model, "_DSTEVD", None)
     L = 512
     tracemalloc.start()
     try:
-        _, fallbacks = phase_table([ModelParams(L=L, delta=2.5)], 25, 42, eigenstate_window(L, "L/8", "mid"),
-                                   (1, 2, 4, 8), ("real", "momentum"))
+        _, flags = phase_table([ModelParams(L=L, delta=2.5)], 25, 42, eigenstate_window(L, "L/8", "mid"),
+                               (1, 2, 4, 8), ("real", "momentum"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fallbacks["near_degenerate"] > 0
-    assert peak <= 3 * 8 * L**2
+    assert flags == {"near_degenerate": 7}
+    assert peak <= 5 * 1024**2
 
 
 def test_all_tie_lane_block_peak_memory_holds_no_dense_fallback():
@@ -380,12 +390,12 @@ def test_all_tie_lane_block_peak_memory_holds_no_dense_fallback():
     # the ranking decides each one, so the block holds only its lanes.
     tracemalloc.start()
     try:
-        _, fallbacks = phase_table([ModelParams(L=512, delta=0.0)], 16, 42, Window(63),
-                                   (1, 2, 4, 8), ("real", "momentum"))
+        _, flags = phase_table([ModelParams(L=512, delta=0.0)], 16, 42, Window(63),
+                               (1, 2, 4, 8), ("real", "momentum"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not fallbacks
+    assert not flags
     assert peak <= 5 * 1024**2
 
 
@@ -408,6 +418,16 @@ def test_window_edge_tie_needs_no_dense_path():
                               - np.sort(uniform_block_entropy(expected, m), axis=-1)).max() < 1e-12
 
 
+@pytest.mark.parametrize("delta, flags", [(0.0, {"near_degenerate": 4}), (1.0, {})], ids=["free", "control"])
+def test_ring_windows_are_flagged_by_the_gap_rule(delta, flags):
+    # a free ring's +-k levels are degenerate, and the L/8 mid window of L = 16
+    # holds such a pair in each of the 4 phases; at delta = 1 no level nearly
+    # touches its neighbour
+    _, found = phase_table([ModelParams(L=16, delta=delta, bc="periodic")], 4, 0, eigenstate_window(16, "L/8", "mid"),
+                           [1], ("real",))
+    assert found == flags
+
+
 def test_inaccurate_vectors_take_dense_path(monkeypatch):
     params, phis, window = ModelParams(L=32, delta=1.3), np.array([0.4, 2.2, 5.0]), Window(4)
 
@@ -428,11 +448,11 @@ def test_inaccurate_vectors_take_dense_path(monkeypatch):
 def test_huge_delta_falls_back_without_warnings(L, selector):
     # the suite turns RuntimeWarnings into errors, so an overflow warning fails here
     window = eigenstate_window(L, 2, selector)
-    tables, fallbacks = phase_table([ModelParams(L=L, delta=1.7e308)], 3, 0, window, [1, L], ("real",))
+    tables, flags = phase_table([ModelParams(L=L, delta=1.7e308)], 3, 0, window, [1, L], ("real",))
     table = tables[0]
     assert table[(1, "real")][0] == pytest.approx(0.0, abs=1e-12)
     assert table[(L, "real")][0] == pytest.approx(math.log(L), abs=1e-12)
-    assert fallbacks == {"inaccurate": 3}
+    assert flags == {"inaccurate": 3}
 
 
 def test_chunks_cover_every_phase_in_order(monkeypatch):
@@ -473,11 +493,11 @@ def test_phase_table_rejects_unknown_basis(monkeypatch):
 def test_one_loop_over_phases_and_one_reduction():
     # every phase average draws its phases and reduces its weights in phase_table
     # alone, which the two table functions and the runner's grid job call directly,
-    # fallback counts are returned, never passed in, and the errors of a
+    # flag counts are returned, never passed in, and the errors of a
     # numerical failure are spelled once, in sampling.NUMERICAL_ERRORS; no module
     # imports inspect and phase_table calls no isinstance, so that the states pick
     # their own route and phase_table never picks one by inspecting them
-    callers, fallback_params, error_tuples, sniffing = set(), set(), [], []
+    callers, flag_params, error_tuples, sniffing = set(), set(), [], []
     errors = {"LinAlgError", "ValueError", "FloatingPointError"}
 
     def visit(node, module, owner):
@@ -485,8 +505,8 @@ def test_one_loop_over_phases_and_one_reduction():
             owner = node.name
         if isinstance(node, ast.Assign) and owner is None and isinstance(node.targets[0], ast.Name):
             owner = node.targets[0].id  # a module-level constant
-        if isinstance(node, ast.arg) and node.arg == "fallbacks":  # a parameter of any function or lambda
-            fallback_params.add((module, owner))
+        if isinstance(node, ast.arg) and node.arg == "flags":  # a parameter of any function or lambda
+            flag_params.add((module, owner))
         if isinstance(node, ast.Import) and "inspect" in {alias.name for alias in node.names} or (
                 isinstance(node, ast.ImportFrom) and node.module == "inspect"):
             sniffing.append((module, "import inspect"))
@@ -509,7 +529,7 @@ def test_one_loop_over_phases_and_one_reduction():
                        ("phase_table", "analysis", "eigenstate_entropy_table"),
                        ("phase_table", "dynamics", "quench_entropy_table"),
                        ("phase_table", "runner", "_grid_job")}
-    assert not fallback_params
+    assert not flag_params
     assert not sniffing
     assert error_tuples == [("sampling", "NUMERICAL_ERRORS")]
     assert sampling.NUMERICAL_ERRORS == (np.linalg.LinAlgError, ValueError, FloatingPointError)

@@ -10,7 +10,8 @@ as ``obsent run`` in a fresh process per tree, with one BLAS/OpenMP thread,
 into a temporary directory.  For each CSV the script prints "identical" or
 "changed", and for a changed one the number of changed cells and the
 largest absolute difference between numeric cells; for each config it says
-whether the manifests' ``dense_fallbacks`` match.  It exits 1 when a config
+whether the manifests' ``window_flags`` match (a tree from before that
+key was named reports its ``dense_fallbacks``).  It exits 1 when a config
 fails or writes no CSV in either tree, and 0 otherwise, changed CSVs
 included: a change is reported, not judged.
 """
@@ -30,8 +31,9 @@ from pathlib import Path
 #: momentum orders, eigenstate and quench tables, a delta = 0 odd window whose
 #: edge is a +-E tie (in index and in kinetic momentum order), the default
 #: quench site at odd L, the two-site ring, long time grids whose quench
-#: blocks are sized by their states rather than their eigenvectors, and
-#: integers written as integral floats, which read as their ints.
+#: blocks are sized by their states rather than their eigenvectors,
+#: integers written as integral floats, which read as their ints, and
+#: eigen-large's L=512 windows, which take both flags.
 CONFIGS = (
     "--preset fig1",
     "--preset fig3",
@@ -51,6 +53,7 @@ CONFIGS = (
     "--preset custom --L 2 --delta 0,1 --m 1,2 --bc periodic --times 0,0.5,2 --n-phi 3",
     "--preset custom --L 16.0,32.0 --delta 1 --m 1.0,2.0 --n-phi 4.0 --seed 7.0 --mid-count 2.0 "
     "--times 0,1,5 --initial-site 3.0",
+    "--preset custom --L 512 --delta 2.5,3.5 --m 1,2,4,8 --basis both --mid-count L/8 --n-phi 25",
 )
 
 _ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -87,8 +90,9 @@ def cell_changes(old: Path, new: Path) -> tuple:
     return changed, largest
 
 
-def dense_fallbacks(out: Path):
-    return json.loads((out / "run_manifest.json").read_text()).get("dense_fallbacks")
+def window_flags(out: Path):
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    return manifest.get("window_flags", manifest.get("dense_fallbacks"))
 
 
 def compare(old_src: Path, new_src: Path) -> bool:
@@ -119,9 +123,8 @@ def compare(old_src: Path, new_src: Path) -> bool:
                 else:
                     cells, largest = cell_changes(old, new)
                     print(f"  {name}: changed, {cells} cells, largest absolute difference {largest:.3g}")
-            same = dense_fallbacks(outs["old"]) == dense_fallbacks(outs["new"])
-            print(f"  dense_fallbacks: {'equal' if same else 'differ'} "
-                  f"({dense_fallbacks(outs['old'])} -> {dense_fallbacks(outs['new'])})")
+            flags = [window_flags(outs[tag]) for tag in ("old", "new")]
+            print(f"  window_flags: {'equal' if flags[0] == flags[1] else 'differ'} ({flags[0]} -> {flags[1]})")
     return ok
 
 

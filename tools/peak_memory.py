@@ -24,8 +24,9 @@ from pathlib import Path
 
 #: Name and table call of each measured config: the quench tables of fig3's
 #: size, of an L=64 ring, of L=16 with 130 phases (a partial block) and of
-#: L=16 with 600 times, and the L=512 lane blocks at delta = 2.5 (with dense
-#: fallbacks) and at delta = 0 (every odd window ending on a +-E tie).
+#: L=16 with 600 times, and the L=512 lane blocks at delta = 2.5 (with
+#: near-degenerate windows) and at delta = 0 (every odd window ending on a
+#: +-E tie).
 CONFIGS = (
     ("quench fig3-size L=256",
      "quench_entropy_table(ModelParams(L=256, delta=1.0), np.geomspace(0.1, 100.0, 60), (1, 4, 16),"
