@@ -231,6 +231,9 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     """
     if not set(basis_tags) <= set(BASIS_TAGS):
         raise ValueError(f"basis tags must be among {BASIS_TAGS}, got {tuple(basis_tags)}")
+    for name, values in (("m_list", list(m_list)), ("basis_tags", list(basis_tags))):
+        if len(set(values)) < len(values):  # a repeat would append its samples twice to one list
+            raise ValueError(f"{name}={values} repeats a value")
     if len({(params.L, params.bc) for params in grid}) != 1:
         raise ValueError("a grid holds chains of one L and one boundary condition")
     if momentum_order not in MOMENTUM_ORDERS:

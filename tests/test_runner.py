@@ -1,5 +1,7 @@
 """Configuration validation, preset outputs, reproducibility, CLI contract."""
 
+import ast
+import builtins
 import csv
 import ctypes
 import importlib.util
@@ -384,19 +386,52 @@ def test_integral_float_mid_count_gives_the_int_count_table(capsys):
         assert [np.float64(v).tobytes() for v in by_int[key]] == [np.float64(v).tobytes() for v in by_float[key]]
 
 
-def compared_configs():
-    """The configs that tools/cmp_outputs.py runs on two source trees."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "cmp_outputs.py")
-    spec = importlib.util.spec_from_file_location("cmp_outputs", path)
+def compare_trees():
+    """tools/compare_trees.py, which compares the outputs and peaks of two source trees."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "compare_trees.py")
+    spec = importlib.util.spec_from_file_location("compare_trees", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.CONFIGS
+    return module
+
+
+def compared_configs():
+    """The configs whose outputs tools/compare_trees.py compares."""
+    return compare_trees().CONFIGS
 
 
 @pytest.mark.parametrize("args", compared_configs())
 def test_compared_configs_validate(args, capsys):
     # a config that stopped validating would compare no CSV at all
     assert obsent.cli.main(["validate", *args.split()]) == 0, capsys.readouterr().out
+
+
+def test_memory_calls_use_only_names_the_preamble_binds():
+    # a renamed function would otherwise go unnoticed until the tool is run
+    tool = compare_trees()
+    bound = {}
+    exec(tool.PREAMBLE, bound)
+    for name, call in tool.CALLS:
+        tree = ast.parse(call, mode="eval")
+        compile(tree, name, "eval")
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert used <= bound.keys() | vars(builtins).keys(), (name, used - bound.keys())
+
+
+def test_cell_changes_counts_cells_and_the_largest_difference(tmp_path):
+    cell_changes = compare_trees().cell_changes
+
+    def write(name, rows):
+        (tmp_path / name).write_text("".join(",".join(row) + "\n" for row in rows))
+        return tmp_path / name
+
+    old = write("old.csv", [["L", "S"], ["16", "1.5"], ["32", "2.0"]])
+    assert cell_changes(old, write("same.csv", [["L", "S"], ["16", "1.5"], ["32", "2.0"]])) == (0, 0.0)
+    assert cell_changes(old, write("number.csv", [["L", "S"], ["16", "1.25"], ["32", "2.0"]])) == (1, 0.25)
+    cells, largest = cell_changes(old, write("text.csv", [["L", "T"], ["16", "1.5"], ["32", "2.0"]]))
+    assert cells == 1 and math.isnan(largest)
+    assert cell_changes(old, write("wide.csv", [["L", "S"], ["16", "1.5", "9"], ["32", "2.0"]])) == (3, 0.0)
+    assert cell_changes(old, write("long.csv", [["L", "S"], ["16", "1.5"], ["32", "2.0"], ["64", "2.5"]])) == (2, 0.0)
 
 
 def test_cli_config_error_is_machine_readable(tmp_path, capsys):

@@ -490,6 +490,17 @@ def test_phase_table_rejects_unknown_basis(monkeypatch):
         eigenstate_entropy_table(16, 1.0, [2], ("momentum",), momentum_order="kinetik")
 
 
+def test_phase_table_rejects_a_repeated_m_or_basis_tag():
+    # repeated keys would share one sample list, so a chain spanning several
+    # chunks would average duplicates and lose its last phases
+    with pytest.raises(ValueError, match=r"m_list=\[1, 1\] repeats a value"):
+        eigenstate_entropy_table(256, 1.0, [1, 1], n_phi=12, mid_count=32)
+    with pytest.raises(ValueError, match=r"m_list=\[1, 1\] repeats a value"):
+        quench_entropy_table(ModelParams(L=256), np.geomspace(0.1, 10, 5), [1, 1], n_phi=3)
+    with pytest.raises(ValueError, match=r"basis_tags=\['real', 'real'\] repeats a value"):
+        eigenstate_entropy_table(16, 1.0, [1], ("real", "real"), n_phi=2)
+
+
 def test_one_loop_over_phases_and_one_reduction():
     # every phase average draws its phases and reduces its weights in phase_table
     # alone, which the two table functions and the runner's grid job call directly,

@@ -1,19 +1,27 @@
-"""Compare the CSVs that two source trees write for a fixed list of runs.
+"""Compare the CSVs and the tracemalloc peaks of two source trees.
 
 Usage::
 
-    python tools/cmp_outputs.py OLD_SRC NEW_SRC
+    python tools/compare_trees.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are the ``src`` directories (each holding the
-``obsent`` package) of two checkouts.  Every config of :data:`CONFIGS` runs
-as ``obsent run`` in a fresh process per tree, with one BLAS/OpenMP thread,
-into a temporary directory.  For each CSV the script prints "identical" or
-"changed", and for a changed one the number of changed cells and the
-largest absolute difference between numeric cells; for each config it says
-whether the manifests' ``window_flags`` match (a tree from before that
-key was named reports its ``dense_fallbacks``).  It exits 1 when a config
-fails or writes no CSV in either tree, and 0 otherwise, changed CSVs
-included: a change is reported, not judged.
+``obsent`` package) of two checkouts.  Every run below is a fresh process
+per tree, with one BLAS/OpenMP thread.
+
+* Outputs: every config of :data:`CONFIGS` runs as ``obsent run`` into a
+  temporary directory.  For each CSV the script prints "identical" or
+  "changed", and for a changed one the number of changed cells and the
+  largest absolute difference between numeric cells; for each config it says
+  whether the manifests' ``window_flags`` match.
+* Memory: every call of :data:`CALLS` runs once as a warm-up and then once
+  under tracemalloc, whose peak is printed in KiB as old -> new.  The same
+  code peaks a few KiB apart from one process to the next (up to 6.5 KiB
+  over four processes of the L=16, 600-time quench), so a difference that
+  small says nothing.
+
+It exits 1 when a run fails or writes no CSV in either tree, and 0
+otherwise, changed CSVs and higher peaks included: a change is reported,
+not judged.
 """
 
 from __future__ import annotations
@@ -56,16 +64,61 @@ CONFIGS = (
     "--preset custom --L 512 --delta 2.5,3.5 --m 1,2,4,8 --basis both --mid-count L/8 --n-phi 25",
 )
 
+#: Name and table call of each measured config: the quench tables of fig3's
+#: size, of an L=64 ring, of L=16 with 130 phases (a partial block) and of
+#: L=16 with 600 times, and the L=512 lane blocks at delta = 2.5 (with
+#: near-degenerate windows), at delta = 3.5 (whose inaccurate chain is
+#: re-solved beside the lanes) and at delta = 0 (every odd window ending on
+#: a +-E tie).  Each call may use the names :data:`PREAMBLE` binds.
+CALLS = (
+    ("quench fig3-size L=256",
+     "quench_entropy_table(ModelParams(L=256, delta=1.0), np.geomspace(0.1, 100.0, 60), (1, 4, 16),"
+     " n_phi=8, seed=1)"),
+    ("quench ring L=64",
+     "quench_entropy_table(ModelParams(L=64, delta=1.3, bc='periodic'), np.geomspace(0.1, 100.0, 60), (1, 4),"
+     " n_phi=20, seed=1)"),
+    ("quench L=16 130 phases",
+     "quench_entropy_table(ModelParams(L=16, delta=1.0), np.geomspace(0.1, 100.0, 60), (1, 4, 16),"
+     " n_phi=130, seed=1)"),
+    ("quench L=16 600 times",
+     "quench_entropy_table(ModelParams(L=16, delta=1.0), np.geomspace(0.1, 100.0, 600), (1, 4, 16),"
+     " n_phi=130, seed=1)"),
+    ("lanes L=512 delta=2.5",
+     "phase_table([ModelParams(L=512, delta=2.5)], 25, 42, eigenstate_window(512, 'L/8', 'mid'),"
+     " (1, 2, 4, 8), ('real', 'momentum'))"),
+    ("lanes L=512 delta=3.5",
+     "phase_table([ModelParams(L=512, delta=3.5)], 25, 42, eigenstate_window(512, 'L/8', 'mid'),"
+     " (1, 2, 4, 8), ('real', 'momentum'))"),
+    ("lanes L=512 delta=0 all-tie",
+     "phase_table([ModelParams(L=512, delta=0.0)], 16, 42, Window(63), (1, 2, 4, 8), ('real', 'momentum'))"),
+)
+
+#: The imports of the measuring process.
+PREAMBLE = """\
+import tracemalloc
+import numpy as np
+from obsent import ModelParams, quench_entropy_table
+from obsent.analysis import eigenstate_window
+from obsent.sampling import Window, phase_table
+"""
+
+_MEASURE = PREAMBLE + """
+call = lambda: {call}
+call()
+tracemalloc.start()
+call()
+print(tracemalloc.get_traced_memory()[1])
+"""
+
 _ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def run_config(src: Path, args: str, out: Path) -> str:
-    """Run one config on the package under ``src`` into ``out``; the error
-    output of a failed run, else ""."""
+def run(src: Path, argv: list) -> tuple:
+    """Run ``python *argv`` on the package under ``src``: its stdout, and
+    the error output of a failed run (else "")."""
     env = {**os.environ, **_ONE_THREAD, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-m", "obsent.cli", "run", *args.split(), "--out", str(out)],
-                          env=env, capture_output=True, text=True)
-    return "" if done.returncode == 0 else f"exit {done.returncode}: {done.stderr.strip()}"
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    return done.stdout, "" if done.returncode == 0 else f"exit {done.returncode}: {done.stderr.strip()}"
 
 
 def cell_changes(old: Path, new: Path) -> tuple:
@@ -90,19 +143,17 @@ def cell_changes(old: Path, new: Path) -> tuple:
     return changed, largest
 
 
-def window_flags(out: Path):
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    return manifest.get("window_flags", manifest.get("dense_fallbacks"))
-
-
-def compare(old_src: Path, new_src: Path) -> bool:
-    """Run and compare every config; True when all of them ran and wrote CSVs."""
+def compare(srcs: dict) -> bool:
+    """Compare every config's outputs, then every call's peak, between the
+    trees of ``srcs`` ({"old": ..., "new": ...}); True when all of them ran
+    and every config wrote CSVs in both trees."""
     ok = True
     for args in CONFIGS:
         print(f"== {args}", flush=True)
         with tempfile.TemporaryDirectory() as tmp:
-            outs = {"old": Path(tmp) / "old", "new": Path(tmp) / "new"}
-            errors = {tag: run_config(src, args, outs[tag]) for tag, src in (("old", old_src), ("new", new_src))}
+            outs = {tag: Path(tmp) / tag for tag in srcs}
+            errors = {tag: run(src, ["-m", "obsent.cli", "run", *args.split(), "--out", str(outs[tag])])[1]
+                      for tag, src in srcs.items()}
             for tag, error in errors.items():
                 if error:
                     print(f"  FAILED in the {tag} tree, {error}")
@@ -123,18 +174,21 @@ def compare(old_src: Path, new_src: Path) -> bool:
                 else:
                     cells, largest = cell_changes(old, new)
                     print(f"  {name}: changed, {cells} cells, largest absolute difference {largest:.3g}")
-            flags = [window_flags(outs[tag]) for tag in ("old", "new")]
+            flags = [json.loads((out / "run_manifest.json").read_text())["window_flags"] for out in outs.values()]
             print(f"  window_flags: {'equal' if flags[0] == flags[1] else 'differ'} ({flags[0]} -> {flags[1]})")
+    for name, call in CALLS:
+        peaks = {tag: run(src, ["-c", _MEASURE.format(call=call)]) for tag, src in srcs.items()}
+        for tag, (_, error) in peaks.items():
+            if error:
+                print(f"{name}: FAILED in the {tag} tree, {error}", flush=True)
+                ok = False
+        if not any(error for _, error in peaks.values()):
+            old, new = (int(out.split()[-1]) / 1024 for out, _ in peaks.values())
+            print(f"{name}: {old:.0f} -> {new:.0f} KiB", flush=True)
     return ok
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    return 0 if compare(*(Path(a).resolve() for a in argv)) else 1
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(0 if compare({"old": Path(sys.argv[1]).resolve(), "new": Path(sys.argv[2]).resolve()}) else 1)
