@@ -33,13 +33,8 @@ def _number_list(text):
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
-    """One flag per config field, typed from the runner's field tables;
-    --fit-lo/--fit-hi stand in for fit_window."""
+    """One flag per config field, typed from the runner's field tables."""
     for f in fields(ExperimentConfig):
-        if f.name == "fit_window":
-            p.add_argument("--fit-lo", type=_number)
-            p.add_argument("--fit-hi", type=_number)
-            continue
         if f.name in _LIST_FIELDS:
             item = "N" if _LIST_FIELDS[f.name] is int else "X"
             kwargs = dict(type=_number_list, metavar=f"{item}[,{item}...]")
@@ -52,8 +47,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
 
 def _config_from_args(args: dict) -> ExperimentConfig:
     """The config that ``--config`` and the flags in ``args`` describe."""
-    path, fit_lo, fit_hi = args.pop("config"), args.pop("fit_lo"), args.pop("fit_hi")
-    mapping = {}
+    path, mapping = args.pop("config"), {}
     if path:
         with open(path) as fh:
             mapping = json.load(fh)
@@ -62,11 +56,6 @@ def _config_from_args(args: dict) -> ExperimentConfig:
     mapping.update({key: value for key, value in args.items() if value is not None})
     if "jobs" not in mapping and os.environ.get("OBSENT_JOBS"):
         mapping["jobs"] = _number(os.environ["OBSENT_JOBS"])
-    if fit_lo is not None or fit_hi is not None:
-        window = config_from_mapping(mapping).fit_window
-        if isinstance(window, tuple):  # else malformed, for validate() to report
-            mapping["fit_window"] = (window[0] if fit_lo is None else fit_lo,
-                                     window[1] if fit_hi is None else fit_hi)
     return config_from_mapping(mapping)
 
 

@@ -79,6 +79,14 @@ def partition_from_blocks(blocks, basis_tag: str = "real") -> CoarseGraining:
     return CoarseGraining(owner=owner, basis_tag=basis_tag)
 
 
+def block_size(L: int, m: int) -> int:
+    """``m`` as its int if it is a block size that divides ``L``, else ``ValueError``."""
+    m = integer(m, "m", 1)
+    if L % m != 0:
+        raise ValueError(f"m={m} does not divide L={L}")
+    return m
+
+
 def make_block_partition(L: int, m: int, basis_tag: str = "real") -> CoarseGraining:
     """Uniform partition of 0..L-1 into L/m contiguous blocks of size m.
 
@@ -86,10 +94,8 @@ def make_block_partition(L: int, m: int, basis_tag: str = "real") -> CoarseGrain
     entropy reduces to the Shannon entropy) and m = L the roughest (a
     single identity block with entropy ln L).  m must divide L.
     """
-    L, m = integer(L, "L", 1), integer(m, "m", 1)
-    if L % m != 0:
-        raise ValueError(f"m must divide L: got L={L}, m={m}")
-    return CoarseGraining(owner=np.arange(L) // m, basis_tag=basis_tag)
+    L = integer(L, "L", 1)
+    return CoarseGraining(owner=np.arange(L) // block_size(L, m), basis_tag=basis_tag)
 
 
 def is_rougher(c1: CoarseGraining, c2: CoarseGraining) -> bool:
@@ -160,9 +166,7 @@ def uniform_block_entropy(amp2: np.ndarray, m: int) -> np.ndarray:
     terms in that order, so the bits equal those of the reshape-sum that
     larger m use.  ``amp2`` itself is never written."""
     L = amp2.shape[-1]
-    m = integer(m, "m", 1)
-    if L % m != 0:
-        raise ValueError(f"m must divide L: got L={L}, m={m}")
+    m = block_size(L, m)
     if m == 1 or m >= 8:
         p = amp2 if m == 1 else amp2.reshape(amp2.shape[:-1] + (L // m, m)).sum(axis=-1)
     else:

@@ -61,7 +61,7 @@ class ExperimentConfig:
     t_points: int = 60
     # an explicit time grid overrides t_min/t_max/t_points
     times: tuple | None = field(default=None, metadata=dict(metavar="T[,T...]"))
-    fit_window: tuple = (3.0, 30.0)
+    fit_window: tuple = field(default=(3.0, 30.0), metadata=dict(metavar="LO,HI"))
     initial_site: int | None = None
     momentum_order: str = "index"
     jobs: int = field(default=1, metadata=dict(help="parallel workers (default: OBSENT_JOBS or 1)"))
@@ -147,8 +147,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     unknown = set(mapping) - known
     if unknown:
         raise ConfigError([f"unknown config field(s): {', '.join(sorted(unknown))}"])
-    preset = mapping.get("preset", "custom")
-    return make_config(preset, **{k: v for k, v in mapping.items() if k != "preset"})
+    return make_config(**mapping)
 
 
 def validate(config: ExperimentConfig) -> list:
@@ -214,9 +213,12 @@ def validate(config: ExperimentConfig) -> list:
         diags += [f"initial_site={typed['initial_site']} outside 1..{L}"
                   for L in typed["L"] or () if not 1 <= typed["initial_site"] <= L]
     out = Path(config.out)  # run() creates it: it must be, or lie under, a directory
-    existing = next((path for path in (out, *out.parents) if path.exists()), None)
-    if existing is not None and not existing.is_dir():
-        diags.append(f"out={config.out!r} is not a usable directory: {existing} is not a directory")
+    try:
+        existing = next((path for path in (out, *out.parents) if path.exists()), None)
+        if existing is not None and not existing.is_dir():
+            diags.append(f"out={config.out!r} is not a usable directory: {existing} is not a directory")
+    except OSError as exc:  # a name too long to examine, for one
+        diags.append(f"out={config.out!r} is not a usable directory: {exc}")
     runs_quench = any(kind == "quench" for kind, *_ in tables)
     if runs_quench and not bad & {"t_min", "t_max", "t_points", "times", "fit_window"}:
         lo, hi = config.fit_window

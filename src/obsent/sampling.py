@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import BASIS_TAGS, uniform_block_entropy
+from .entropy import BASIS_TAGS, block_size, uniform_block_entropy
 from .model import (
     chain_diagonals,
     chain_eigensystem,
@@ -240,6 +240,7 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
         raise ValueError(f"momentum_order must be {' or '.join(map(repr, MOMENTUM_ORDERS))}, "
                          f"got {momentum_order!r}")
     L, bc, n_phi = grid[0].L, grid[0].bc, integer(n_phi, "n_phi", 1)
+    m_list = [block_size(L, m) for m in m_list]
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else slice(None)
     phis = [phase_sequence(seed, L, params.delta, n_phi) for params in grid]
     block, total = states.blocks(L, bc), len(grid) * n_phi

@@ -1,10 +1,15 @@
-"""The README's code runs against the package as it is, the acceptance
-messages point at entries that DECISIONS.md holds, and every benchmark
-record at the repository root states what ROADMAP.md asks of it."""
+"""The README's code runs against the package as it is, its command-line
+flags exist, the acceptance messages point at entries that DECISIONS.md
+holds, and every benchmark record at the repository root states what
+ROADMAP.md asks of it."""
 
 import json
 import re
 from pathlib import Path
+
+import pytest
+
+import obsent.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -16,6 +21,16 @@ def test_readme_python_blocks_run():
     assert all("from obsent import" in block for block in blocks)
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_command_line_flags_exist(capsys):
+    section = README.read_text().split("## Command line")[1].split("\n## ")[0]
+    named = set(re.findall(r"--[A-Za-z][A-Za-z-]*", section))
+    assert named, "README's command-line section names no flag"
+    with pytest.raises(SystemExit):
+        obsent.cli.main(["run", "--help"])
+    listed = set(re.findall(r"^  (--[A-Za-z-]+)", capsys.readouterr().out, flags=re.M))
+    assert named <= listed, f"README names flags that obsent run lacks: {sorted(named - listed)}"
 
 
 def test_acceptance_messages_point_at_ledger_entries():

@@ -4,6 +4,7 @@ import ast
 import builtins
 import csv
 import ctypes
+import errno
 import importlib.util
 import json
 import math
@@ -452,7 +453,7 @@ def test_cli_help_lists_every_config_flag(capsys, command):
     assert re.findall(r"^  (-h|--[A-Za-z-]+)", options, flags=re.M) == [
         "-h", "--preset", "--config", "--L", "--delta", "--m", "--basis", "--bc", "--n-phi",
         "--seed", "--mid-count", "--selector", "--t-min", "--t-max", "--t-points", "--times",
-        "--fit-lo", "--fit-hi", "--initial-site", "--momentum-order", "--jobs", "--out",
+        "--fit-window", "--initial-site", "--momentum-order", "--jobs", "--out",
     ]
 
 
@@ -463,7 +464,7 @@ def test_cli_help_lists_every_config_flag(capsys, command):
     ["--preset", "custom", "--times", "0,1,inf"],
     ["--preset", "fig3", "--t-max", "inf"],
     ["--preset", "fig3", "--t-min", "nan"],
-    ["--preset", "fig3", "--fit-hi", "inf"],
+    ["--preset", "fig3", "--fit-window", "3,inf"],
 ], ids=["delta-nan", "delta-inf", "times-inf", "t_max-inf", "t_min-nan", "fit-inf"])
 def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     def no_compute(*args):
@@ -482,7 +483,7 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     ({"n_phi": "ten"}, [], "n_phi"),
     ({"preset": "fig3", "t_points": 1.5}, [], "t_points"),
     ({"preset": "fig3", "fit_window": [3]}, [], "fit_window"),
-    ({"preset": "fig3", "fit_window": [3]}, ["--fit-hi", "40"], "fit_window"),
+    ({"preset": "fig3", "fit_window": [3, 30]}, ["--fit-window", "40"], "got [40]"),
     ({"seed": 1.5}, [], "seed"),
     ({"delta": [10**400]}, [], "delta"),
     ({"mid_count": [1]}, [], "mid_count"),
@@ -498,10 +499,10 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     (None, ["--preset", "fig1", "--L", "0"], "L=0"),
     (None, ["--preset", "fig1", "--L", "-4"], "L=-4"),
     (None, ["--preset", "fig1", "--L", ","], "L list is empty"),
-    (None, ["--preset", "fig3", "--L", "16", "--m", "1,4", "--n-phi", "2", "--fit-lo", "3",
-            "--fit-hi", "3.5"], "fit_window"),
+    (None, ["--preset", "fig3", "--L", "16", "--m", "1,4", "--n-phi", "2", "--fit-window", "3,3.5"],
+     "fit_window"),
     (None, ["--preset", "fig3", "--L", "16", "--m", "1,4", "--n-phi", "2",
-            "--times", "0,1,2,3,4,5,6", "--fit-lo", "0", "--fit-hi", "6"], "fit_window"),
+            "--times", "0,1,2,3,4,5,6", "--fit-window", "0,6"], "fit_window"),
     (None, ["--preset", "fig1", "--L", "16,32", "--m", "1,2", "--n-phi", "2"], "no L column"),
     (None, ["--preset", "fig3", "--L", "16", "--m", "1", "--basis", "both"], "no basis column"),
     (None, ["--preset", "fig3", "--L", "16", "--m", "1", "--t-points", "10000000"], "t_points"),
@@ -510,12 +511,21 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     (None, ["--preset", "fig5", "--L", "16,16", "--m", "1,1"], "L=[16, 16] repeats a value"),
     (None, ["--preset", "fig5", "--L", "16,16", "--m", "1,1"], "m=[1, 1] repeats a value"),
     (None, ["--preset", "fig4", "--L", "16", "--delta", "1,1.0", "--m", "1"], "delta=[1.0, 1.0] repeats a value"),
+    (None, ["--preset", "fig1", "--L", "16", "--m", "0"], "m=0 is not a positive block size"),
+    (None, ["--preset", "fig3", "--L", "16", "--m", "1", "--fit-window", "30,3"],
+     "fit window [30.0, 3.0] is empty"),
+    (None, ["--preset", "fig3", "--L", "16", "--m", "1", "--t-min", "0"],
+     "log time grid needs 0 < t_min < t_max and t_points >= 2"),
+    (None, ["--preset", "custom", "--L", "16", "--m", "1", "--times", "0,2,1"],
+     "time grid must be non-negative and strictly ascending"),
+    (None, ["--config", "no-such-dir/config.json"], "No such file or directory: 'no-such-dir/config.json'"),
 ], ids=["file-list", "L-str", "n_phi-str", "t_points-float", "fit_window-short",
         "fit_window-short-fit-hi", "seed-float", "delta-overflow", "mid_count-list", "mid_count-bool", "preset", "basis", "bc",
         "selector", "momentum_order", "L-flag", "n_phi-flag", "mid_count-flag", "fig1-L-zero",
         "fig1-L-negative", "fig1-L-empty", "fig3-fit-window-short", "fig3-fit-window-t0",
         "fig1-two-L", "fig3-both-bases", "fig3-t-points-cap", "fig5-one-L", "fig5-repeated-L",
-        "fig5-repeated-m", "fig4-repeated-delta"])
+        "fig5-repeated-m", "fig4-repeated-delta", "fig1-m-zero", "fig3-fit-window-empty", "fig3-t-min-zero",
+        "custom-times-descending", "config-missing"])
 def test_cli_rejects_malformed_values(tmp_path, monkeypatch, capsys, command, config, flags, field):
     def no_compute(*args):
         raise AssertionError("computation started for an invalid config")
@@ -537,15 +547,20 @@ def test_cli_rejects_malformed_values(tmp_path, monkeypatch, capsys, command, co
     assert any(field in d for d in report["diagnostics"])
 
 
-@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("under", ["", "sub", None], ids=["file", "under-file", "name-too-long"])
 def test_unusable_out_is_a_config_error(tmp_path, monkeypatch, capsys, under):
     def no_compute(*args):
         raise AssertionError("computation started for an unusable out")
 
     monkeypatch.setattr(obsent.runner, "_map_grid", no_compute)
     (tmp_path / "file").write_text("")
-    out = str(tmp_path / "file" / under)
-    message = f"out={out!r} is not a usable directory: {tmp_path / 'file'} is not a directory"
+    if under is None:  # a name that Path.exists cannot examine
+        out = str(tmp_path / ("x" * 300))
+        error = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: {out!r}"
+    else:
+        out = str(tmp_path / "file" / under)
+        error = f"{tmp_path / 'file'} is not a directory"
+    message = f"out={out!r} is not a usable directory: {error}"
     assert validate(make_config("fig1", L=[16], m=[1], n_phi=2, out=out)) == [message]
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         run(make_config("fig1", L=[16], m=[1], n_phi=2, out=out))
@@ -637,7 +652,7 @@ def test_cli_failure_in_a_shared_block_names_each_delta(tmp_path, monkeypatch, c
 
 
 def test_cli_quench_phase_overflow_names_grid_point(tmp_path, capsys):
-    code = run_cli("fig3", tmp_path, "--delta", "1e307", "--m", "1,16", "--fit-lo", "1", "--fit-hi", "8",
+    code = run_cli("fig3", tmp_path, "--delta", "1e307", "--m", "1,16", "--fit-window", "1,8",
                    "--times", "0,1,2,3,4,5,6,7,8,50")
     assert code == 3
     err = json.loads(capsys.readouterr().err)

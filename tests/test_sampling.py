@@ -29,7 +29,7 @@ from obsent import (
     to_momentum,
     uniform_block_entropy,
 )
-from obsent import entropy, model, runner, sampling
+from obsent import dynamics, entropy, model, runner, sampling
 from obsent.analysis import eigenstate_window
 from obsent.model import chain_eigenvectors
 from obsent.sampling import Window, chunk_size, phase_table, window_rows
@@ -488,6 +488,16 @@ def test_phase_table_rejects_unknown_basis(monkeypatch):
         phase_table([ModelParams(L=16)], 2, 0, Window(2), [1], ("real", "position"))
     with pytest.raises(ValueError, match="momentum_order must be 'index' or 'kinetic', got 'kinetik'"):
         eigenstate_entropy_table(16, 1.0, [2], ("momentum",), momentum_order="kinetik")
+
+
+def test_phase_table_rejects_a_non_divisor_m_before_solving(monkeypatch):
+    # the runner's wording, raised by the library before the first block is solved
+    monkeypatch.setattr(sampling, "chain_eigenvalues", None)
+    monkeypatch.setattr(dynamics, "chain_eigensystem", None)
+    with pytest.raises(ValueError, match=r"^m=5 does not divide L=12$"):
+        eigenstate_entropy_table(12, 1.0, [5], n_phi=3)
+    with pytest.raises(ValueError, match=r"^m=5 does not divide L=12$"):
+        quench_entropy_table(ModelParams(L=12), [0, 1], [5], n_phi=2)
 
 
 def test_phase_table_rejects_a_repeated_m_or_basis_tag():
