@@ -21,7 +21,7 @@ from .model import (
     chain_eigensystem,
     chain_eigenvalues,
     chain_eigenvectors,
-    chain_solvers,
+    chain_solver,
     eigendecompose,
     kinetic_index_order,
     site_state,

@@ -89,18 +89,24 @@ def normalized_fluctuation(values_by_L) -> float:
     return float(np.sqrt(np.maximum((v**2).mean() - mean**2, 0.0)) / mean)
 
 
-def fit_log_slope(times, entropies, window) -> FitResult:
-    """Ordinary least squares of S against ln t inside [t_lo, t_hi]."""
+def fit_points(times, window) -> np.ndarray:
+    """The mask of ``times`` inside the fit window [t_lo, t_hi]; raises
+    ``ValueError`` unless it holds at least 5 times, all positive."""
     times = np.asarray(times, dtype=float)
-    entropies = np.asarray(entropies, dtype=float)
     t_lo, t_hi = window
     mask = (times >= t_lo) & (times <= t_hi)
     if mask.sum() < 5:
         raise ValueError(f"only {int(mask.sum())} points inside window [{t_lo}, {t_hi}]; need >= 5")
     if np.any(times[mask] <= 0.0):
         raise ValueError("times inside the fit window must be positive")
-    x = np.log(times[mask])
-    y = entropies[mask]
+    return mask
+
+
+def fit_log_slope(times, entropies, window) -> FitResult:
+    """Ordinary least squares of S against ln t inside [t_lo, t_hi], on the
+    points :func:`fit_points` accepts."""
+    mask = fit_points(times, window)
+    x, y = np.log(np.asarray(times, dtype=float)[mask]), np.asarray(entropies, dtype=float)[mask]
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = ((y - y.mean()) ** 2).sum()

@@ -155,36 +155,29 @@ def eigendecompose(h: np.ndarray) -> EigenSystem:
 
 
 def _bind_lapack():
-    """``dsterf`` and ``dstevd`` from the LAPACK that numpy's linalg extension
-    links, each None when it is not exported.  ``dlsym`` on the extension's
-    handle also searches the libraries it depends on, such as the OpenBLAS
-    of numpy wheels.  Only the ILP64 spellings (64-bit integers) are bound."""
+    """``dstevd`` from the LAPACK that numpy's linalg extension links, or None
+    when it is not exported.  ``dlsym`` on the extension's handle also
+    searches the libraries it depends on, such as the OpenBLAS of numpy
+    wheels.  Only the ILP64 spellings (64-bit integers) are bound."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
-        return None, None
-    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    signatures = {  # dstevd's last argument is the hidden length of JOBZ
-        "dsterf": [i64, ptr, ptr, i64],
-        "dstevd": [ctypes.c_char_p, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ctypes.c_size_t],
-    }
-    routines = []
-    for name, argtypes in signatures.items():
-        routine = next((getattr(lib, s) for s in (f"scipy_{name}_64_", f"{name}_64_") if hasattr(lib, s)), None)
-        if routine is not None:
-            routine.argtypes, routine.restype = argtypes, None
-        routines.append(routine)
-    return routines
+        return None
+    routine = next((getattr(lib, s) for s in ("scipy_dstevd_64_", "dstevd_64_") if hasattr(lib, s)), None)
+    if routine is not None:  # the last argument is the hidden length of JOBZ
+        i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+        routine.argtypes = [ctypes.c_char_p, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ctypes.c_size_t]
+        routine.restype = None
+    return routine
 
 
-_DSTERF, _DSTEVD = _bind_lapack()
+_DSTEVD = _bind_lapack()
 
 
-def chain_solvers() -> dict:
+def chain_solver() -> str:
     """The routine behind :func:`chain_eigenvalues` and :func:`chain_eigensystem`:
     the bound LAPACK symbol, or "numpy-dense" where it is missing."""
-    return {"chain_eigenvalues": getattr(_DSTERF, "__name__", "numpy-dense"),
-            "chain_eigensystem": getattr(_DSTEVD, "__name__", "numpy-dense")}
+    return getattr(_DSTEVD, "__name__", "numpy-dense")
 
 
 def _chain_problem(diag):
@@ -196,49 +189,51 @@ def _chain_problem(diag):
     return d, np.full((d.shape[0], max(d.shape[1] - 1, 1)), -1.0)
 
 
+def _solve_chains(d, e, vectors: bool = False) -> tuple:
+    """LAPACK ``dstevd`` on each chain of ``d`` (B, L) and ``e`` in place: the
+    eigenvalues ``d`` and, given ``vectors`` (JOBZ='V'), the (B, L, L)
+    eigenvectors in columns, else None (JOBZ='N', with one-element Z, WORK
+    and IWORK).  Each chain's column-major Z is written into a C-ordered
+    array, so the vectors are its transposed view."""
+    B, L = d.shape
+    jobz, ldz, lwork, liwork = (b"V", L, 1 + 4 * L + L * L, 3 + 5 * L) if vectors else (b"N", 1, 1, 1)
+    z, work, iwork = np.empty((B, L, L) if vectors else 1), np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    n, ldz, lwork, liwork, info = (ctypes.c_int64(v) for v in (L, ldz, lwork, liwork, 0))
+    # every ``.ctypes`` access builds a new object, so addresses are read once
+    (d_ptr, d_step), (e_ptr, e_step) = ((a.ctypes.data, a.strides[0]) for a in (d, e))
+    z_ptr, z_step = z.ctypes.data, z.strides[0] if vectors else 0
+    work_ptr, iwork_ptr = work.ctypes.data, iwork.ctypes.data
+    for b in range(B):
+        _DSTEVD(jobz, n, d_ptr + b * d_step, e_ptr + b * e_step, z_ptr + b * z_step, ldz,
+                work_ptr, lwork, iwork_ptr, liwork, info, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(f"dstevd failed on chain {b} of the stack (info={info.value})")
+    return d, z.swapaxes(-1, -2) if vectors else None
+
+
 def chain_eigenvalues(diag) -> np.ndarray:
     """Ascending eigenvalues (B, L) of open chains (hopping -1) with on-site
-    energies ``diag`` (B, L), by LAPACK ``dsterf`` chain by chain, or by
-    ``numpy.linalg.eigvalsh`` of the dense matrices, one at a time, where
-    ``dsterf`` is not bound; both give the same bits.  Raises
+    energies ``diag`` (B, L), by LAPACK ``dstevd`` (JOBZ='N') chain by chain,
+    or by ``numpy.linalg.eigvalsh`` of the dense matrices, one at a time,
+    where ``dstevd`` is not bound; both give the same bits.  Raises
     ``ValueError`` for non-finite input and ``numpy.linalg.LinAlgError`` if
     the solver fails."""
     d, e = _chain_problem(diag)
-    if _DSTERF is None:  # a block of window lanes may hold many chains
+    if _DSTEVD is None:  # a block of window lanes may hold many chains
         return np.concatenate([np.linalg.eigvalsh(chain_matrices(d[b:b + 1])) for b in range(len(d))])
-    B, L = d.shape
-    n, info = ctypes.c_int64(L), ctypes.c_int64(0)
-    # every ``.ctypes`` access builds a new object, so addresses are read once
-    (d_ptr, d_step), (e_ptr, e_step) = ((a.ctypes.data, a.strides[0]) for a in (d, e))
-    for b in range(B):
-        _DSTERF(n, d_ptr + b * d_step, e_ptr + b * e_step, info)
-        if info.value:
-            raise np.linalg.LinAlgError(f"dsterf failed on chain {b} of the stack (info={info.value})")
-    return d
+    return _solve_chains(d, e)[0]
 
 
 def chain_eigensystem(diag, periodic: bool = False) -> EigenSystem:
     """Full eigensystems of open chains as in :func:`chain_eigenvalues`, by
-    LAPACK ``dstevd``, or by :func:`eigendecompose` of the dense matrices
-    where ``dstevd`` is not bound; both agree up to eigenvector signs.
-    Rings (``periodic``) are not tridiagonal and always take the dense route.
-    ``dstevd`` writes each chain's column-major Z into a C-ordered (B, L, L)
-    array, so the vectors are its transposed view."""
+    LAPACK ``dstevd`` (JOBZ='V'), or by :func:`eigendecompose` of the dense
+    matrices where ``dstevd`` is not bound; both agree up to eigenvector
+    signs.  Rings (``periodic``) are not tridiagonal and always take the
+    dense route."""
     d, e = _chain_problem(diag)
     if periodic or _DSTEVD is None:
         return eigendecompose(chain_matrices(d, periodic))
-    B, L = d.shape
-    z, work = np.empty((B, L, L)), np.empty(1 + 4 * L + L * L)  # chain b's column-major Z is z[b].T
-    iwork = np.empty(3 + 5 * L, dtype=np.int64)
-    n, lwork, liwork, info = (ctypes.c_int64(v) for v in (L, work.size, iwork.size, 0))
-    (d_ptr, d_step), (e_ptr, e_step), (z_ptr, z_step) = ((a.ctypes.data, a.strides[0]) for a in (d, e, z))
-    work_ptr, iwork_ptr = work.ctypes.data, iwork.ctypes.data
-    for b in range(B):
-        _DSTEVD(b"V", n, d_ptr + b * d_step, e_ptr + b * e_step, z_ptr + b * z_step, n,
-                work_ptr, lwork, iwork_ptr, liwork, info, 1)
-        if info.value:
-            raise np.linalg.LinAlgError(f"dstevd failed on chain {b} of the stack (info={info.value})")
-    return EigenSystem(energies=d, vectors=z.swapaxes(-1, -2))
+    return EigenSystem(*_solve_chains(d, e, vectors=True))
 
 
 def chain_eigenvectors(diag, energies) -> np.ndarray:

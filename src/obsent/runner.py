@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import eigenstate_window, fit_log_slope, normalized_fluctuation, resolve_mid_count
+from .analysis import eigenstate_window, fit_log_slope, fit_points, normalized_fluctuation, resolve_mid_count
 from .dynamics import Quench
 from .entropy import BASIS_TAGS
-from .model import BOUNDARY_CONDITIONS, ModelParams, chain_solvers, integer
+from .model import BOUNDARY_CONDITIONS, ModelParams, chain_solver, integer
 from .sampling import MOMENTUM_ORDERS, NUMERICAL_ERRORS, SELECTORS, phase_table
 
 class ConfigError(ValueError):
@@ -234,7 +234,7 @@ def validate(config: ExperimentConfig) -> list:
             diags.append("time grid must be non-negative and strictly ascending")
         elif config.preset == "fig3" and lo < hi:
             try:
-                fit_log_slope(grid, np.zeros_like(grid), config.fit_window)
+                fit_points(grid, config.fit_window)
             except ValueError as exc:
                 diags.append(f"fit_window: {exc}")
     return diags
@@ -393,7 +393,7 @@ def run(config: ExperimentConfig) -> list:
                 "numpy": np.__version__,
                 "python": platform.python_version(),
             },
-            "eigensolver": chain_solvers(),
+            "eigensolver": chain_solver(),
             "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
             "threads": {name: os.environ.get(name)
                         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},

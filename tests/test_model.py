@@ -208,9 +208,8 @@ def test_chain_eigenvectors_of_a_block_equal_per_chain_calls(L, n):
 def test_chain_solvers_match_dense_route(monkeypatch, L, delta):
     diag = chain_diagonals(ModelParams(L=L, delta=delta), [0.4, 2.1, 5.3])
     energies, eig = chain_eigenvalues(diag), chain_eigensystem(diag)
-    monkeypatch.setattr(model, "_DSTERF", None)
     monkeypatch.setattr(model, "_DSTEVD", None)
-    assert model.chain_solvers() == {"chain_eigenvalues": "numpy-dense", "chain_eigensystem": "numpy-dense"}
+    assert model.chain_solver() == "numpy-dense"
     dense = chain_eigensystem(diag)
     assert np.array_equal(energies, chain_eigenvalues(diag))
     assert eig.vectors.shape == (3, L, L)
@@ -221,6 +220,16 @@ def test_chain_solvers_match_dense_route(monkeypatch, L, delta):
     assert np.abs(np.abs(eig.vectors) - np.abs(dense.vectors)).max() <= tol
     assert np.abs(eig.vectors @ (eig.energies[:, :, None] * eig.vectors.swapaxes(-1, -2))
                   - build_hamiltonian(ModelParams(L=L, delta=delta), [0.4, 2.1, 5.3])).max() < 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e150, 1e200, 1.7e308])
+def test_chain_eigenvalues_equal_eigvalsh_where_lapack_prescales(monkeypatch, delta):
+    # above max|d| of about 1e146 dstevd scales the chain down, as eigvalsh's
+    # driver scales the dense matrix, so the two routes keep the same bits
+    diag = chain_diagonals(ModelParams(L=33, delta=delta), [0.4, 2.1, 5.3])
+    energies = chain_eigenvalues(diag)
+    monkeypatch.setattr(model, "_DSTEVD", None)
+    assert np.array_equal(energies, chain_eigenvalues(diag))
 
 
 @pytest.mark.parametrize("solver", [chain_eigenvalues, chain_eigensystem])

@@ -113,6 +113,18 @@ def test_validate_caps_the_time_grid_before_building_it():
     assert validate(make_config("fig3", L=[16], m=[1], t_points=10_000)) == []
 
 
+def test_validate_checks_the_fit_window_without_a_fit(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("validate ran a least-squares fit")
+
+    monkeypatch.setattr(np, "polyfit", no_fit)
+    assert validate(make_config("fig3", L=[16], m=[1])) == []
+    assert validate(make_config("fig3", L=[16], m=[1], fit_window=(3.0, 3.5))) == [
+        "fit_window: only 1 points inside window [3.0, 3.5]; need >= 5"]
+    assert validate(make_config("fig3", L=[16], m=[1], times=[0, 1, 2, 3, 4, 5, 6], fit_window=(0, 6))) == [
+        "fit_window: times inside the fit window must be positive"]
+
+
 def test_validate_collects_everything():
     cfg = make_config("custom", L=[12], delta=[-1.0], m=[5], n_phi=0, jobs=0)
     diags = validate(cfg)
@@ -203,7 +215,7 @@ def test_manifest_contents(tmp_path):
     assert manifest["versions"]["numpy"] == np.__version__
     assert manifest["outputs"] == ["fig1.csv"]
     assert manifest["wall_time_s"] >= 0.0
-    assert manifest["eigensolver"] == obsent.model.chain_solvers()
+    assert manifest["eigensolver"] == obsent.model.chain_solver()
     assert set(manifest["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
     assert manifest["window_flags"] == {}
     assert manifest["status"] == "complete" and manifest["workers"] == 1
@@ -620,16 +632,23 @@ def test_cli_numerical_failure_names_grid_point(tmp_path, monkeypatch, capsys, p
 
 
 def test_cli_lapack_info_names_grid_point(tmp_path, monkeypatch, capsys):
-    def unconverged(n, d, e, info):  # dsterf's arguments; info > 0 means no convergence
-        assert isinstance(info, ctypes.c_int64)
+    # a window asks dstevd for eigenvalues only, a quench for eigenvectors too
+    jobz = []
+
+    def unconverged(*args):  # dstevd's arguments; info > 0 means no convergence
+        jobz.append(args[0])
+        info = args[10]
+        assert len(args) == 12 and isinstance(info, ctypes.c_int64)
         info.value = 2
 
-    monkeypatch.setattr(obsent.model, "_DSTERF", unconverged)
-    code = run_cli("fig1", tmp_path, "--delta", "1.5", "--m", "1")
-    assert code == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "numerical"
-    assert err["message"] == "L=16, delta=1.5, phase index 0-1: dsterf failed on chain 0 of the stack (info=2)"
+    monkeypatch.setattr(obsent.model, "_DSTEVD", unconverged)
+    for preset in ("fig1", "fig3"):
+        code = run_cli(preset, tmp_path / preset, "--delta", "1.5", "--m", "1")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert err["message"] == "L=16, delta=1.5, phase index 0-1: dstevd failed on chain 0 of the stack (info=2)"
+    assert jobz == [b"N", b"V"]
 
 
 def test_cli_failure_in_a_shared_block_names_each_delta(tmp_path, monkeypatch, capsys):
@@ -637,16 +656,16 @@ def test_cli_failure_in_a_shared_block_names_each_delta(tmp_path, monkeypatch, c
     # the first phase of delta=2.5, does not converge
     calls = []
 
-    def unconverged_third(n, d, e, info):
+    def unconverged_third(jobz, n, d, e, *rest):
         calls.append(d)
-        info.value = 2 if len(calls) == 3 else 0
+        rest[-2].value = 2 if len(calls) == 3 else 0  # info
 
-    monkeypatch.setattr(obsent.model, "_DSTERF", unconverged_third)
+    monkeypatch.setattr(obsent.model, "_DSTEVD", unconverged_third)
     code = run_cli("fig4", tmp_path, "--delta", "1.5,2.5", "--m", "1")
     assert code == 3
     message = json.loads(capsys.readouterr().err)["message"]
     assert message == ("L=16, delta=1.5, phase index 0-1; delta=2.5, phase index 0-1: "
-                       "dsterf failed on chain 2 of the stack (info=2)")
+                       "dstevd failed on chain 2 of the stack (info=2)")
     assert len(calls) == 3
     assert json.loads((tmp_path / "run_manifest.json").read_text())["error"] == message
 
@@ -696,11 +715,10 @@ def test_cli_failed_run_writes_no_csv(tmp_path, capsys, flags):
 @pytest.mark.parametrize("preset, flags", [("fig1", ()), ("fig3", ("--m", "1,4,16"))], ids=["fig1", "fig3"])
 def test_cli_csvs_do_not_depend_on_solver_route(tmp_path, monkeypatch, preset, flags):
     assert run_cli(preset, tmp_path / "lapack", *flags) == 0
-    monkeypatch.setattr(obsent.model, "_DSTERF", None)
     monkeypatch.setattr(obsent.model, "_DSTEVD", None)
     assert run_cli(preset, tmp_path / "dense", *flags) == 0
     manifest = json.loads((tmp_path / "dense" / "run_manifest.json").read_text())
-    assert set(manifest["eigensolver"].values()) == {"numpy-dense"}
+    assert manifest["eigensolver"] == "numpy-dense"
     names = sorted(p.name for p in (tmp_path / "lapack").glob("*.csv"))
     assert names == sorted(p.name for p in (tmp_path / "dense").glob("*.csv")) and names
     for name in names:

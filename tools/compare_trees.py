@@ -40,8 +40,10 @@ from pathlib import Path
 #: edge is a +-E tie (in index and in kinetic momentum order), the default
 #: quench site at odd L, the two-site ring, long time grids whose quench
 #: blocks are sized by their states rather than their eigenvectors,
-#: integers written as integral floats, which read as their ints, and
-#: eigen-large's L=512 windows, which take both flags.
+#: integers written as integral floats, which read as their ints,
+#: eigen-large's L=512 windows, which take both flags, and delta = 1e200,
+#: where ``dstevd`` scales every chain down (max|d| above about 1e146) and
+#: every window is flagged "inaccurate" and re-solved.
 CONFIGS = (
     "--preset fig1",
     "--preset fig3",
@@ -62,6 +64,7 @@ CONFIGS = (
     "--preset custom --L 16.0,32.0 --delta 1 --m 1.0,2.0 --n-phi 4.0 --seed 7.0 --mid-count 2.0 "
     "--times 0,1,5 --initial-site 3.0",
     "--preset custom --L 512 --delta 2.5,3.5 --m 1,2,4,8 --basis both --mid-count L/8 --n-phi 25",
+    "--preset custom --L 16,32 --delta 0.5,1e200 --m 1,2 --basis both --n-phi 4",
 )
 
 #: Name and table call of each measured config: the quench tables of fig3's
