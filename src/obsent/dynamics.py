@@ -85,8 +85,7 @@ class Quench:
         """(B, n_times, L) states and no flags."""
         # Only evolve_many holds the eigensystem, so it frees the vectors before
         # the phase factors exist.  That relies on CPython >= 3.11 moving a
-        # call's arguments into the callee's frame; on 3.10 the states are the
-        # same, but the vectors live until rows returns.
+        # call's arguments into the callee's frame.
         return evolve_many(chain_eigensystem(diag, periodic=bc != "open"), self.psi0, self.times), ()
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import json
 import numbers
 import os
@@ -264,15 +265,37 @@ def _grid_jobs(config: ExperimentConfig) -> list:
             for L in config.L for a, b in zip(cuts, cuts[1:])]
 
 
-def _map_grid(jobs: list, pool: int):
+#: OpenBLAS's thread setter as numpy 2 wheels and numpy 1.x wheels export it
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+
+
+def _blas_thread_setter():
+    """The name of the first of :data:`_BLAS_SETTERS` that numpy's linalg
+    extension reaches, or None where it reaches none."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    return next((name for name in _BLAS_SETTERS if hasattr(lib, name)), None)
+
+
+def _one_blas_thread(setter: str):
+    """Pool initializer: one BLAS thread in this worker, so that ``pool``
+    workers do not each start a thread per core."""
+    getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), setter)(1)
+
+
+def _map_grid(jobs: list, pool: int, setter):
     """Each job's result in job order, as it comes in: in this process when ``pool``
-    is 1, else from one pool of ``pool`` processes, shut down once read to the end."""
+    is 1, else from one pool of ``pool`` processes, shut down once read to the end,
+    whose workers each call BLAS thread ``setter`` with 1 where one is named."""
     if pool < 2:
         yield from map(_grid_job, jobs)
         return
     from concurrent.futures import ProcessPoolExecutor  # costs about 20 ms of import; serial runs skip it
 
-    with ProcessPoolExecutor(max_workers=pool) as executor:
+    initializer = _one_blas_thread if setter else None
+    with ProcessPoolExecutor(max_workers=pool, initializer=initializer, initargs=(setter,)) as executor:
         yield from executor.map(_grid_job, jobs)
 
 
@@ -355,14 +378,23 @@ def _table_rows(config: ExperimentConfig, kind: str, columns, tables: dict) -> l
     return rows
 
 
+def _unusable_out(config: ExperimentConfig, exc: OSError) -> ConfigError:
+    """The config error of an ``out`` that ``exc`` shows cannot be used."""
+    error = ConfigError([f"out={config.out!r} is not a usable directory: {exc}"])
+    error.__cause__ = exc
+    return error
+
+
 def run(config: ExperimentConfig) -> list:
     """Validate, execute the preset, and write CSV outputs plus a manifest.
 
     Returns the list of written file paths.  Raises :class:`ConfigError`
     for invalid configurations and an unusable ``out``, before any compute.
     The jobs of every table are mapped once, through at most one pool.  A
-    numerical failure propagates before any CSV is written, and leaves a
-    manifest with ``"status": "failed"``, the error message and the pool size.
+    numerical failure propagates before any CSV is written; it, and an
+    ``OSError`` while writing the outputs (raised as :class:`ConfigError`),
+    leave a manifest with ``"status": "failed"``, the error message and the
+    pool size, where one can be written.
     """
     diagnostics = validate(config)
     if diagnostics:
@@ -371,44 +403,19 @@ def run(config: ExperimentConfig) -> list:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError([f"out={config.out!r} is not a usable directory: {exc}"]) from exc
+        raise _unusable_out(config, exc)
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
     jobs = _grid_jobs(config)
     pool = min(config.jobs, len(jobs), os.cpu_count() or 1)  # one worker runs in this process
-    tables, flags, files = {}, Counter(), []
+    setter = _blas_thread_setter() if pool > 1 else None
+    tables, flags, files, error = {}, Counter(), [], None
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
         blas = {}
-
-    def write_manifest(status: str, outputs: list, **error):
-        manifest = {
-            "status": status,
-            **error,
-            "preset": config.preset,
-            "config": asdict(config),
-            "versions": {
-                "obsent": __version__,
-                "numpy": np.__version__,
-                "python": platform.python_version(),
-            },
-            "eigensolver": chain_solver(),
-            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
-            "threads": {name: os.environ.get(name)
-                        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
-            "workers": pool,
-            "window_flags": dict(sorted(flags.items())),
-            "started_utc": started.isoformat(),
-            "wall_time_s": time.perf_counter() - t0,
-            "outputs": outputs,
-        }
-        with open(out_dir / "run_manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, default=list)
-            fh.write("\n")
-
     try:  # every table is computed before any file is written
-        for (group, counts), (_, kind, L, deltas) in zip(_map_grid(jobs, pool), jobs):
+        for (group, counts), (_, kind, L, deltas) in zip(_map_grid(jobs, pool, setter), jobs):
             flags.update(counts)
             tables.setdefault(kind, {}).update(zip([(L, delta) for delta in deltas], group))
         for kind, name, columns, extra in _tables(config):
@@ -416,10 +423,43 @@ def run(config: ExperimentConfig) -> list:
             if extra is not None:
                 files.append(extra(config, tables[kind]))
     except NUMERICAL_ERRORS as exc:
-        write_manifest("failed", [], error=str(exc))
-        raise
-    for name, columns, rows in files:
-        _write_csv(out_dir / name, columns, rows)
-    outputs = [name for name, _, _ in files]
-    write_manifest("complete", outputs)
+        error = exc
+    else:
+        try:
+            for name, columns, rows in files:
+                _write_csv(out_dir / name, columns, rows)
+        except OSError as exc:
+            error = _unusable_out(config, exc)
+    outputs = [] if error else [name for name, _, _ in files]
+    manifest = {
+        "status": "failed" if error else "complete",
+        **({"error": str(error)} if error else {}),
+        "preset": config.preset,
+        "config": asdict(config),
+        "versions": {
+            "obsent": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+        "eigensolver": chain_solver(),
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "threads": {name: os.environ.get(name)
+                    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+        "workers": pool,
+        # the symbol that set each pool worker to one BLAS thread; null when
+        # no pool ran, or when numpy's BLAS exports no setter
+        "worker_blas_setter": setter,
+        "window_flags": dict(sorted(flags.items())),
+        "started_utc": started.isoformat(),
+        "wall_time_s": time.perf_counter() - t0,
+        "outputs": outputs,
+    }
+    try:
+        with open(out_dir / "run_manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, default=list)
+            fh.write("\n")
+    except OSError as exc:
+        error = error or _unusable_out(config, exc)
+    if error:
+        raise error
     return [out_dir / name for name in outputs] + [out_dir / "run_manifest.json"]

@@ -1,7 +1,5 @@
 """Configuration validation, preset outputs, reproducibility, CLI contract."""
 
-import ast
-import builtins
 import csv
 import ctypes
 import errno
@@ -305,7 +303,7 @@ def pool_sizes(monkeypatch):
     seen = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             seen.append(max_workers)
 
         def __enter__(self):
@@ -364,6 +362,31 @@ def test_run_starts_one_pool_for_all_its_tables(tmp_path, pool_sizes, monkeypatc
     assert manifest["status"] == "failed" and manifest["workers"] == pool_sizes[1]
 
 
+def _blas_threads(job):
+    """A pool job that reads its worker's OpenBLAS thread count."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_num_threads64_()
+
+
+def test_pool_workers_run_one_blas_thread(tmp_path, monkeypatch):
+    # a parent at two BLAS threads starts a real two-process pool whose workers
+    # run one each, and the manifest names the setter that did it
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy's BLAS exports no scipy_openblas thread getter")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run(make_config("fig1", out=str(tmp_path), jobs=2, L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3))
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["workers"] == 2 and manifest["worker_blas_setter"] == "scipy_openblas_set_num_threads64_"
+    before = lib.scipy_openblas_get_num_threads64_()
+    monkeypatch.setattr(obsent.runner, "_grid_job", _blas_threads)
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        counts = list(obsent.runner._map_grid([None, None], 2, manifest["worker_blas_setter"]))
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    assert counts == [1, 1]
+
+
 # --- CLI ------------------------------------------------------------------
 
 
@@ -419,16 +442,16 @@ def test_compared_configs_validate(args, capsys):
     assert obsent.cli.main(["validate", *args.split()]) == 0, capsys.readouterr().out
 
 
-def test_memory_calls_use_only_names_the_preamble_binds():
-    # a renamed function would otherwise go unnoticed until the tool is run
+def test_compare_trees_runs_end_to_end(monkeypatch, capsys):
+    # one config through the tool's one pass, this checkout against itself
     tool = compare_trees()
-    bound = {}
-    exec(tool.PREAMBLE, bound)
-    for name, call in tool.CALLS:
-        tree = ast.parse(call, mode="eval")
-        compile(tree, name, "eval")
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert used <= bound.keys() | vars(builtins).keys(), (name, used - bound.keys())
+    monkeypatch.setattr(tool, "CONFIGS", ("--preset custom --L 16 --delta 1 --m 1,2 --n-phi 2 --times 0,1",))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    assert tool.compare({"old": src, "new": src}) is True
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if ".csv" in line] == ["  quench.csv: identical", "  sweep.csv: identical"]
+    assert "  window_flags: equal ({} -> {})" in lines
+    assert len([line for line in lines if re.fullmatch(r"  tracemalloc peak: \d+ -> \d+ KiB", line)]) == 1
 
 
 def test_cell_changes_counts_cells_and_the_largest_difference(tmp_path):
@@ -445,6 +468,29 @@ def test_cell_changes_counts_cells_and_the_largest_difference(tmp_path):
     assert cells == 1 and math.isnan(largest)
     assert cell_changes(old, write("wide.csv", [["L", "S"], ["16", "1.5", "9"], ["32", "2.0"]])) == (3, 0.0)
     assert cell_changes(old, write("long.csv", [["L", "S"], ["16", "1.5"], ["32", "2.0"], ["64", "2.5"]])) == (2, 0.0)
+
+
+@pytest.mark.parametrize("blocked", ["fig1.csv", "run_manifest.json"])
+def test_cli_write_failure_is_a_config_error(tmp_path, capsys, blocked):
+    # an output that cannot be written exits 2 with the config error's shape;
+    # a blocked CSV leaves a failed manifest in place of an earlier run's
+    out = tmp_path / "out"
+    earlier = ["run", "--preset", "fig4", "--L", "16", "--delta", "1", "--m", "1", "--n-phi", "2", "--out", str(out)]
+    assert obsent.cli.main(earlier) == 0
+    (out / blocked).unlink(missing_ok=True)
+    (out / blocked).mkdir()
+    capsys.readouterr()
+    assert obsent.cli.main(["run", "--preset", "fig1", "--L", "16", "--m", "1", "--n-phi", "2", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    [diagnostic] = err["diagnostics"]
+    assert err["error"] == "config"
+    assert diagnostic.startswith(f"out={str(out)!r} is not a usable directory: ") and blocked in diagnostic
+    if blocked == "fig1.csv":
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert (manifest["status"], manifest["preset"], manifest["outputs"]) == ("failed", "fig1", [])
+        assert manifest["error"] == diagnostic
+    else:
+        assert (out / "fig1.csv").exists()
 
 
 def test_cli_config_error_is_machine_readable(tmp_path, capsys):
