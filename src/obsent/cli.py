@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 
@@ -54,8 +53,6 @@ def _config_from_args(args: dict) -> ExperimentConfig:
         if not isinstance(mapping, dict):
             raise ConfigError([f"{path} must hold a JSON object of config fields"])
     mapping.update({key: value for key, value in args.items() if value is not None})
-    if "jobs" not in mapping and os.environ.get("OBSENT_JOBS"):
-        mapping["jobs"] = _number(os.environ["OBSENT_JOBS"])
     return config_from_mapping(mapping)
 
 

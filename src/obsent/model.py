@@ -154,24 +154,26 @@ def eigendecompose(h: np.ndarray) -> EigenSystem:
     return EigenSystem(energies=energies, vectors=vectors)
 
 
-def _bind_lapack():
-    """``dstevd`` from the LAPACK that numpy's linalg extension links, or None
-    when it is not exported.  ``dlsym`` on the extension's handle also
-    searches the libraries it depends on, such as the OpenBLAS of numpy
-    wheels.  Only the ILP64 spellings (64-bit integers) are bound."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    routine = next((getattr(lib, s) for s in ("scipy_dstevd_64_", "dstevd_64_") if hasattr(lib, s)), None)
-    if routine is not None:  # the last argument is the hidden length of JOBZ
-        i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-        routine.argtypes = [ctypes.c_char_p, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ctypes.c_size_t]
-        routine.restype = None
-    return routine
+try:  # numpy's linalg extension, opened once; dlsym on its handle also searches
+    # the libraries it depends on, such as the OpenBLAS of numpy wheels
+    _LINALG = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+except (AttributeError, OSError):
+    _LINALG = None
 
 
-_DSTEVD = _bind_lapack()
+def _exported(names):
+    """The first of ``names`` that numpy's linalg extension reaches, or None."""
+    return next((getattr(_LINALG, name) for name in names if hasattr(_LINALG, name)), None)
+
+
+#: ``dstevd`` (ILP64 spellings only, 64-bit integers), or None
+_DSTEVD = _exported(("scipy_dstevd_64_", "dstevd_64_"))
+if _DSTEVD is not None:  # the last argument is the hidden length of JOBZ
+    _i64, _ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    _DSTEVD.argtypes = [ctypes.c_char_p, _i64, _ptr, _ptr, _ptr, _i64, _ptr, _i64, _ptr, _i64, _i64, ctypes.c_size_t]
+    _DSTEVD.restype = None
+#: OpenBLAS's thread setter as numpy 2 wheels and numpy 1.x wheels export it, or None
+BLAS_THREAD_SETTER = _exported(("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"))
 
 
 def chain_solver() -> str:

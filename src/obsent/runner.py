@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import ctypes
 import json
 import numbers
 import os
@@ -28,7 +27,7 @@ from . import __version__
 from .analysis import eigenstate_window, fit_log_slope, fit_points, normalized_fluctuation, resolve_mid_count
 from .dynamics import Quench
 from .entropy import BASIS_TAGS
-from .model import BOUNDARY_CONDITIONS, ModelParams, chain_solver, integer
+from .model import BLAS_THREAD_SETTER, BOUNDARY_CONDITIONS, ModelParams, chain_solver, integer
 from .sampling import MOMENTUM_ORDERS, NUMERICAL_ERRORS, SELECTORS, phase_table
 
 class ConfigError(ValueError):
@@ -65,7 +64,7 @@ class ExperimentConfig:
     fit_window: tuple = field(default=(3.0, 30.0), metadata=dict(metavar="LO,HI"))
     initial_site: int | None = None
     momentum_order: str = "index"
-    jobs: int = field(default=1, metadata=dict(help="parallel workers (default: OBSENT_JOBS or 1)"))
+    jobs: int = field(default=1, metadata=dict(help="parallel workers (default 1)"))
     out: str = field(default=".", metadata=dict(metavar="DIR"))
 
     def time_grid(self) -> np.ndarray:
@@ -265,37 +264,29 @@ def _grid_jobs(config: ExperimentConfig) -> list:
             for L in config.L for a, b in zip(cuts, cuts[1:])]
 
 
-#: OpenBLAS's thread setter as numpy 2 wheels and numpy 1.x wheels export it
-_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _blas_thread_setter():
-    """The name of the first of :data:`_BLAS_SETTERS` that numpy's linalg
-    extension reaches, or None where it reaches none."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    return next((name for name in _BLAS_SETTERS if hasattr(lib, name)), None)
-
-
-def _one_blas_thread(setter: str):
+def _one_blas_thread():
     """Pool initializer: one BLAS thread in this worker, so that ``pool``
     workers do not each start a thread per core."""
-    getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), setter)(1)
+    BLAS_THREAD_SETTER(1)
 
 
-def _map_grid(jobs: list, pool: int, setter):
+def _map_grid(jobs: list, pool: int):
     """Each job's result in job order, as it comes in: in this process when ``pool``
     is 1, else from one pool of ``pool`` processes, shut down once read to the end,
-    whose workers each call BLAS thread ``setter`` with 1 where one is named."""
+    whose workers each run one BLAS thread where numpy's BLAS exports a setter."""
     if pool < 2:
         yield from map(_grid_job, jobs)
         return
     from concurrent.futures import ProcessPoolExecutor  # costs about 20 ms of import; serial runs skip it
 
-    initializer = _one_blas_thread if setter else None
-    with ProcessPoolExecutor(max_workers=pool, initializer=initializer, initargs=(setter,)) as executor:
+    initializer = _one_blas_thread if BLAS_THREAD_SETTER else None
+    with ProcessPoolExecutor(max_workers=pool, initializer=initializer) as executor:
         yield from executor.map(_grid_job, jobs)
 
 
@@ -407,15 +398,15 @@ def run(config: ExperimentConfig) -> list:
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
     jobs = _grid_jobs(config)
-    pool = min(config.jobs, len(jobs), os.cpu_count() or 1)  # one worker runs in this process
-    setter = _blas_thread_setter() if pool > 1 else None
+    cpus = _usable_cpus()
+    pool = min(config.jobs, len(jobs), cpus)  # one worker runs in this process
     tables, flags, files, error = {}, Counter(), [], None
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
         blas = {}
     try:  # every table is computed before any file is written
-        for (group, counts), (_, kind, L, deltas) in zip(_map_grid(jobs, pool, setter), jobs):
+        for (group, counts), (_, kind, L, deltas) in zip(_map_grid(jobs, pool), jobs):
             flags.update(counts)
             tables.setdefault(kind, {}).update(zip([(L, delta) for delta in deltas], group))
         for kind, name, columns, extra in _tables(config):
@@ -446,9 +437,10 @@ def run(config: ExperimentConfig) -> list:
         "threads": {name: os.environ.get(name)
                     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
         "workers": pool,
+        "cpus": cpus,
         # the symbol that set each pool worker to one BLAS thread; null when
         # no pool ran, or when numpy's BLAS exports no setter
-        "worker_blas_setter": setter,
+        "worker_blas_setter": getattr(BLAS_THREAD_SETTER, "__name__", None) if pool > 1 else None,
         "window_flags": dict(sorted(flags.items())),
         "started_utc": started.isoformat(),
         "wall_time_s": time.perf_counter() - t0,

@@ -217,6 +217,7 @@ def test_manifest_contents(tmp_path):
     assert set(manifest["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
     assert manifest["window_flags"] == {}
     assert manifest["status"] == "complete" and manifest["workers"] == 1
+    assert manifest["cpus"] == obsent.runner._usable_cpus() >= 1
     assert manifest["blas"] == NUMPY_BLAS
 
 
@@ -320,7 +321,7 @@ def pool_sizes(monkeypatch):
 
 
 def test_pool_never_exceeds_grid_points(tmp_path, pool_sizes, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(obsent.runner, "_usable_cpus", lambda: 8)
     kwargs = dict(L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6)
     csvs, workers = [], []
     for jobs in (1, 100000):
@@ -334,16 +335,17 @@ def test_pool_never_exceeds_grid_points(tmp_path, pool_sizes, monkeypatch):
 
 
 def test_one_cpu_starts_no_pool(tmp_path, pool_sizes, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(obsent.runner, "_usable_cpus", lambda: 1)
     run(make_config("fig1", out=str(tmp_path), jobs=2, L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3))
     assert pool_sizes == []
-    assert json.loads((tmp_path / "run_manifest.json").read_text())["workers"] == 1
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["workers"] == manifest["cpus"] == 1
 
 
 def test_run_starts_one_pool_for_all_its_tables(tmp_path, pool_sizes, monkeypatch):
     # the sweep and the quench jobs of a custom run share one pool, whose size
     # the manifest records; a failing run records the pool it started
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(obsent.runner, "_usable_cpus", lambda: 2)
     kwargs = dict(L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6, times=[0.0, 1.0, 2.0])
     manifests = []
     for jobs in (1, 2):
@@ -359,21 +361,38 @@ def test_run_starts_one_pool_for_all_its_tables(tmp_path, pool_sizes, monkeypatc
     with pytest.raises(FloatingPointError, match="^L=16, delta=1e\\+307, phase index 0-1: t \\* E overflows"):
         run(failing)
     manifest = json.loads((tmp_path / "failed" / "run_manifest.json").read_text())
-    assert manifest["status"] == "failed" and manifest["workers"] == pool_sizes[1]
+    assert manifest["status"] == "failed" and manifest["workers"] == pool_sizes[1] == manifest["cpus"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and at least two usable CPUs")
+def test_pool_is_capped_by_the_affinity_mask(tmp_path):
+    # a process held to one CPU runs --jobs 2 serially, though os.cpu_count()
+    # still counts every CPU of the machine
+    kwargs = dict(L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3)
+    run(make_config("fig1", out=str(tmp_path / "serial"), jobs=1, **kwargs))
+    script = (f"import os\nfrom obsent import make_config, run\n"
+              f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
+              f"run(make_config('fig1', out={str(tmp_path / 'masked')!r}, jobs=2, **{kwargs!r}))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    manifest = json.loads((tmp_path / "masked" / "run_manifest.json").read_text())
+    assert manifest["workers"] == 1 and manifest["cpus"] == 1
+    assert (tmp_path / "masked" / "fig1.csv").read_bytes() == (tmp_path / "serial" / "fig1.csv").read_bytes()
 
 
 def _blas_threads(job):
     """A pool job that reads its worker's OpenBLAS thread count."""
-    return ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_num_threads64_()
+    return obsent.model._LINALG.scipy_openblas_get_num_threads64_()
 
 
 def test_pool_workers_run_one_blas_thread(tmp_path, monkeypatch):
     # a parent at two BLAS threads starts a real two-process pool whose workers
     # run one each, and the manifest names the setter that did it
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    lib = obsent.model._LINALG
     if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
         pytest.skip("numpy's BLAS exports no scipy_openblas thread getter")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(obsent.runner, "_usable_cpus", lambda: 2)
     run(make_config("fig1", out=str(tmp_path), jobs=2, L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3))
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["workers"] == 2 and manifest["worker_blas_setter"] == "scipy_openblas_set_num_threads64_"
@@ -381,7 +400,7 @@ def test_pool_workers_run_one_blas_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(obsent.runner, "_grid_job", _blas_threads)
     lib.scipy_openblas_set_num_threads64_(2)
     try:
-        counts = list(obsent.runner._map_grid([None, None], 2, manifest["worker_blas_setter"]))
+        counts = list(obsent.runner._map_grid([None, None], 2))
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
     assert counts == [1, 1]
@@ -771,7 +790,8 @@ def test_cli_csvs_do_not_depend_on_solver_route(tmp_path, monkeypatch, preset, f
         assert (tmp_path / "lapack" / name).read_bytes() == (tmp_path / "dense" / name).read_bytes()
 
 
-def test_cli_jobs_env_default(monkeypatch, tmp_path):
+def test_cli_jobs_comes_only_from_its_flag(monkeypatch, tmp_path):
+    # --jobs (or the config's jobs) is the one worker setting; the environment sets none
     seen = {}
 
     def capture(config):
@@ -780,14 +800,11 @@ def test_cli_jobs_env_default(monkeypatch, tmp_path):
 
     monkeypatch.setattr(obsent.cli, "run", capture)
     monkeypatch.setenv("OBSENT_JOBS", "3")
-    obsent.cli.main(["run", "--preset", "fig1", "--L", "16", "--m", "1", "--out", str(tmp_path)])
-    assert seen["jobs"] == 3
     obsent.cli.main(["run", "--preset", "fig1", "--L", "16", "--m", "1", "--jobs", "2",
                      "--out", str(tmp_path)])
     assert seen["jobs"] == 2
-    monkeypatch.setenv("OBSENT_JOBS", "abc")
-    assert obsent.cli.main(["run", "--preset", "fig1", "--L", "16", "--m", "1",
-                            "--out", str(tmp_path)]) == 2
+    obsent.cli.main(["run", "--preset", "fig1", "--L", "16", "--m", "1", "--out", str(tmp_path)])
+    assert seen["jobs"] == 1
 
 
 def test_console_entry_point(tmp_path):

@@ -7,9 +7,9 @@ Usage::
 OLD_SRC and NEW_SRC are the ``src`` directories (each holding the
 ``obsent`` package) of two checkouts.  Every config of :data:`CONFIGS` runs
 in one fresh process per tree, with one BLAS/OpenMP thread and one worker
-(``OBSENT_JOBS=1``), so that the run computes in the process it is traced
-in.  That process calls ``obsent run`` twice: once to warm up, into a
-scratch directory, and then under tracemalloc, into the compared directory.
+(``--jobs 1``), so that the run computes in the process it is traced in.
+That process calls ``obsent run`` twice: once to warm up, into a scratch
+directory, and then under tracemalloc, into the compared directory.
 
 For each CSV the script prints "identical" or "changed", and for a changed
 one the number of changed cells and the largest absolute difference between
@@ -85,15 +85,15 @@ import tracemalloc
 from obsent.cli import main
 
 warm, out, *args = sys.argv[1:]
-code = main(["run", *args, "--out", warm])
+code = main(["run", *args, "--jobs", "1", "--out", warm])
 if code == 0:
     tracemalloc.start()
-    code = main(["run", *args, "--out", out])
+    code = main(["run", *args, "--jobs", "1", "--out", out])
     print(tracemalloc.get_traced_memory()[1])
 sys.exit(code)
 """
 
-_CHILD_ENV = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OBSENT_JOBS"), "1")
+_CHILD_ENV = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def run(src: Path, args: str, warm: Path, out: Path) -> tuple:
