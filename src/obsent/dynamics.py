@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .entropy import block_entropy
-from .model import EigenSystem, ModelParams, chain_eigensystem, integer, site_state
+from .model import EigenSystem, ModelParams, chain_eigensystem, integer, real, site_state
 from .sampling import chunk_size, phase_table
 
 #: Largest Bessel order the downward recurrence is tuned (and tested) for.
@@ -120,9 +120,9 @@ def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
     J_0 + 2 * sum_k J_{2k} = 1.  Intermediate values are rescaled before
     they can overflow.
     """
-    n_max = integer(n_max, "order", 0, BESSEL_MAX_ORDER)
+    n_max, x = integer(n_max, "order", 0, BESSEL_MAX_ORDER), real(x, "x")
     if not 0.0 <= x <= BESSEL_MAX_ARG:
-        raise ValueError(f"argument must lie in [0, {BESSEL_MAX_ARG}], got {x}")
+        raise ValueError(f"x must lie in [0, {BESSEL_MAX_ARG}], got {x}")
     if x == 0.0:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
@@ -164,7 +164,7 @@ def bessel_reference_entropy(t: float, span: int) -> float:
     half, odd = divmod(integer(span, "span", 2), 2)
     if odd:
         raise ValueError(f"span must be a positive even integer, got {span}")
-    if t < 0.0:
+    if not real(t, "t") >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     p = bessel_j_sequence(half, 2.0 * t) ** 2
     # |n| over n = -half..half-1: half once, half-1..1 twice, 0 once

@@ -2,8 +2,9 @@
 
 The lattice Hamiltonian is a nearest-neighbour hopping chain (hopping
 amplitude -1) with the incommensurate on-site potential
-``delta * cos(2*pi*alpha*j + phi)`` on sites j = 1..L.  All operations here
-are pure functions of their arguments and safe to call concurrently.
+``delta * cos(2*pi*alpha*j + phi)`` on sites j = 1..L, each phase phi one
+realization of the chain.  All operations here are pure functions of their
+arguments and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -34,9 +35,18 @@ def integer(value, name: str, low, high=None) -> int:
     return exact
 
 
+def real(value, name: str) -> float:
+    """The package's one real rule: ``value`` as a float if it is a real number, not a bool (numpy's bools
+    are not ``numbers.Real``); else ``ValueError`` naming ``name`` (``float`` overflows beyond its range)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameters of the quasiperiodic chain.
+    """One quasiperiodic chain (L by :func:`integer`, delta and alpha by :func:`real`); a potential
+    phase is one realization of it, an argument of :func:`build_hamiltonian` and :func:`chain_diagonals`.
 
     Parameters
     ----------
@@ -49,8 +59,6 @@ class ModelParams:
     alpha : float
         Incommensurate frequency in (0, 1); defaults to the inverse golden
         ratio.
-    phi : float
-        Finite phase offset of the potential; stored reduced into [0, 2*pi).
     bc : str
         Boundary condition, "open" or "periodic".
     """
@@ -58,20 +66,18 @@ class ModelParams:
     L: int
     delta: float = 0.0
     alpha: float = GOLDEN_RATIO_INVERSE
-    phi: float = 0.0
     bc: str = "open"
 
     def __post_init__(self):
         object.__setattr__(self, "L", integer(self.L, "L", 2))
+        for name in ("delta", "alpha"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi!r}")
         if self.bc not in BOUNDARY_CONDITIONS:
             raise ValueError(f"bc must be {' or '.join(map(repr, BOUNDARY_CONDITIONS))}, got {self.bc!r}")
-        object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,8 @@ class EigenSystem:
 
 def chain_diagonals(params: ModelParams, phis) -> np.ndarray:
     """On-site energies (n, L) of ``params`` at each phase in ``phis``: the
-    quasiperiodic potential at sites j = 1..L.  Phases are reduced into
-    [0, 2*pi) as in :class:`ModelParams`; ``params.phi`` is ignored."""
+    quasiperiodic potential at sites j = 1..L.  Phases must be finite and
+    are reduced into [0, 2*pi)."""
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 1 or not np.all(np.isfinite(phis)):
         raise ValueError("phis must be a 1-D array of finite phases")
@@ -117,15 +123,14 @@ def chain_matrices(diag: np.ndarray, periodic: bool = False) -> np.ndarray:
     return h
 
 
-def build_hamiltonian(params: ModelParams, phis=None) -> np.ndarray:
-    """The dense L x L chain Hamiltonian at ``params.phi``: the potential of
-    :func:`chain_diagonals` on the diagonal, -1 on the first off-diagonals,
-    and for periodic boundaries the wrap bond -1 added in the corners (see
-    :func:`chain_matrices`).  Given ``phis``, the (n, L, L) stack of these
-    matrices at each of those phases instead."""
-    stack = chain_matrices(chain_diagonals(params, [params.phi] if phis is None else phis),
-                           params.bc == "periodic")
-    return stack[0] if phis is None else stack
+def build_hamiltonian(params: ModelParams, phase=0.0) -> np.ndarray:
+    """The dense L x L chain Hamiltonian at a scalar ``phase``, or the (n, L, L)
+    stack at each phase of a 1-D sequence: the potential of :func:`chain_diagonals`
+    on the diagonal, -1 on the first off-diagonals and, on rings, the wrap bond
+    -1 added in the corners (see :func:`chain_matrices`)."""
+    single = np.ndim(phase) == 0
+    stack = chain_matrices(chain_diagonals(params, [phase] if single else phase), params.bc == "periodic")
+    return stack[0] if single else stack
 
 
 def _checked_entries(h: np.ndarray) -> np.ndarray:
@@ -143,15 +148,11 @@ def _checked_entries(h: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(h: np.ndarray) -> EigenSystem:
-    """Dense diagonalization; energies come back ascending.
-
-    Accepts one matrix or a stack of shape (..., L, L); each matrix of a
-    stack is diagonalized exactly as it would be on its own.  Raises
-    ``ValueError`` unless every entry is finite and symmetric within 1e-12,
-    and ``numpy.linalg.LinAlgError`` if the eigensolver fails to converge.
-    """
-    energies, vectors = np.linalg.eigh(_checked_entries(h))
-    return EigenSystem(energies=energies, vectors=vectors)
+    """Dense diagonalization of a matrix that a caller passes in, or of a
+    (..., L, L) stack, each matrix exactly as on its own; energies ascending.
+    Raises ``ValueError`` unless every entry is finite and symmetric within
+    1e-12, and ``numpy.linalg.LinAlgError`` if the eigensolver fails to converge."""
+    return EigenSystem(*np.linalg.eigh(_checked_entries(h)))
 
 
 try:  # numpy's linalg extension, opened once; dlsym on its handle also searches
@@ -228,13 +229,13 @@ def chain_eigenvalues(diag) -> np.ndarray:
 
 def chain_eigensystem(diag, periodic: bool = False) -> EigenSystem:
     """Full eigensystems of open chains as in :func:`chain_eigenvalues`, by
-    LAPACK ``dstevd`` (JOBZ='V'), or by :func:`eigendecompose` of the dense
+    LAPACK ``dstevd`` (JOBZ='V'), or by ``numpy.linalg.eigh`` of the dense
     matrices where ``dstevd`` is not bound; both agree up to eigenvector
     signs.  Rings (``periodic``) are not tridiagonal and always take the
-    dense route."""
+    dense route, which checks no matrix: they are built from checked diagonals."""
     d, e = _chain_problem(diag)
     if periodic or _DSTEVD is None:
-        return eigendecompose(chain_matrices(d, periodic))
+        return EigenSystem(*np.linalg.eigh(chain_matrices(d, periodic)))
     return EigenSystem(*_solve_chains(d, e, vectors=True))
 
 

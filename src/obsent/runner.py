@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import numbers
 import os
 import platform
 import time
@@ -27,7 +26,7 @@ from . import __version__
 from .analysis import eigenstate_window, fit_log_slope, fit_points, normalized_fluctuation, resolve_mid_count
 from .dynamics import Quench
 from .entropy import BASIS_TAGS
-from .model import BLAS_THREAD_SETTER, BOUNDARY_CONDITIONS, ModelParams, chain_solver, integer
+from .model import BLAS_THREAD_SETTER, BOUNDARY_CONDITIONS, ModelParams, chain_solver, integer, real
 from .sampling import MOMENTUM_ORDERS, NUMERICAL_ERRORS, SELECTORS, phase_table
 
 class ConfigError(ValueError):
@@ -102,11 +101,10 @@ _MAX_TIMES = 10_000  # most points a time grid may hold, checked before one is b
 
 
 def _cast(x, kind):
-    """``float(x)``, or for int the exact int of :func:`~obsent.model.integer`
-    (bounds left to :func:`validate`), if ``x`` is a real number other than a bool; else None."""
-    if isinstance(x, numbers.Real) and not isinstance(x, bool):
-        with contextlib.suppress(ValueError, OverflowError):  # float(10**400) overflows
-            return integer(x, "value", float("-inf")) if kind is int else float(x)
+    """``x`` by :func:`~obsent.model.real`, or for int by :func:`~obsent.model.integer`
+    (bounds left to :func:`validate`); None where that rule refuses it."""
+    with contextlib.suppress(ValueError, OverflowError):  # float(10**400) overflows
+        return integer(x, "value", float("-inf")) if kind is int else real(x, "value")
 
 
 def _typed(key: str, value):

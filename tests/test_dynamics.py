@@ -48,7 +48,7 @@ def test_evolve_t0_is_identity():
 
 
 def test_evolve_preserves_norm():
-    eig = eigendecompose(build_hamiltonian(ModelParams(L=48, delta=2.3, phi=0.7)))
+    eig = eigendecompose(build_hamiltonian(ModelParams(L=48, delta=2.3), 0.7))
     psi0 = site_state(48, 24)
     for t in (0.3, 2.0, 17.5):
         assert abs(np.linalg.norm(evolve_many(eig, psi0, np.array([t]))[0]) - 1.0) < 1e-10
@@ -63,7 +63,7 @@ def test_evolve_rejects_negative_time_and_bad_shape():
 
 
 def test_evolve_rejects_overflowing_phases():
-    eig = eigendecompose(build_hamiltonian(ModelParams(L=8, delta=1e307, phi=0.3)))
+    eig = eigendecompose(build_hamiltonian(ModelParams(L=8, delta=1e307), 0.3))
     with pytest.raises(FloatingPointError, match="t \\* E overflows"):
         evolve_many(eig, site_state(8, 4), np.array([0.0, 1.0, 50.0]))
     assert np.all(np.isfinite(evolve_many(eig, site_state(8, 4), np.array([0.0, 1.0]))))

@@ -1,6 +1,7 @@
 """Hamiltonian structure, spectra, and the momentum basis change."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -34,7 +35,7 @@ from obsent import (
 from obsent import model
 from obsent.dynamics import Quench
 from obsent.model import eigenpair_errors, integer
-from obsent.sampling import Window
+from obsent.sampling import Window, phase_table
 
 
 def test_golden_ratio_default():
@@ -52,17 +53,27 @@ def test_params_validation():
         ModelParams(L=4, bc="twisted")
 
 
-@pytest.mark.parametrize("field", ["delta", "alpha", "phi"])
+@pytest.mark.parametrize("field", ["delta", "alpha"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite(field, value):
     with pytest.raises(ValueError):
         ModelParams(L=4, **{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_hamiltonian_rejects_non_finite_phase(value):
+    for phase in (value, [0.0, value]):
+        with pytest.raises(ValueError, match="finite phases"):
+            build_hamiltonian(ModelParams(L=4, delta=1.0), phase)
+
+
 def test_phase_wraps_into_two_pi():
-    p = ModelParams(L=4, phi=7.0)
-    assert 0.0 <= p.phi < 2.0 * math.pi
-    assert_allclose(p.phi, 7.0 - 2.0 * math.pi, atol=1e-15)
+    # 7 - 2 pi is exact (Sterbenz), and -0.4 reduces to -0.4 + 2 pi, so the reduced phases are these floats
+    for bc in ("open", "periodic"):
+        params, reduced = ModelParams(L=4, delta=1.0, bc=bc), [7.0 - 2.0 * math.pi, 2.0 * math.pi - 0.4]
+        assert np.array_equal(chain_diagonals(params, [7.0, -0.4]), chain_diagonals(params, reduced))
+        assert np.array_equal(build_hamiltonian(params, 7.0), build_hamiltonian(params, reduced[0]))
+        assert np.array_equal(build_hamiltonian(params, [7.0, -0.4]), build_hamiltonian(params, reduced))
 
 
 def test_hopping_only_two_sites():
@@ -72,7 +83,7 @@ def test_hopping_only_two_sites():
 
 def test_zero_potential_diagonal_is_zero():
     for L in (2, 5, 16):
-        h = build_hamiltonian(ModelParams(L=L, delta=0.0, phi=1.3))
+        h = build_hamiltonian(ModelParams(L=L, delta=0.0), 1.3)
         assert np.all(np.diag(h) == 0.0)
 
 
@@ -81,7 +92,7 @@ def test_diagonal_against_high_precision_formula():
     mp.mp.dps = 50
     alpha = (mp.sqrt(5) - 1) / 2
     expected = [float(2 * mp.cos(2 * mp.pi * alpha * j)) for j in range(1, 5)]
-    h = build_hamiltonian(ModelParams(L=4, delta=2.0, phi=0.0))
+    h = build_hamiltonian(ModelParams(L=4, delta=2.0))
     assert_allclose(np.diag(h), expected, atol=5e-15)
 
 
@@ -90,13 +101,8 @@ def test_structure_random_params(bc):
     rng = np.random.default_rng(11)
     for _ in range(20):
         L = int(rng.integers(2, 40))
-        params = ModelParams(
-            L=L,
-            delta=float(rng.uniform(0.0, 6.0)),
-            phi=float(rng.uniform(0.0, 2 * math.pi)),
-            bc=bc,
-        )
-        h = build_hamiltonian(params)
+        params = ModelParams(L=L, delta=float(rng.uniform(0.0, 6.0)), bc=bc)
+        h = build_hamiltonian(params, float(rng.uniform(0.0, 2 * math.pi)))
         assert np.array_equal(h, h.T)
         off = h - np.diag(np.diag(h))
         expected = np.zeros((L, L))
@@ -130,14 +136,8 @@ def test_open_chain_analytic_spectrum():
 def test_eigensystem_invariants_random_params():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        L = int(rng.integers(8, 64))
-        params = ModelParams(
-            L=L,
-            delta=float(rng.uniform(0.0, 5.0)),
-            phi=float(rng.uniform(0.0, 2 * math.pi)),
-            bc=("open", "periodic")[int(rng.integers(2))],
-        )
-        h = build_hamiltonian(params)
+        L, delta, phi = int(rng.integers(8, 64)), float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 2 * math.pi))
+        h = build_hamiltonian(ModelParams(L=L, delta=delta, bc=("open", "periodic")[int(rng.integers(2))]), phi)
         eig = eigendecompose(h)
         assert np.all(np.diff(eig.energies) >= 0.0)
         gram = eig.vectors.T @ eig.vectors
@@ -254,7 +254,7 @@ def test_hamiltonian_stack_matches_build_hamiltonian(bc):
     stack = build_hamiltonian(params, phis)
     assert stack.shape == (5, 12, 12)
     for h, phi in zip(stack, phis):
-        single = build_hamiltonian(ModelParams(L=12, delta=2.7, phi=phi, bc=bc))
+        single = build_hamiltonian(params, phi)
         assert np.array_equal(h, single)
 
 
@@ -286,10 +286,9 @@ def test_phase_shift_is_cyclic_relabeling_at_rational_alpha():
     L, p = 13, 8
     alpha = p / L
     for k in (1, 2, 5):
-        a = ModelParams(L=L, delta=1.7, alpha=alpha, phi=0.31, bc="periodic")
-        b = ModelParams(L=L, delta=1.7, alpha=alpha, phi=0.31 + 2 * math.pi * alpha * k, bc="periodic")
-        ea = eigendecompose(build_hamiltonian(a)).energies
-        eb = eigendecompose(build_hamiltonian(b)).energies
+        params = ModelParams(L=L, delta=1.7, alpha=alpha, bc="periodic")
+        ea = eigendecompose(build_hamiltonian(params, 0.31)).energies
+        eb = eigendecompose(build_hamiltonian(params, 0.31 + 2 * math.pi * alpha * k)).energies
         assert np.abs(ea - eb).max() < 1e-10
 
 
@@ -365,6 +364,48 @@ def test_every_integer_argument_follows_one_rule(entry):
             call(bad)
 
 
+#: Each entry point that takes a real number: (name its errors start with, call of the
+#: value, a value in range).  validate()'s delta is the reference the others follow.
+REAL_ARGUMENTS = {
+    "ModelParams.delta": ("delta", lambda v: ModelParams(L=16, delta=v).delta, 1.5),
+    "ModelParams.alpha": ("alpha", lambda v: ModelParams(L=16, alpha=v).alpha, 0.5),
+    "bessel_j_sequence.x": ("x", lambda v: bessel_j_sequence(3, v), 1.5),
+    "bessel_reference_entropy.t": ("t", lambda v: bessel_reference_entropy(v, 20), 0.5),
+    "validate.delta": ("delta", lambda v: _validated(make_config("fig1", L=[16], m=[1], delta=v)).delta, 1.5),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_every_real_argument_follows_one_rule(entry):
+    """Any real number reads as its float; a bool (Python's or numpy's), a string, a
+    complex number and NaN raise ValueError, whose message starts with the argument's name."""
+    name, call, value = REAL_ARGUMENTS[entry]
+    by_float = call(value)
+    for same in (np.float64(value), Fraction(value)):
+        assert type(call(same)) is type(by_float) and np.array_equal(call(same), by_float)
+    for bad in (True, np.True_, str(value), complex(value), math.nan):
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            call(bad)
+
+
+def test_dense_solves_do_not_recheck_the_matrices_they_build(monkeypatch):
+    # rings, and open chains without dstevd, are solved from checked diagonals;
+    # eigendecompose checks only the matrices that callers pass in
+    params, phis = ModelParams(L=16, delta=1.3, bc="periodic"), [0.4, 2.2, 5.0]
+    diag, expected = chain_diagonals(params, phis), eigendecompose(build_hamiltonian(params, phis))
+
+    def unreachable(h):
+        raise AssertionError("a matrix built from checked diagonals was checked again")
+
+    monkeypatch.setattr(model, "_checked_entries", unreachable)
+    ring = chain_eigensystem(diag, periodic=True)
+    assert np.array_equal(ring.energies, expected.energies) and np.array_equal(ring.vectors, expected.vectors)
+    for states in (Window(4), Quench(16, [0.0, 1.0])):
+        phase_table([params], 3, 0, states, [1, 4], ("real",))
+    monkeypatch.setattr(model, "_DSTEVD", None)
+    assert chain_eigensystem(diag).vectors.shape == (3, 16, 16)
+
+
 def test_integer_is_exact_beyond_the_float_range():
     assert integer(10**400, "seed", 0) == 10**400
     assert integer(np.float64(2.0**60), "L", 2) == 2**60
@@ -405,10 +446,10 @@ def test_momentum_basis_in_dual_order_is_the_dual_chain(L, p):
     # golden ratio in place of p/L the spectra differ by up to 0.13.
     order = p * np.arange(L) % L
     for delta in (0.5, 1.0, 2.0, 3.0, 4.0):
-        waves = eigendecompose(build_hamiltonian(ModelParams(L=L, delta=delta, alpha=p / L,
-                                                             phi=2 * math.pi * 3 / L, bc="periodic")))
-        sites = eigendecompose(build_hamiltonian(ModelParams(L=L, delta=4 / delta, alpha=p / L,
-                                                             phi=math.pi - 2 * math.pi * p / L, bc="periodic")))
+        waves = eigendecompose(build_hamiltonian(ModelParams(L=L, delta=delta, alpha=p / L, bc="periodic"),
+                                                 2 * math.pi * 3 / L))
+        sites = eigendecompose(build_hamiltonian(ModelParams(L=L, delta=4 / delta, alpha=p / L, bc="periodic"),
+                                                 math.pi - 2 * math.pi * p / L))
         assert np.abs(waves.energies * (2 / delta) - sites.energies).max() < 1e-11, delta
         # exact degeneracies make single eigenvectors arbitrary, the weights averaged
         # over a cluster of levels within 1e-5 of each other are not

@@ -471,6 +471,8 @@ def test_compare_trees_runs_end_to_end(monkeypatch, capsys):
     assert [line for line in lines if ".csv" in line] == ["  quench.csv: identical", "  sweep.csv: identical"]
     assert "  window_flags: equal ({} -> {})" in lines
     assert len([line for line in lines if re.fullmatch(r"  tracemalloc peak: \d+ -> \d+ KiB", line)]) == 1
+    assert lines[-1] == ("summary: 1 configs run, failed: none; CSVs 2 identical, 0 changed (largest difference 0); "
+                         "window_flags differ: none; peak up by more than 11 KiB: none")
 
 
 def test_cell_changes_counts_cells_and_the_largest_difference(tmp_path):

@@ -57,7 +57,7 @@ def mean_and_stderr(samples):
 
 def phase_eigensystems(L, delta, n_phi, seed, bc):
     for phi in phase_sequence(seed, L, delta, n_phi):
-        yield eigendecompose(build_hamiltonian(ModelParams(L=L, delta=delta, phi=phi, bc=bc)))
+        yield eigendecompose(build_hamiltonian(ModelParams(L=L, delta=delta, bc=bc), phi))
 
 
 def recorded_weights(monkeypatch):

@@ -17,7 +17,10 @@ numeric cells; for each config it says whether the manifests'
 ``window_flags`` match, and prints the traced run's peak in KiB as old ->
 new.  The same code peaks a few KiB apart from one process to the next
 (up to 11 KiB over eight processes of the L=16 fig3 config with 600 times
-and 40 phases), so a difference that small says nothing.
+and 40 phases), so a difference that small says nothing.  The last line
+sums up: the configs run and failed, the CSVs identical and changed with
+the largest difference, and the configs (numbered as in the headers) whose
+``window_flags`` differ or whose peak rose by more than those 11 KiB.
 
 It exits 1 when a run fails or writes no CSV in either tree, and 0
 otherwise, changed CSVs and higher peaks included: a change is reported,
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,9 +138,9 @@ def compare(srcs: dict) -> bool:
     """Compare every config's outputs and peak between the trees of ``srcs``
     ({"old": ..., "new": ...}); True when every run succeeded and every
     config wrote CSVs in both trees."""
-    ok = True
-    for args in CONFIGS:
-        print(f"== {args}", flush=True)
+    ok, failed, identical, diffs, flagged, higher = True, [], 0, [], [], []
+    for number, args in enumerate(CONFIGS, 1):
+        print(f"== {number}: {args}", flush=True)
         with tempfile.TemporaryDirectory() as tmp:
             outs = {tag: Path(tmp) / tag for tag in srcs}
             peaks = {}
@@ -146,6 +150,7 @@ def compare(srcs: dict) -> bool:
                     print(f"  FAILED in the {tag} tree, {error}")
             if None in peaks.values():
                 ok = False
+                failed.append(number)
                 continue
             names = sorted({p.name for out in outs.values() for p in out.glob("*.csv")})
             if not names:
@@ -158,13 +163,26 @@ def compare(srcs: dict) -> bool:
                     ok = False
                 elif old.read_bytes() == new.read_bytes():
                     print(f"  {name}: identical")
+                    identical += 1
                 else:
                     cells, largest = cell_changes(old, new)
+                    diffs.append(largest)
                     print(f"  {name}: changed, {cells} cells, largest absolute difference {largest:.3g}")
             flags = [json.loads((out / "run_manifest.json").read_text())["window_flags"] for out in outs.values()]
             print(f"  window_flags: {'equal' if flags[0] == flags[1] else 'differ'} ({flags[0]} -> {flags[1]})")
             print(f"  tracemalloc peak: {peaks['old']:.0f} -> {peaks['new']:.0f} KiB")
+            flagged += [number] if flags[0] != flags[1] else []
+            higher += [number] if peaks["new"] - peaks["old"] > 11 else []
+    largest = float("nan") if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
+    print(f"summary: {len(CONFIGS)} configs run, failed: {_numbers(failed)}; CSVs {identical} identical, "
+          f"{len(diffs)} changed (largest difference {largest:.3g}); window_flags differ: {_numbers(flagged)}; "
+          f"peak up by more than 11 KiB: {_numbers(higher)}")
     return ok
+
+
+def _numbers(configs) -> str:
+    """Config numbers as "#3 #7", or "none"."""
+    return " ".join(f"#{n}" for n in configs) or "none"
 
 
 if __name__ == "__main__":
