@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error or unusable ``--out``, 3 numerical failure.
-``validate`` prints its JSON report on stdout; ``run`` reports errors as a
-JSON object on stderr, so callers can parse them.
+Exit codes: 0 success, 2 configuration error or unusable ``--out``, 3 numerical or
+resource failure (``"error": "numerical"``, or ``"resource"`` for a
+``MemoryError`` or a pool worker that died).  ``validate`` prints its JSON
+report on stdout; ``run`` reports errors as a JSON object on stderr, so
+callers can parse them.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ def main(argv=None) -> int:
         return _fail("config", {"diagnostics": exc.diagnostics}, 2)
     except NUMERICAL_ERRORS as exc:
         return _fail("numerical", {"message": str(exc)}, 3)
+    except (MemoryError, ChildProcessError) as exc:  # a block that cannot allocate, or a dead pool worker
+        return _fail("resource", {"message": str(exc)}, 3)
     for path in outputs:
         print(path)
     return 0

@@ -3,8 +3,8 @@
 Every preset writes plain CSV data files plus a JSON run manifest.  The
 CSV bodies are deterministic for a fixed configuration and seed (floats
 are written with 17 significant digits, row order is fixed by the grid);
-wall-clock information lives only in the manifest.  A run maps one list
-of jobs for all its tables once, serially or through one process pool.
+wall-clock information lives only in the manifest.  A run maps the blocks
+of all its tables serially or through its one process pool.
 """
 
 from __future__ import annotations
@@ -239,28 +239,7 @@ def validate(config: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# grid jobs (module level so a process pool can pickle them)
-
-def _grid_job(job):
-    """One job's tables and window flag counts: :func:`~obsent.sampling.phase_table`
-    of its deltas of one L, on the eigenstate window or the quench states."""
-    config, kind, L, deltas = job
-    states = (Quench(L, config.time_grid(), config.initial_site) if kind == "quench"
-              else eigenstate_window(L, config.mid_count, config.selector))
-    grid = [ModelParams(L=L, delta=delta, bc=config.bc) for delta in deltas]
-    return phase_table(grid, config.n_phi, config.seed, states, config.m, config.basis_tags(),
-                       config.momentum_order)
-
-
-def _grid_jobs(config: ExperimentConfig) -> list:
-    """Every job of a run, in table > L > delta order.  A job is one kind of
-    table, one L and a contiguous group of its deltas, which share their
-    phase blocks: one group per L at jobs 1, at most ``jobs`` otherwise."""
-    groups = min(config.jobs, len(config.delta))
-    cuts = [len(config.delta) * i // groups for i in range(groups + 1)]
-    return [(config, kind, L, config.delta[a:b]) for kind, *_ in _tables(config)
-            for L in config.L for a, b in zip(cuts, cuts[1:])]
-
+# the run's one pool
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the platform
@@ -274,18 +253,22 @@ def _one_blas_thread():
     BLAS_THREAD_SETTER(1)
 
 
-def _map_grid(jobs: list, pool: int):
-    """Each job's result in job order, as it comes in: in this process when ``pool``
-    is 1, else from one pool of ``pool`` processes, shut down once read to the end,
-    whose workers each run one BLAS thread where numpy's BLAS exports a setter."""
+@contextlib.contextmanager
+def _map_grid(pool: int):
+    """The builtin ``map`` when ``pool`` is 1, else that of one pool of ``pool``
+    processes, each running one BLAS thread where numpy's BLAS exports a setter;
+    a worker that dies, as one the OOM killer ends, raises ``ChildProcessError``."""
     if pool < 2:
-        yield from map(_grid_job, jobs)
+        yield map
         return
-    from concurrent.futures import ProcessPoolExecutor  # costs about 20 ms of import; serial runs skip it
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # about 20 ms of import; serial runs skip it
 
     initializer = _one_blas_thread if BLAS_THREAD_SETTER else None
     with ProcessPoolExecutor(max_workers=pool, initializer=initializer) as executor:
-        yield from executor.map(_grid_job, jobs)
+        try:
+            yield executor.map
+        except BrokenExecutor as exc:
+            raise ChildProcessError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +362,12 @@ def run(config: ExperimentConfig) -> list:
 
     Returns the list of written file paths.  Raises :class:`ConfigError`
     for invalid configurations and an unusable ``out``, before any compute.
-    The jobs of every table are mapped once, through at most one pool.  A
-    numerical failure propagates before any CSV is written; it, and an
-    ``OSError`` while writing the outputs (raised as :class:`ConfigError`),
-    leave a manifest with ``"status": "failed"``, the error message and the
-    pool size, where one can be written.
+    The blocks of every table are mapped through at most one pool.  A
+    numerical or resource failure (a ``MemoryError``, or a dead pool worker,
+    raised as ``ChildProcessError``) propagates before any CSV is written;
+    it, and an ``OSError`` while writing the outputs (raised as
+    :class:`ConfigError`), leave a manifest with ``"status": "failed"``, the
+    error message and the pool size, where one can be written.
     """
     diagnostics = validate(config)
     if diagnostics:
@@ -395,24 +379,32 @@ def run(config: ExperimentConfig) -> list:
         raise _unusable_out(config, exc)
     started = datetime.now(timezone.utc)
     t0 = time.perf_counter()
-    jobs = _grid_jobs(config)
     cpus = _usable_cpus()
-    pool = min(config.jobs, len(jobs), cpus)  # one worker runs in this process
-    tables, flags, files, error = {}, Counter(), [], None
+    pool = min(config.jobs, cpus)  # one worker runs in this process
+    flags, files, error = Counter(), [], None
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
         blas = {}
     try:  # every table is computed before any file is written
-        for (group, counts), (_, kind, L, deltas) in zip(_map_grid(jobs, pool), jobs):
-            flags.update(counts)
-            tables.setdefault(kind, {}).update(zip([(L, delta) for delta in deltas], group))
-        for kind, name, columns, extra in _tables(config):
-            files.append((name, columns, _table_rows(config, kind, columns, tables[kind])))
-            if extra is not None:
-                files.append(extra(config, tables[kind]))
-    except NUMERICAL_ERRORS as exc:
+        with _map_grid(pool) as mapper:
+            for kind, name, columns, extra in _tables(config):
+                tables = {}
+                for L in config.L:
+                    states = (Quench(L, config.time_grid(), config.initial_site) if kind == "quench"
+                              else eigenstate_window(L, config.mid_count, config.selector))
+                    grid = [ModelParams(L=L, delta=delta, bc=config.bc) for delta in config.delta]
+                    group, counts = phase_table(grid, config.n_phi, config.seed, states, config.m,
+                                                config.basis_tags(), config.momentum_order, mapper)
+                    flags.update(counts)
+                    tables.update({(L, params.delta): table for params, table in zip(grid, group)})
+                files.append((name, columns, _table_rows(config, kind, columns, tables)))
+                if extra is not None:
+                    files.append(extra(config, tables))
+    except (*NUMERICAL_ERRORS, MemoryError) as exc:
         error = exc
+    except ChildProcessError as exc:  # a dead pool worker, while the loop mapped kind's table at L
+        error = ChildProcessError(f"{kind} table, L={L}: {exc}")
     else:
         try:
             for name, columns, rows in files:

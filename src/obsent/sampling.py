@@ -9,14 +9,14 @@ stream itself (see :func:`phase_sequence`); it does not import
 ``numpy.random``.
 
 :func:`phase_table` is the one loop over the (delta, phase) realizations
-of one size and the one reduction of their weights into averaged
-entropies that every eigenstate and quench table runs through; an error
-of :data:`NUMERICAL_ERRORS` raised in it names the size, deltas and phase
-indices of the failing block.  Each kind of state owns its solve route:
-``blocks(L, bc)`` gives the realizations solved together, ``rows(diag,
-bc)`` a block's (B, n, L) rows and its chains' flags, and
-``averaged`` whether a realization's n entropies are averaged or kept;
-:func:`phase_table` sizes its reduction chunks from the rows it receives.
+of one size that every eigenstate and quench table runs through; it maps
+:func:`_block_samples`, the one reduction of their weights into entropies,
+over its blocks, and names the size, deltas and phase indices of a block
+that raises :data:`NUMERICAL_ERRORS` or ``MemoryError``.  Each kind of
+state owns its solve route: ``blocks(L, bc)`` gives the realizations
+solved together, ``rows(diag, bc)`` a block's (B, n, L) rows and its
+chains' flags, and ``averaged`` whether a realization's n entropies are
+averaged or kept; the reduction chunks are sized from those rows.
 :class:`Window` selects eigenstates by one stable ranking of the spectrum,
 :class:`~obsent.dynamics.Quench` evolves a particle.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -211,7 +212,26 @@ def window_rows(diag: np.ndarray, window: Window) -> tuple:
     return rows, flags.tolist()
 
 
-def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentum_order: str = "index"):
+def _block_samples(states, m_list, basis_tags, perm, chains):
+    """One block of :func:`phase_table`, its ``chains`` of (ModelParams, phases) solved together:
+    entropies ``{(m, basis_tag): [one array per chunk]}``, one basis at a time in chunks of
+    :func:`chunk_size` realizations' (n, L) rows, and each realization's flag ("" for none)."""
+    rows, flagged = states.rows(np.concatenate([chain_diagonals(*chain) for chain in chains]), chains[0][0].bc)
+    samples, step = {(m, b): [] for m in m_list for b in basis_tags}, chunk_size(rows.shape[-1], rows.shape[-2])
+    for chunk in range(0, len(rows), step):
+        part = rows[chunk:chunk + step]
+        for b in basis_tags:
+            amplitudes = part if b == "real" else to_momentum(part, axis=-1)[..., perm]
+            weights = np.abs(amplitudes)
+            np.square(weights, out=weights)
+            for m in m_list:
+                entropy = uniform_block_entropy(weights, m)
+                samples[(m, b)].append(entropy.mean(axis=-1) if states.averaged else entropy)
+    return samples, flagged
+
+
+def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentum_order: str = "index",
+                mapper=map):
     """Phase-averaged entropies ``{(m, basis_tag): (mean, stderr)}`` under
     size-m contiguous blocks, one table per chain in ``grid``, and the count
     of flagged realizations by flag.
@@ -222,12 +242,13 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     its own, a table does not depend on which chains share ``grid``.
     ``states`` is a :class:`Window` or a :class:`~obsent.dynamics.Quench`
     (see the module docstring); a quench keeps its n times, so its means and
-    standard errors have shape (n,).  The weights of one basis at a time are
-    allocated and reduced in chunks of as many realizations' (n, L) rows as
-    :func:`chunk_size` allows, and a block is released before the next one
-    is built.  Momentum tags see the states in the plane-wave basis, sorted
-    by kinetic energy when ``momentum_order`` is "kinetic".  Numerical errors
-    name L, each delta of the failing block and its phase indices.
+    standard errors have shape (n,).  ``mapper`` maps :func:`_block_samples`
+    over the blocks: the lazy builtin releases a block before it builds the
+    next, a process pool's ``map`` spreads them over its workers.  Momentum
+    tags see the states in the plane-wave basis, sorted by kinetic energy
+    when ``momentum_order`` is "kinetic".  Numerical errors and a
+    ``MemoryError`` name L, each delta of the failing block and its phase
+    indices.
     """
     if not set(basis_tags) <= set(BASIS_TAGS):
         raise ValueError(f"basis tags must be among {BASIS_TAGS}, got {tuple(basis_tags)}")
@@ -244,31 +265,29 @@ def phase_table(grid, n_phi: int, seed: int, states, m_list, basis_tags, momentu
     perm = kinetic_index_order(L) if momentum_order == "kinetic" else slice(None)
     phis = [phase_sequence(seed, L, params.delta, n_phi) for params in grid]
     block, total = states.blocks(L, bc), len(grid) * n_phi
+
+    def parts(start):  # (grid index, first phase, end phase) of each chain the block at start holds
+        stop = min(start + block, total)
+        return [(g, max(start - g * n_phi, 0), min(stop - g * n_phi, n_phi))
+                for g in range(start // n_phi, (stop - 1) // n_phi + 1)]
+
+    def where(start):  # each delta of the block at start, with its phase indices
+        return "; ".join(f"delta={grid[g].delta}, phase index {lo}-{hi - 1}" for g, lo, hi in parts(start))
+
+    blocks = mapper(partial(_block_samples, states, m_list, basis_tags, perm),
+                    ([(grid[g], phis[g][lo:hi]) for g, lo, hi in parts(start)] for start in range(0, total, block)))
     tables, samples, flags = [], {(m, b): [] for m in m_list for b in basis_tags}, Counter()
     for start in range(0, total, block):
-        stop = min(start + block, total)
-        # (grid index, first phase, end phase) of each chain the block holds
-        parts = [(g, max(start - g * n_phi, 0), min(stop - g * n_phi, n_phi))
-                 for g in range(start // n_phi, (stop - 1) // n_phi + 1)]
         try:
-            rows, flagged = states.rows(np.concatenate([chain_diagonals(grid[g], phis[g][lo:hi])
-                                                       for g, lo, hi in parts]), bc)
-            flags.update(filter(None, flagged))
-            step = chunk_size(L, rows.shape[-2])
-            for chunk in range(0, len(rows), step):
-                part = rows[chunk:chunk + step]
-                for b in basis_tags:
-                    amplitudes = part if b == "real" else to_momentum(part, axis=-1)[..., perm]
-                    weights = np.abs(amplitudes)
-                    np.square(weights, out=weights)
-                    for m in m_list:
-                        entropy = uniform_block_entropy(weights, m)
-                        samples[(m, b)].append(entropy.mean(axis=-1) if states.averaged else entropy)
+            block_samples, flagged = next(blocks)
         except NUMERICAL_ERRORS as exc:
-            where = "; ".join(f"delta={grid[g].delta}, phase index {lo}-{hi - 1}" for g, lo, hi in parts)
-            raise type(exc)(f"L={L}, {where}: {exc}") from exc
-        rows = part = amplitudes = weights = None  # the last chunk's arrays would keep the block alive
-        for _ in range(len(tables), stop // n_phi):  # the chains whose realizations are all in
+            raise type(exc)(f"L={L}, {where(start)}: {exc}") from exc
+        except MemoryError as exc:  # numpy's own takes a shape and a dtype, not a message
+            raise MemoryError(f"L={L}, {where(start)}: {exc}") from exc
+        flags.update(filter(None, flagged))
+        for key, vals in samples.items():  # popped, so that no list outlives its chain
+            vals += block_samples.pop(key)
+        for _ in range(len(tables), min(start + block, total) // n_phi):  # the chains whose realizations are all in
             tables.append({})
             for key, vals in samples.items():  # one key at a time, each list released as it is joined
                 vals = np.concatenate(vals)

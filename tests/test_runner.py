@@ -6,6 +6,7 @@ import errno
 import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -232,10 +233,17 @@ def test_rerun_byte_identical(tmp_path):
     ("fig4", {}),
     ("fig3", dict(L=[8], t_min=0.5, t_max=40.0, t_points=12)),  # fig3.csv has no L column
     ("custom", dict(times=[0.0, 1.0, 2.0])),
-    # serial runs share blocks of 128 phases across both deltas, parallel ones do not
+    # blocks of 128 phases span both deltas, the second block holding the last 4 of the first
     ("custom", dict(L=[16], n_phi=130, times=[0.5, 2.0, 8.0, 32.0])),
-], ids=["fig4", "fig3", "custom-times", "custom-partial-blocks"])
-def test_parallel_matches_serial(tmp_path, preset, extra):
+    ("fig4", dict(bc="periodic")),
+    ("custom", dict(basis="momentum", selector="ground", momentum_order="kinetic")),
+    ("custom", dict(delta=[1.0, 1e200])),  # every window at delta=1e200 is re-solved as inaccurate
+    ("custom", dict(bc="periodic", times=[0.0, 1.0, 2.0])),
+], ids=["fig4", "fig3", "custom-times", "custom-partial-blocks", "periodic-window", "ground-kinetic-momentum",
+        "inaccurate", "periodic-quench"])
+def test_parallel_matches_serial(tmp_path, monkeypatch, preset, extra):
+    # a real two-worker pool, even where the process may use one CPU
+    monkeypatch.setattr(obsent.runner, "_usable_cpus", lambda: 2)
     kwargs = {**dict(L=[8, 16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6), **extra}
     serial = run(make_config(preset, out=str(tmp_path / "serial"), jobs=1, **kwargs))
     parallel = run(make_config(preset, out=str(tmp_path / "parallel"), jobs=2, **kwargs))
@@ -243,6 +251,9 @@ def test_parallel_matches_serial(tmp_path, preset, extra):
     assert csvs
     for a, b in csvs:
         assert a.name == b.name and a.read_bytes() == b.read_bytes()
+    manifests = [json.loads((tmp_path / side / "run_manifest.json").read_text()) for side in ("serial", "parallel")]
+    assert [m["workers"] for m in manifests] == [1, 2]
+    assert manifests[0]["window_flags"] == manifests[1]["window_flags"]
 
 
 def test_parallel_fallback_counts_match_serial(tmp_path):
@@ -271,7 +282,7 @@ LIBRARY_RUNS = {
 
 @pytest.mark.parametrize("flags", LIBRARY_RUNS.values(), ids=LIBRARY_RUNS)
 def test_presets_equal_library_tables(tmp_path, flags):
-    # the runner's grid job and the two table functions each call phase_table
+    # the runner's run and the two table functions each call phase_table
     # on their own, through the same window and quench-state rules
     assert obsent.cli.main(["run", "--preset", "custom", *flags, "--out", str(tmp_path)]) == 0
     cfg = config_from_mapping(json.loads((tmp_path / "run_manifest.json").read_text())["config"])
@@ -297,7 +308,7 @@ def test_presets_equal_library_tables(tmp_path, flags):
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The ``max_workers`` of every process pool a run starts; a stub runs
-    the pool's jobs in this process, since a real pool with jobs=100000
+    the pool's tasks in this process, since a real pool with jobs=100000
     would fork a process per worker at the first submit."""
     import concurrent.futures
 
@@ -320,18 +331,19 @@ def pool_sizes(monkeypatch):
     return seen
 
 
-def test_pool_never_exceeds_grid_points(tmp_path, pool_sizes, monkeypatch):
+def test_pool_takes_jobs_up_to_the_usable_cpus(tmp_path, pool_sizes, monkeypatch):
+    # the pool is min(jobs, usable CPUs), however few blocks the run holds
     monkeypatch.setattr(obsent.runner, "_usable_cpus", lambda: 8)
     kwargs = dict(L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6)
     csvs, workers = [], []
-    for jobs in (1, 100000):
+    for jobs in (1, 3, 100000):
         out = tmp_path / f"jobs{jobs}"
         run(make_config("fig1", out=str(out), jobs=jobs, **kwargs))
         csvs.append((out / "fig1.csv").read_bytes())
         workers.append(json.loads((out / "run_manifest.json").read_text())["workers"])
-    assert pool_sizes == [2]  # two grid points, one job each
-    assert workers == [1, 2]
-    assert csvs[0] == csvs[1]
+    assert pool_sizes == [3, 8]
+    assert workers == [1, 3, 8]
+    assert csvs[0] == csvs[1] == csvs[2]
 
 
 def test_one_cpu_starts_no_pool(tmp_path, pool_sizes, monkeypatch):
@@ -343,8 +355,9 @@ def test_one_cpu_starts_no_pool(tmp_path, pool_sizes, monkeypatch):
 
 
 def test_run_starts_one_pool_for_all_its_tables(tmp_path, pool_sizes, monkeypatch):
-    # the sweep and the quench jobs of a custom run share one pool, whose size
-    # the manifest records; a failing run records the pool it started
+    # the sweep and the quench tables of a custom run share one pool, whose size
+    # the manifest records; a failing run records the pool it started and, as
+    # a serial run does, names both deltas of its one block
     monkeypatch.setattr(obsent.runner, "_usable_cpus", lambda: 2)
     kwargs = dict(L=[16], delta=[1.0, 3.0], m=[1, 2], n_phi=3, seed=6, times=[0.0, 1.0, 2.0])
     manifests = []
@@ -358,7 +371,8 @@ def test_run_starts_one_pool_for_all_its_tables(tmp_path, pool_sizes, monkeypatc
         assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
     failing = make_config("fig3", out=str(tmp_path / "failed"), jobs=2, L=[16], delta=[1e307, 2.0], m=[1, 16],
                           n_phi=2, times=[0, 1, 2, 3, 4, 5, 6, 7, 8, 50], fit_window=[1, 8])
-    with pytest.raises(FloatingPointError, match="^L=16, delta=1e\\+307, phase index 0-1: t \\* E overflows"):
+    with pytest.raises(FloatingPointError, match="^L=16, delta=1e\\+307, phase index 0-1; delta=2.0, phase index 0-1: "
+                                                 "t \\* E overflows"):
         run(failing)
     manifest = json.loads((tmp_path / "failed" / "run_manifest.json").read_text())
     assert manifest["status"] == "failed" and manifest["workers"] == pool_sizes[1] == manifest["cpus"]
@@ -381,8 +395,19 @@ def test_pool_is_capped_by_the_affinity_mask(tmp_path):
     assert (tmp_path / "masked" / "fig1.csv").read_bytes() == (tmp_path / "serial" / "fig1.csv").read_bytes()
 
 
-def _blas_threads(job):
-    """A pool job that reads its worker's OpenBLAS thread count."""
+def test_serial_runs_never_import_concurrent_futures(tmp_path):
+    # a pool costs about 20 ms of import, which a run at jobs 1 skips
+    script = ("import sys\nfrom obsent import make_config, run\n"
+              f"run(make_config('custom', out={str(tmp_path)!r}, L=[16], m=[1], n_phi=2, times=[0.0, 1.0]))\n"
+              "print(sorted(name for name in sys.modules if name.startswith('concurrent')))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["quench.csv", "sweep.csv"]
+
+
+def _blas_threads(task):
+    """A pool task that reads its worker's OpenBLAS thread count."""
     return obsent.model._LINALG.scipy_openblas_get_num_threads64_()
 
 
@@ -397,10 +422,10 @@ def test_pool_workers_run_one_blas_thread(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["workers"] == 2 and manifest["worker_blas_setter"] == "scipy_openblas_set_num_threads64_"
     before = lib.scipy_openblas_get_num_threads64_()
-    monkeypatch.setattr(obsent.runner, "_grid_job", _blas_threads)
     lib.scipy_openblas_set_num_threads64_(2)
     try:
-        counts = list(obsent.runner._map_grid([None, None], 2))
+        with obsent.runner._map_grid(2) as mapper:
+            counts = list(mapper(_blas_threads, [None, None]))
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
     assert counts == [1, 1]
@@ -549,7 +574,7 @@ def test_cli_rejects_non_finite(tmp_path, monkeypatch, capsys, command, flags):
     def no_compute(*args):
         raise AssertionError("computation started for an invalid config")
 
-    monkeypatch.setattr(obsent.runner, "_map_grid", no_compute)
+    monkeypatch.setattr(obsent.sampling, "_block_samples", no_compute)
     code = obsent.cli.main([command, *flags, "--L", "16", "--m", "1", "--out", str(tmp_path)])
     assert code == 2
     assert "is not finite" in "".join(capsys.readouterr())
@@ -609,7 +634,7 @@ def test_cli_rejects_malformed_values(tmp_path, monkeypatch, capsys, command, co
     def no_compute(*args):
         raise AssertionError("computation started for an invalid config")
 
-    monkeypatch.setattr(obsent.runner, "_map_grid", no_compute)
+    monkeypatch.setattr(obsent.sampling, "_block_samples", no_compute)
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -631,7 +656,7 @@ def test_unusable_out_is_a_config_error(tmp_path, monkeypatch, capsys, under):
     def no_compute(*args):
         raise AssertionError("computation started for an unusable out")
 
-    monkeypatch.setattr(obsent.runner, "_map_grid", no_compute)
+    monkeypatch.setattr(obsent.sampling, "_block_samples", no_compute)
     (tmp_path / "file").write_text("")
     if under is None:  # a name that Path.exists cannot examine
         out = str(tmp_path / ("x" * 300))
@@ -735,6 +760,67 @@ def test_cli_failure_in_a_shared_block_names_each_delta(tmp_path, monkeypatch, c
                        "dstevd failed on chain 2 of the stack (info=2)")
     assert len(calls) == 3
     assert json.loads((tmp_path / "run_manifest.json").read_text())["error"] == message
+
+
+def test_cli_failure_does_not_depend_on_jobs(tmp_path, monkeypatch, capsys):
+    # the shared block above, under a real two-worker pool: one worker solves
+    # the block and fails on its third chain, as the serial run does
+    monkeypatch.setattr(obsent.runner, "_usable_cpus", lambda: 2)
+    calls = []
+
+    def unconverged_third(jobz, n, d, e, *rest):
+        calls.append(d)
+        rest[-2].value = 2 if len(calls) == 3 else 0  # info
+
+    monkeypatch.setattr(obsent.model, "_DSTEVD", unconverged_third)
+    failures = []
+    for jobs in (1, 2):
+        calls.clear()  # a pool worker counts from the calls made before it forked
+        code = run_cli("fig4", tmp_path / f"jobs{jobs}", "--delta", "1.5,2.5", "--m", "1", "--jobs", str(jobs))
+        manifest = json.loads((tmp_path / f"jobs{jobs}" / "run_manifest.json").read_text())
+        failures.append((code, json.loads(capsys.readouterr().err), manifest["error"], manifest["workers"]))
+    assert [failure[:3] for failure in failures] == [failures[0][:3]] * 2
+    assert [failure[3] for failure in failures] == [1, 2]
+    code, err, error, _ = failures[0]
+    assert code == 3 and err["message"] == error == (
+        "L=16, delta=1.5, phase index 0-1; delta=2.5, phase index 0-1: dstevd failed on chain 2 of the stack (info=2)")
+
+
+def test_cli_memory_error_in_a_block_names_grid_point(tmp_path, monkeypatch, capsys):
+    # a block that cannot allocate ends the run like a numerical failure: exit 3,
+    # the block named, and a failed manifest
+    def out_of_memory(diag):
+        return np.empty(1 << 58)  # 2**61 bytes, more than any address space: numpy's own MemoryError
+
+    monkeypatch.setattr(obsent.sampling, "chain_eigenvalues", out_of_memory)
+    code = run_cli("fig1", tmp_path, "--delta", "1.5", "--m", "1", "--jobs", "1")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "resource"
+    assert err["message"].startswith("L=16, delta=1.5, phase index 0-1: Unable to allocate ")
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["error"] == err["message"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _die_in_a_worker(*args):
+    """Ends a pool worker as the OOM killer would; in the test process it only raises."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("a block ran outside the pool")
+    os._exit(9)
+
+
+@pytest.mark.skipif(obsent.runner._usable_cpus() < 2, reason="needs at least two usable CPUs")
+def test_cli_dead_worker_is_a_resource_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(obsent.sampling, "chain_diagonals", _die_in_a_worker)
+    code = run_cli("fig3", tmp_path, "--delta", "1.5,2.5", "--m", "1,16", "--jobs", "2")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "resource"
+    assert err["message"].startswith("quench table, L=16: A process in the process pool was terminated abruptly")
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["error"] == err["message"] and manifest["workers"] == 2
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_quench_phase_overflow_names_grid_point(tmp_path, capsys):

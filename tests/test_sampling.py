@@ -538,13 +538,15 @@ def test_phase_table_rejects_a_repeated_m_or_basis_tag():
 
 
 def test_one_loop_over_phases_and_one_reduction():
-    # every phase average draws its phases and reduces its weights in phase_table
-    # alone, which the two table functions and the runner's grid job call directly,
-    # flag counts are returned, never passed in, and the errors of a
-    # numerical failure are spelled once, in sampling.NUMERICAL_ERRORS; no module
-    # imports inspect and phase_table calls no isinstance, so that the states pick
-    # their own route and phase_table never picks one by inspecting them
-    callers, flag_params, error_tuples, sniffing = set(), set(), [], []
+    # every phase average draws its phases in phase_table and reduces its weights
+    # in the block function that phase_table maps, and the two table functions and
+    # the runner's run call phase_table directly; flag counts are returned, never
+    # passed in, and the errors of a numerical failure are spelled once, in
+    # sampling.NUMERICAL_ERRORS; no module imports inspect and phase_table calls no
+    # isinstance, so that the states pick their own route and phase_table never
+    # picks one by inspecting them; only the runner imports concurrent.futures,
+    # for its one pool
+    callers, flag_params, error_tuples, sniffing, pools = set(), set(), [], [], []
     errors = {"LinAlgError", "ValueError", "FloatingPointError"}
 
     def visit(node, module, owner):
@@ -557,6 +559,9 @@ def test_one_loop_over_phases_and_one_reduction():
         if isinstance(node, ast.Import) and "inspect" in {alias.name for alias in node.names} or (
                 isinstance(node, ast.ImportFrom) and node.module == "inspect"):
             sniffing.append((module, "import inspect"))
+        if isinstance(node, ast.Import) and any(alias.name.startswith("concurrent") for alias in node.names) or (
+                isinstance(node, ast.ImportFrom) and (node.module or "").startswith("concurrent")):
+            pools.append(module)
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name in ("phase_sequence", "uniform_block_entropy", "phase_table"):
@@ -572,12 +577,13 @@ def test_one_loop_over_phases_and_one_reduction():
     for path in sorted(Path(sampling.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
     assert callers == {("phase_sequence", "sampling", "phase_table"),
-                       ("uniform_block_entropy", "sampling", "phase_table"),
+                       ("uniform_block_entropy", "sampling", "_block_samples"),
                        ("phase_table", "analysis", "eigenstate_entropy_table"),
                        ("phase_table", "dynamics", "quench_entropy_table"),
-                       ("phase_table", "runner", "_grid_job")}
+                       ("phase_table", "runner", "run")}
     assert not flag_params
     assert not sniffing
+    assert pools == ["runner"]
     assert error_tuples == [("sampling", "NUMERICAL_ERRORS")]
     assert sampling.NUMERICAL_ERRORS == (np.linalg.LinAlgError, ValueError, FloatingPointError)
 
